@@ -5,7 +5,10 @@ Samples, empirical CDFs, least concave majorants, the Grenander estimator
 and rate constants the inference layer is built on.
 """
 
+from math import factorial
+
 import numpy as np
+from scipy.interpolate import PPoly
 
 from .integrate import adaptive_simpson, integrate_piecewise
 
@@ -189,12 +192,13 @@ class StepDensity:
         self.mass = mass
 
     @property
-    def linear_pieces(self):
+    def quad_breakpoints(self):
         return np.concatenate([[0.0], self.breakpoints])
 
     @property
-    def quad_breakpoints(self):
-        return self.linear_pieces
+    def ppoly(self):
+        """The steps as a degree-0 ``PPoly`` on [0, 1] (right-continuous)."""
+        return PPoly(self.heights[None, :], self.quad_breakpoints)
 
     def __call__(self, t):
         arr, scalar = _as_array(t)
@@ -247,8 +251,8 @@ class AnalyticDensity:
         Shape flags: monotone non-increasing; derivative bounded away from 0
         and -inf on (0, 1); second derivative bounded.
     piecewise_linear : bool
-        Marks densities that are globally linear on [0, 1], enabling exact
-        L1 computations against step functions.
+        Marks densities that are globally linear on [0, 1]; they expose a
+        ``ppoly`` and get exact L1 distances.
     """
 
     def __init__(self, name, pdf, dpdf=None, d2pdf=None, cdf=None, ppf=None,
@@ -269,10 +273,12 @@ class AnalyticDensity:
             raise ValueError("density %s integrates to %r, not 1" % (name, mass))
 
     @property
-    def linear_pieces(self):
-        if self.piecewise_linear:
-            return np.array([0.0, 1.0])
-        return None
+    def ppoly(self):
+        """The density as a linear ``PPoly`` when it is linear, else None."""
+        if not self.piecewise_linear:
+            return None
+        f0, f1 = self(0.0), self(1.0)
+        return PPoly([[f1 - f0], [f0]], [0.0, 1.0])
 
     @property
     def quad_breakpoints(self):
@@ -371,10 +377,6 @@ def trunc_exp_density(rate=1.0):
     )
 
 
-def _linear_pieces_of(d):
-    return getattr(d, "linear_pieces", None)
-
-
 def _quad_breakpoints_of(d):
     qb = getattr(d, "quad_breakpoints", None)
     if qb is not None:
@@ -382,44 +384,52 @@ def _quad_breakpoints_of(d):
     return np.array([0.0, 1.0])
 
 
-def _l1_exact(a, b, pieces):
-    """Exact integral of |a - b| when the difference is linear on each piece."""
-    x0 = pieces[:-1]
-    x1 = pieces[1:]
-    keep = x1 > x0
-    x0, x1 = x0[keep], x1[keep]
-    length = x1 - x0
-    # reconstruct the line on each piece from two interior probes: endpoints
-    # of step functions are ambiguous under the sided convention
-    q1 = x0 + length / 3.0
-    q2 = x0 + 2.0 * length / 3.0
-    d1 = np.asarray(a(q1), dtype=float) - np.asarray(b(q1), dtype=float)
-    d2 = np.asarray(a(q2), dtype=float) - np.asarray(b(q2), dtype=float)
-    if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
-        raise ValueError("non-finite density value inside [0, 1]")
-    slope = (d2 - d1) / (q2 - q1)
-    d_lo = d1 - slope * (q1 - x0)
-    d_hi = d1 + slope * (x1 - q1)
-    same_sign = d_lo * d_hi >= 0.0
-    whole = 0.5 * np.abs(d_lo + d_hi) * length
-    denom = np.where(same_sign, 1.0, d_lo - d_hi)
-    root = length * d_lo / denom
-    split = 0.5 * (np.abs(d_lo) * root + np.abs(d_hi) * (length - root))
-    return float(np.sum(np.where(same_sign, whole, split)))
+def _reexpand(pp, x, degree):
+    """Coefficients of ``pp`` about the left end of each piece of ``x``, a
+    refinement of its breakpoints, padded to ``degree``."""
+    left = x[:-1]
+    c = np.empty((degree + 1, left.size))
+    for q in range(degree + 1):
+        c[degree - q] = pp(left, nu=q) / factorial(q)
+    return c
+
+
+def _l1_exact(pa, pb):
+    """Exact integral of |pa - pb| for two piecewise polynomials on [0, 1].
+
+    Both are re-expanded on the merged breakpoints. Between consecutive
+    roots of the difference its sign is fixed, so the integral is a sum of
+    absolute antiderivative increments.
+    """
+    x = np.union1d(pa.x, pb.x)
+    k = max(pa.c.shape[0], pb.c.shape[0]) - 1
+    diff = PPoly(_reexpand(pa, x, k) - _reexpand(pb, x, k), x)
+    # a piece whose constant term exceeds the rest of its Taylor bound keeps
+    # one sign; hand the root finder a constant there instead
+    c = diff.c
+    width = np.diff(x)
+    rest = sum(np.abs(c[k - q]) * width ** q for q in range(1, k + 1))
+    one_sign = np.abs(c[k]) > rest
+    probe = np.where(one_sign, 0.0, c)
+    probe[k, one_sign] = 1.0
+    roots = PPoly(probe, x).roots(discontinuity=False, extrapolate=False)
+    # identically zero pieces report nan
+    z = np.union1d(x, roots[np.isfinite(roots)])
+    return float(np.sum(np.abs(np.diff(diff.antiderivative()(z)))))
 
 
 def l1_distance(a, b, tol=1e-8):
     """L1 distance between two densities on [0, 1].
 
-    Exact (merged-partition, closed form) when both arguments are piecewise
-    linear with known pieces; adaptive Simpson over the merged kink list
-    otherwise. Non-finite evaluations raise ValueError.
+    Exact when both arguments expose a piecewise-polynomial form as a
+    ``ppoly`` attribute (step densities, linear analytic densities, the
+    kernel smoother). Otherwise adaptive Simpson over the merged kink list,
+    where non-finite evaluations raise ValueError.
     """
-    pa = _linear_pieces_of(a)
-    pb = _linear_pieces_of(b)
+    pa = getattr(a, "ppoly", None)
+    pb = getattr(b, "ppoly", None)
     if pa is not None and pb is not None:
-        pieces = np.unique(np.concatenate([pa, pb]))
-        return _l1_exact(a, b, pieces)
+        return _l1_exact(pa, pb)
     bp = np.unique(np.concatenate([_quad_breakpoints_of(a), _quad_breakpoints_of(b)]))
 
     def integrand(t):

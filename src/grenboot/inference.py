@@ -218,6 +218,10 @@ def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
     with a supersample estimate mu_hat and standardized by n^(1/6); the band
     radius is n^(-1/3) mu_hat + n^(-1/2) q_(level) of the standardized
     sample. A negative radius yields an empty band (flagged, with a warning).
+
+    The supersample size defaults to max(10n, min(ceil(n^1.5), m_cap)): the
+    cap bounds the n^1.5 growth, and the 10n floor wins over the cap once
+    n > m_cap / 10. An explicit ``m`` below 10n raises ValueError.
     """
     if not isinstance(sample, Sample):
         sample = Sample(sample)
@@ -232,7 +236,7 @@ def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
         raise ValueError("kernel %s fails the l1-level conditions" % kernel.name)
     n = sample.n
     if m is None:
-        m = int(min(max(10 * n, math.ceil(n ** 1.5)), m_cap))
+        m = max(10 * n, min(math.ceil(n ** 1.5), m_cap))
     m = int(m)
     if m < 10 * n:
         raise ValueError("supersample size m must be at least 10n")

@@ -1,5 +1,9 @@
 """Adaptive Simpson quadrature with batched integrand evaluation.
 
+Used where an integrand has no piecewise-polynomial form: L1 distances to
+non-polynomial densities, shape integrals, and kernel moments of kernels
+given only as callables.
+
 The classic recursive scheme with Richardson acceptance is run breadth-first:
 every refinement level evaluates the integrand once on the batch of all
 active panel points, so integrands backed by numpy stay fast even when many
@@ -56,6 +60,10 @@ def integrate_piecewise(f, breakpoints, tol=1e-8, max_depth=30):
     The absolute tolerance is shared out to panels in proportion to their
     length, so kinks known ahead of time (step edges, seams of a piecewise
     definition) cost nothing beyond the panels they create.
+
+    ``tol`` holds only when ``f`` is smooth between the given breakpoints.
+    A kink left out of them can make the Richardson estimate accept a panel
+    whose error is far above its share of the tolerance.
     """
     bp = np.asarray(breakpoints, dtype=float)
     if bp.ndim != 1 or bp.size < 2:

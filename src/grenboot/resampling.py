@@ -100,25 +100,18 @@ def envelope_bound(smoothed):
 def rejection_sample(smoothed, n, rng, min_rate=1e-4, burn_in=50000):
     """Draw n observations from the normalized smoothed density by rejection.
 
-    Proposals are uniform on [0, 1] under a constant envelope; the target is
-    the unnormalized truncated extension, so no normalizer is needed. Batch
-    sizes adapt to the running acceptance-rate estimate but depend only on
-    deterministic quantities, keeping the draw reproducible. An acceptance
-    rate below ``min_rate`` after ``burn_in`` proposals raises
-    :class:`EnvelopeError`.
+    Proposals are uniform on [0, 1] under the constant envelope
+    ``smoothed.envelope``, which the smoother computes once with
+    :func:`envelope_bound`; the target is the unnormalized truncated
+    extension, so no normalizer is needed. Batch sizes adapt to the running
+    acceptance-rate estimate but depend only on deterministic quantities,
+    keeping the draw reproducible. An acceptance rate below ``min_rate``
+    after ``burn_in`` proposals raises :class:`EnvelopeError`.
     """
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    # the bound is a pure function of the fitted density; cache it on the
-    # instance since one fit typically feeds hundreds of bootstrap draws
-    bound = getattr(smoothed, "_envelope_cache", None)
-    if bound is None:
-        bound = envelope_bound(smoothed)
-        try:
-            smoothed._envelope_cache = bound
-        except AttributeError:
-            pass
+    bound = smoothed.envelope
     gen = rng.gen
     kept = []
     got = 0

@@ -3,18 +3,21 @@
 The raw kernel estimate is only trustworthy on [h, 1-h]; near the endpoints
 it is replaced by linear extensions anchored at the seams, with the extension
 slope clamped to be non-increasing. The result is truncated at zero and
-rescaled to unit mass. Kernel admissibility is checked at two levels:
-"pointwise" suffices for pointwise bootstrap limits, "l1" adds the moment and
-smoothness conditions the L1 theory needs.
+rescaled to unit mass. With a polynomial kernel all of this is exactly a
+piecewise polynomial, built once per fit. Kernel admissibility is checked at
+two levels: "pointwise" suffices for pointwise bootstrap limits, "l1" adds
+the moment and smoothness conditions the L1 theory needs.
 """
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
+from scipy.interpolate import PPoly
 
-from .density import Sample, _as_array, _ret
-from .integrate import adaptive_simpson, integrate_piecewise
+from .density import Sample, _as_array, _reexpand, _ret
+from .integrate import adaptive_simpson
+from .resampling import envelope_bound
 
 __all__ = [
     "Kernel",
@@ -46,14 +49,27 @@ class Kernel:
     in place of quadrature. Recognized keys: ``mass``, ``first_moment``,
     ``deriv_mass``, ``deriv_first_moment``, ``dderiv_mass``,
     ``dderiv_first_moment``.
+
+    ``coefficients`` holds the ascending power coefficients of a polynomial
+    kernel, or None; :class:`SmoothedDensity` needs them. Build such a kernel
+    with :meth:`Kernel.polynomial`, which derives the profiles from them.
     """
 
     def __init__(self, name, profile, dprofile, d2profile, d3profile=None,
-                 moments=None):
+                 moments=None, coefficients=None):
         self.name = name
         self._profiles = (profile, dprofile, d2profile, d3profile)
         self.moments = dict(moments or {})
+        self.coefficients = (None if coefficients is None
+                             else np.asarray(coefficients, dtype=float))
         self._condition_cache = {}
+
+    @classmethod
+    def polynomial(cls, name, coefficients):
+        """Kernel sum_p coefficients[p] v^p on [-1, 1]."""
+        poly = np.polynomial.Polynomial(coefficients)
+        return cls(name, *(poly.deriv(k) for k in range(4)),
+                   coefficients=coefficients)
 
     def deriv(self, v, order):
         """Kernel derivative of the given order, zero outside the support."""
@@ -74,37 +90,10 @@ class Kernel:
         return "Kernel(%r)" % self.name
 
 
-EPANECHNIKOV = Kernel(
-    "epanechnikov",
-    profile=lambda v: 0.75 * (1.0 - v * v),
-    dprofile=lambda v: -1.5 * v,
-    d2profile=lambda v: np.full_like(v, -1.5),
-    d3profile=lambda v: np.zeros_like(v),
-    moments={
-        "mass": 1.0,
-        "first_moment": 0.0,
-        "deriv_mass": 0.0,
-        "deriv_first_moment": -1.0,
-        "dderiv_mass": -3.0,
-        "dderiv_first_moment": 0.0,
-    },
-)
+EPANECHNIKOV = Kernel.polynomial("epanechnikov", [0.75, 0.0, -0.75])
 
-BIWEIGHT = Kernel(
-    "biweight",
-    profile=lambda v: (15.0 / 16.0) * (1.0 - v * v) ** 2,
-    dprofile=lambda v: -(15.0 / 4.0) * v * (1.0 - v * v),
-    d2profile=lambda v: -(15.0 / 4.0) * (1.0 - 3.0 * v * v),
-    d3profile=lambda v: (45.0 / 2.0) * v,
-    moments={
-        "mass": 1.0,
-        "first_moment": 0.0,
-        "deriv_mass": 0.0,
-        "deriv_first_moment": -1.0,
-        "dderiv_mass": 0.0,
-        "dderiv_first_moment": 0.0,
-    },
-)
+BIWEIGHT = Kernel.polynomial("biweight",
+                             [15.0 / 16.0, 0.0, -30.0 / 16.0, 0.0, 15.0 / 16.0])
 
 _KERNELS = {k.name: k for k in (EPANECHNIKOV, BIWEIGHT)}
 
@@ -130,6 +119,10 @@ class ConditionReport:
 def _kernel_moment(kernel, key, order, power, quad_tol=1e-10):
     if key in kernel.moments:
         return float(kernel.moments[key])
+    if kernel.coefficients is not None:
+        poly = np.polynomial.Polynomial(kernel.coefficients).deriv(order)
+        prim = (poly * np.polynomial.Polynomial([0.0, 1.0]) ** power).integ()
+        return float(prim(1.0) - prim(-1.0))
 
     def integrand(v):
         vals = kernel.deriv(v, order)
@@ -238,12 +231,82 @@ DEFAULT_POINTWISE_RULE = BandwidthRule(alpha=0.30, scale=1.0, regime="pointwise"
 DEFAULT_L1_RULE = BandwidthRule(alpha=0.18, scale=1.0, regime="l1")
 
 
+def _raw_pieces(x, coefficients, h):
+    """Knots of the raw estimate on [h, 1-h], and the polynomial it follows
+    from each knot to the next, as PPoly columns in the variable t - knot.
+
+    Between consecutive knots X_i +- h the window of active observations is
+    fixed. Each window is read off the knot indices, so the float knots alone
+    decide membership; its power sums are differences of prefix sums. One
+    more column takes the window just left of 1 - h at 1 - h, so
+    each seam sees the interior from inside: the first column gives the left
+    seam, the last the right one.
+    """
+    n = x.size
+    deg = coefficients.size - 1
+    lo, hi = h, 1.0 - h
+    leave = x + h
+    enter = x - h
+    knots = np.unique(np.concatenate([
+        [lo, hi],
+        leave[(leave >= lo) & (leave <= hi)],
+        enter[(enter >= lo) & (enter <= hi)],
+    ]))
+    first = np.append(np.searchsorted(leave, knots, side="right"),
+                      np.searchsorted(leave, hi, side="left"))
+    last = np.append(np.searchsorted(enter, knots, side="right"),
+                     np.searchsorted(enter, hi, side="left"))
+    # observations fall in blocks of width h, each with its own center, so
+    # the powers summed stay below h^r at any bandwidth; a window spans at
+    # most four blocks
+    edges = h * np.arange(int(np.ceil(1.0 / h)) + 2)
+    start = np.append(np.searchsorted(x, edges), [n] * 4)
+    block = np.searchsorted(edges, x, side="right") - 1
+    prefix = np.zeros((deg + 1, n + 1))
+    power = np.ones(n)
+    for r in range(deg + 1):
+        np.cumsum(power, out=prefix[r, 1:])
+        power = power * (x - (h * block + 0.5 * h))
+    # sums of (at - X_i)^r over each window, block by block
+    at = np.append(knots, hi)
+    shifted = np.zeros((deg + 1, at.size))
+    for b in block[np.minimum(first, n - 1)] + np.arange(4)[:, None]:
+        lo_i = np.maximum(first, start[b])
+        window = prefix[:, np.maximum(np.minimum(last, start[b + 1]), lo_i)] - prefix[:, lo_i]
+        d = at - (h * b + 0.5 * h)
+        for r in range(deg + 1):
+            shifted[r] += sum(comb(r, m) * (-1.0) ** m * d ** (r - m) * window[m]
+                              for m in range(r + 1))
+    # ascending coefficients of (1/(n h)) sum_i K((knot + s - X_i) / h) in s
+    rows = max(deg, 1) + 1
+    out = np.zeros((rows, first.size))
+    for p, a in enumerate(coefficients):
+        if a != 0.0:
+            for q in range(p + 1):
+                out[q] += (a * comb(p, q) / h ** p) * shifted[p - q]
+    out /= n * h
+    return knots, out[::-1]
+
+
+def _dips_below_zero(coefficients):
+    """Whether the kernel polynomial is negative somewhere on [-1, 1]."""
+    poly = np.polynomial.Polynomial(coefficients)
+    crit = poly.deriv().roots() if coefficients.size > 1 else np.array([])
+    crit = crit[np.isreal(crit)].real
+    vals = poly(np.concatenate([[-1.0, 1.0], crit[np.abs(crit) <= 1.0]]))
+    return bool(np.min(vals) < -1e-12 * np.max(np.abs(vals)))
+
+
 class SmoothedDensity:
     """Kernel density estimate with linear boundary extensions, truncated at
     zero and rescaled to unit mass.
 
-    Construction is eager: seam anchors, extension slopes, any sign crossing,
-    and the normalizer are computed once; evaluation afterwards is pure.
+    With a polynomial kernel the raw estimate is a piecewise polynomial with
+    knots at X_i +- h. Construction builds it once, glued to its linear
+    extensions, as one ``scipy.interpolate.PPoly`` on [0, 1]; evaluation and
+    derivatives read from it. The truncated and rescaled copy ``ppoly`` gives
+    the normalizer and the CDF by antiderivative and exact L1 distances.
+    At a knot, derivatives are those of the piece to its right.
 
     Attributes
     ----------
@@ -253,6 +316,11 @@ class SmoothedDensity:
         Bandwidth in (0, 1/2].
     normalizer : float
         Mass of the truncated extended estimate (the rescaling divisor).
+    ppoly : scipy.interpolate.PPoly
+        The normalized density on [0, 1].
+    envelope : float
+        Upper bound of the truncated extension for rejection sampling,
+        :func:`~grenboot.resampling.envelope_bound` of this estimate.
     """
 
     def __init__(self, sample, kernel, h, rule=None):
@@ -261,6 +329,11 @@ class SmoothedDensity:
         h = float(h)
         if not 0.0 < h <= 0.5:
             raise ValueError("bandwidth must lie in (0, 1/2]")
+        if kernel.coefficients is None:
+            raise ValueError(
+                "kernel %s has no polynomial form; the smoother needs one "
+                "(build the kernel with Kernel.polynomial)" % kernel.name
+            )
         self.sample = sample
         self.kernel = kernel
         self.h = h
@@ -268,64 +341,46 @@ class SmoothedDensity:
         self._lo = h
         self._hi = 1.0 - h
 
-        seam = self._sums(np.array([self._lo, self._hi]), 0)
-        dseam = self._sums(np.array([self._lo, self._hi]), 1)
-        self._f_lo = float(seam[0])
-        self._f_hi = float(seam[1])
+        knots, raw = _raw_pieces(sample.values, kernel.coefficients, h)
+        f_lo, f_hi = raw[-1, 0], raw[-1, -1]
         # non-increasing extensions: positive seam slopes are clamped to 0
-        self._s_lo = min(float(dseam[0]), 0.0)
-        self._s_hi = min(float(dseam[1]), 0.0)
+        s_lo, s_hi = min(raw[-2, 0], 0.0), min(raw[-2, -1], 0.0)
+        coef = np.zeros((raw.shape[0], knots.size + 1))
+        coef[:, 1:-1] = raw[:, :-2]
+        coef[-2:, 0] = s_lo, f_lo - h * s_lo
+        coef[-2:, -1] = s_hi, f_hi
+        self._ext = PPoly(coef, np.concatenate([[0.0], knots, [1.0]]))
 
         # right extension f_hi + (t - (1-h)) s_hi can cross zero; the left one
         # cannot (slope <= 0 walking right means it only grows toward 0), and
-        # the interior is nonnegative for admissible kernels
-        self._cross = None
-        if self._f_hi + h * self._s_hi < 0.0 and self._s_hi < 0.0:
-            self._cross = self._hi - self._f_hi / self._s_hi
+        # the interior is nonnegative for nonnegative kernels
+        pieces = [0.0, self._lo, self._hi, 1.0]
+        if f_hi + h * s_hi < 0.0 and s_hi < 0.0:
+            pieces.append(max(self._hi - f_hi / s_hi, self._hi))
+        if _dips_below_zero(kernel.coefficients):
+            roots = self._ext.roots(discontinuity=False, extrapolate=False)
+            pieces.extend(roots[(roots > self._lo) & (roots < self._hi)])
+        self.quad_breakpoints = np.unique(np.asarray(pieces))
 
-        interior_breaks = self._interior_sign_breaks()
-        self.normalizer = self._positive_mass(interior_breaks)
+        # positive part: split at the sign breaks, zero the negative pieces
+        x = np.union1d(self._ext.x, self.quad_breakpoints)
+        coef = _reexpand(self._ext, x, raw.shape[0] - 1)
+        coef[:, self._ext(0.5 * (x[:-1] + x[1:])) < 0.0] = 0.0
+        self._cdf = PPoly(coef, x).antiderivative()
+        self.normalizer = float(self._cdf(1.0))
         if not np.isfinite(self.normalizer) or self.normalizer <= 1e-12:
             raise DegenerateEstimateError(
                 "truncated kernel estimate has mass %r" % self.normalizer
             )
-        pieces = [0.0, self._lo, self._hi, 1.0] + list(interior_breaks)
-        if self._cross is not None:
-            pieces.append(self._cross)
-        self.quad_breakpoints = np.unique(np.asarray(pieces))
-        self._cdf_table = None
-
-    # -- raw kernel sums ---------------------------------------------------
-
-    def _sums(self, t, order):
-        """(1/(n h^(order+1))) sum K^(order)((t - X_i)/h) for 1-d t."""
-        x = self.sample.values
-        h = self.h
-        srt = np.argsort(t, kind="stable")
-        ts = t[srt]
-        res = np.empty(ts.size)
-        block = 256
-        for start in range(0, ts.size, block):
-            tb = ts[start:start + block]
-            lo = np.searchsorted(x, tb[0] - h, side="left")
-            hi = np.searchsorted(x, tb[-1] + h, side="right")
-            if hi == lo:
-                res[start:start + tb.size] = 0.0
-                continue
-            v = (tb[:, None] - x[lo:hi][None, :]) / h
-            res[start:start + tb.size] = self.kernel.deriv(v, order).sum(axis=1)
-        out = np.empty(ts.size)
-        out[srt] = res
-        return out / (self.sample.n * h ** (order + 1))
+        self.ppoly = PPoly(coef / self.normalizer, x)
+        self.envelope = envelope_bound(self)
 
     def raw(self, t, order=0):
         """Interior kernel estimate (or its derivatives) on [h, 1-h] only."""
         arr, scalar = _as_array(t)
         if np.any(arr < self._lo) or np.any(arr > self._hi):
             raise ValueError("raw estimate is only defined on [h, 1-h]")
-        return _ret(self._sums(arr, order), scalar)
-
-    # -- extension and normalization ----------------------------------------
+        return _ret(self._ext(arr, nu=order), scalar)
 
     def extended(self, t, order=0):
         """Raw estimate glued to its linear boundary extensions, on [0, 1].
@@ -334,73 +389,12 @@ class SmoothedDensity:
         extension pieces the derivative is the clamped seam slope and the
         second derivative is 0.
         """
+        if order not in (0, 1, 2):
+            raise ValueError("order must be 0, 1 or 2")
         arr, scalar = _as_array(t)
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise ValueError("evaluation point outside [0, 1]")
-        out = np.empty(arr.shape)
-        left = arr < self._lo
-        right = arr > self._hi
-        mid = ~(left | right)
-        if mid.any():
-            out[mid] = self._sums(arr[mid], order)
-        if order == 0:
-            out[left] = self._f_lo + (arr[left] - self._lo) * self._s_lo
-            out[right] = self._f_hi + (arr[right] - self._hi) * self._s_hi
-        elif order == 1:
-            out[left] = self._s_lo
-            out[right] = self._s_hi
-        else:
-            out[left] = 0.0
-            out[right] = 0.0
-        return _ret(out, scalar)
-
-    def _interior_sign_breaks(self):
-        """Zero crossings of the raw estimate inside (h, 1-h).
-
-        Nonnegative kernels cannot produce any; signed kernels are handled by
-        a grid scan refined with bisection.
-        """
-        if self._hi <= self._lo:
-            return []
-        grid = np.linspace(self._lo, self._hi, 2049)
-        vals = self._sums(grid, 0)
-        if np.all(vals >= 0.0):
-            return []
-        sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        breaks = []
-        for i in sign_change:
-            a, b = grid[i], grid[i + 1]
-            fa = vals[i]
-            for _ in range(60):
-                m = 0.5 * (a + b)
-                fm = self._sums(np.array([m]), 0)[0]
-                if b - a < 1e-12:
-                    break
-                if fa * fm <= 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            breaks.append(0.5 * (a + b))
-        return breaks
-
-    def _positive_mass(self, interior_breaks):
-        h = self.h
-        # left extension piece is nonnegative, closed form
-        mass = h * self._f_lo - 0.5 * h * h * self._s_lo
-        # right extension piece, truncated at its crossing if any
-        if self._cross is None:
-            mass += h * self._f_hi + 0.5 * h * h * self._s_hi
-        else:
-            u = self._cross - self._hi
-            mass += u * self._f_hi + 0.5 * u * u * self._s_hi
-        if self._hi > self._lo:
-            pieces = np.unique(np.asarray([self._lo] + list(interior_breaks) + [self._hi]))
-
-            def positive_part(t):
-                return np.maximum(self._sums(t, 0), 0.0)
-
-            mass += integrate_piecewise(positive_part, pieces, tol=1e-10)
-        return float(mass)
+        return _ret(self._ext(arr, nu=order), scalar)
 
     # -- normalized density --------------------------------------------------
 
@@ -435,21 +429,11 @@ class SmoothedDensity:
         return _ret(vals, scalar)
 
     def cdf(self, t):
-        """Distribution function of the normalized density (tabulated once)."""
-        if self._cdf_table is None:
-            xs = [np.linspace(a, b, 2049) for a, b in
-                  zip(self.quad_breakpoints[:-1], self.quad_breakpoints[1:]) if b > a]
-            grid = np.unique(np.concatenate(xs))
-            ys = self.pdf(grid)
-            cum = cumulative_trapezoid(ys, grid, initial=0.0)
-            # kill the residual quadrature drift so cdf(1) == 1 exactly
-            cum /= cum[-1]
-            self._cdf_table = (grid, cum)
-        grid, cum = self._cdf_table
+        """Distribution function of the normalized density; cdf(1) == 1."""
         arr, scalar = _as_array(t)
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise ValueError("evaluation point outside [0, 1]")
-        return _ret(np.interp(arr, grid, cum), scalar)
+        return _ret(self._cdf(arr) / self.normalizer, scalar)
 
     def __repr__(self):
         return "SmoothedDensity(n=%d, kernel=%s, h=%g)" % (

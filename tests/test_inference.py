@@ -108,6 +108,24 @@ def test_ci_width_shrinks_at_cube_root_rate():
     assert abs(ratio - 0.5) < 0.15
 
 
+def test_ci_builds_envelope_once_with_two_threads(tri_sample_500, monkeypatch):
+    import grenboot.resampling
+    import grenboot.smoothing
+
+    calls = []
+    original = grenboot.resampling.envelope_bound
+
+    def counted(smoothed):
+        calls.append(smoothed)
+        return original(smoothed)
+
+    monkeypatch.setattr(grenboot.smoothing, "envelope_bound", counted)
+    monkeypatch.setattr(grenboot.resampling, "envelope_bound", counted)
+    smoothed_pointwise_ci(tri_sample_500, 0.5, n_boot=40, rng=RngStream(63),
+                          threads=2)
+    assert len(calls) == 1
+
+
 # -- naive bootstrap deviations ------------------------------------------------------
 
 
@@ -231,6 +249,13 @@ def test_band_default_m_rule():
     s = sample_from_analytic(triangular_density(), 400, RngStream(76))
     band = l1_band(s, n_boot=50, rng=RngStream(77), threads=4)
     assert band.m == max(10 * 400, int(np.ceil(400 ** 1.5)))
+
+
+def test_band_default_m_floor_wins_over_cap():
+    # n^1.5 exceeds the 200000 cap, and 10n exceeds the cap too: the floor wins
+    s = sample_from_analytic(triangular_density(), 20001, RngStream(78))
+    band = l1_band(s, n_boot=50, rng=RngStream(79))
+    assert band.m == 200010
 
 
 def test_empty_band_reported_not_clamped():

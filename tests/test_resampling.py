@@ -155,14 +155,14 @@ def test_rejection_flat_target_tight_envelope():
     # constant target: the grid envelope is tight, so acceptance is ~1 and
     # exactly n proposals are consumed in the first batch
     target = _FlatTarget(1.0)
-    target._envelope_cache = 1.0
+    target.envelope = 1.0
     s = rejection_sample(target, 500, RngStream(14))
     assert s.n == 500
 
 
 def test_rejection_flat_target_slack_envelope_half_rate():
     target = _FlatTarget(1.0)
-    target._envelope_cache = 2.0
+    target.envelope = 2.0
     root = RngStream(15)
     # acceptance indicator is u <= 1 with u ~ U(0, 2): empirical rate near 1/2
     accepted = rejection_sample(target, 4000, root)
@@ -199,7 +199,7 @@ def test_rejection_matches_smoothed_law():
 
 def test_rejection_broken_envelope_raises():
     target = _FlatTarget(1e-7)
-    target._envelope_cache = 10.0   # acceptance rate 1e-8, far below the floor
+    target.envelope = 10.0   # acceptance rate 1e-8, far below the floor
     with pytest.raises(EnvelopeError):
         rejection_sample(target, 50, RngStream(20))
 

@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 
 from grenboot import (BIWEIGHT, DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
                       EPANECHNIKOV, BandwidthRule, DegenerateEstimateError,
-                      RngStream, Sample, SmoothedDensity,
-                      check_kernel_conditions, integrate_piecewise,
-                      kernel_by_name, kernel_satisfies, sample_from_analytic,
-                      triangular_density, trunc_exp_density)
+                      Kernel, RngStream, Sample, SmoothedDensity,
+                      check_kernel_conditions, grenander_fit,
+                      integrate_piecewise, kernel_by_name, kernel_satisfies,
+                      l1_distance, sample_from_analytic, triangular_density,
+                      trunc_exp_density)
+from .oracles import (DirectSmoother, gauss_legendre, l1_to_step,
+                      smoother_breakpoints)
 
 
 # -- kernel conditions ---------------------------------------------------------
@@ -149,7 +152,7 @@ def test_normalized_mass_and_nonnegativity():
         sd = SmoothedDensity(s, k, h)
         grid = np.linspace(0, 1, 10001)
         assert np.all(sd.pdf(grid) >= 0)
-        mass = integrate_piecewise(sd.pdf, sd.quad_breakpoints, tol=1e-10)
+        mass = gauss_legendre(sd.pdf, smoother_breakpoints(sd))
         assert abs(mass - 1.0) < 1e-8
 
 
@@ -232,5 +235,114 @@ def test_property_mass_one_and_nonnegative(n, h, seed):
     grid = np.linspace(0, 1, 2001)
     vals = sd.pdf(grid)
     assert np.all(vals >= 0)
-    mass = integrate_piecewise(sd.pdf, sd.quad_breakpoints, tol=1e-9)
+    mass = gauss_legendre(sd.pdf, smoother_breakpoints(sd))
     assert abs(mass - 1.0) < 1e-8
+
+
+# -- the piecewise polynomial against direct kernel sums --------------------------
+
+
+@st.composite
+def smoother_inputs(draw):
+    """Samples with ties and points at 1.0, n from 1 up, h up to the 1/2
+    clamp where the interior [h, 1-h] is the single point 1/2."""
+    point = st.one_of(st.just(1.0), st.floats(0.001, 1.0))
+    base = draw(st.lists(point, min_size=1, max_size=12))
+    ties = draw(st.lists(st.sampled_from(base), max_size=4))
+    h = draw(st.one_of(st.just(0.5), st.floats(0.02, 0.5)))
+    kernel = draw(st.sampled_from([EPANECHNIKOV, BIWEIGHT]))
+    return np.array(base + ties), h, kernel
+
+
+def _normalized_tol(sd):
+    """1e-10, widened where the mass is small against one observation's
+    peak: normalizing divides the raw estimate's rounding by the mass."""
+    peak = np.max(sd.kernel(np.linspace(-1.0, 1.0, 201))) / (sd.sample.n * sd.h)
+    return 1e-10 + 1e-13 * peak / sd.normalizer
+
+
+def _fit_both(values, h, kernel):
+    oracle = DirectSmoother(values, kernel, h)
+    try:
+        return SmoothedDensity(Sample(values), kernel, h), oracle
+    except DegenerateEstimateError:
+        assert oracle.mass < 1e-10
+        return None, oracle
+
+
+@given(smoother_inputs(), st.lists(st.floats(0.0, 1.0), max_size=20))
+@settings(max_examples=150, deadline=None)
+def test_property_ppoly_matches_direct_sums(inputs, extra):
+    values, h, kernel = inputs
+    sd, oracle = _fit_both(values, h, kernel)
+    if sd is None:
+        return
+    t = np.concatenate([np.linspace(0.0, 1.0, 401), extra, oracle.knots])
+    for order in (0, 1, 2):
+        if order:
+            # one-sided derivatives at knots follow different conventions
+            gap = np.min(np.abs(t[:, None] - oracle.knots[None, :]), axis=1)
+            t = t[gap > 1e-9]
+        direct = oracle.extended(t, order)
+        # relative to the estimate's size, or to one observation's largest
+        # contribution where the estimate is nearly zero
+        one = np.max(np.abs(kernel.deriv(np.linspace(-1.0, 1.0, 201), order)))
+        scale = max(np.max(np.abs(direct), initial=0.0),
+                    one / (values.size * h ** (order + 1)))
+        fast = sd.extended(t, order)
+        assert np.max(np.abs(fast - direct), initial=0.0) <= 1e-9 * scale, order
+
+
+@given(smoother_inputs())
+@settings(max_examples=100, deadline=None)
+def test_property_exact_l1_matches_quadrature(inputs):
+    values, h, kernel = inputs
+    sd, oracle = _fit_both(values, h, kernel)
+    if sd is None:
+        return
+    step = grenander_fit(Sample(values))
+    assert abs(l1_distance(step, sd) - l1_to_step(oracle, step)) <= _normalized_tol(sd)
+    assert l1_distance(sd, sd) == 0.0
+
+
+@given(smoother_inputs(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_property_cdf_matches_cumulative_quadrature(inputs, ts):
+    values, h, kernel = inputs
+    sd, oracle = _fit_both(values, h, kernel)
+    if sd is None:
+        return
+    assert sd.cdf(1.0) == 1.0
+    assert sd.cdf(0.0) == 0.0
+    for t in ts:
+        assert abs(sd.cdf(t) - oracle.cdf(t)) <= _normalized_tol(sd)
+
+
+def test_kernel_without_polynomial_form_rejected():
+    cosine = Kernel("cosine", lambda v: np.pi / 4 * np.cos(np.pi * v / 2),
+                    lambda v: -np.pi ** 2 / 8 * np.sin(np.pi * v / 2),
+                    lambda v: -np.pi ** 3 / 16 * np.cos(np.pi * v / 2))
+    assert kernel_satisfies(cosine, "pointwise")
+    with pytest.raises(ValueError, match="no polynomial form"):
+        SmoothedDensity(Sample([0.5]), cosine, 0.2)
+
+
+def test_signed_kernel_truncated_at_interior_sign_breaks():
+    # a fourth-order kernel, (15/32)(1 - v^2)(3 - 7v^2), dips below zero, so
+    # the raw estimate goes negative between two separated clusters
+    k4 = Kernel.polynomial("fourth_order", [45 / 32, 0.0, -150 / 32, 0.0, 105 / 32])
+    sd = SmoothedDensity(Sample([0.3, 0.31, 0.7]), k4, 0.15)
+    qb = sd.quad_breakpoints
+    breaks = qb[(qb > sd.h) & (qb < 1 - sd.h)]
+    assert breaks.size >= 2
+    assert np.allclose(sd.extended(breaks), 0.0, rtol=0, atol=1e-12)
+    assert np.all(sd.pdf(np.linspace(0, 1, 20001)) >= 0)
+    assert abs(gauss_legendre(sd.pdf, smoother_breakpoints(sd)) - 1.0) < 1e-10
+    assert sd.cdf(1.0) == 1.0
+
+
+def test_shipped_kernels_derive_from_coefficients():
+    v = np.linspace(-1.0, 1.0, 101)
+    assert np.allclose(EPANECHNIKOV(v), 0.75 * (1 - v * v), rtol=0, atol=1e-15)
+    assert np.allclose(BIWEIGHT(v), 15 / 16 * (1 - v * v) ** 2, rtol=0, atol=1e-15)
+    assert np.allclose(BIWEIGHT.deriv(v, 3), 22.5 * v, rtol=0, atol=1e-13)
