@@ -27,7 +27,8 @@ from .limits import (LimitConstants, LimitSimConfig, doubled_scaling_check,
                      estimate_constants)
 from .parallel import default_threads
 from .resampling import RngStream, sample_from_analytic
-from .smoothing import (BandwidthRule, SmoothedDensity, kernel_by_name,
+from .smoothing import (DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
+                        BandwidthRule, SmoothedDensity, kernel_by_name,
                         kernel_satisfies)
 
 __all__ = ["main"]
@@ -217,18 +218,10 @@ def cmd_fit(args):
 def cmd_ci(args):
     kernel = _usage_guard(kernel_by_name, args.kernel)
     rule = _usage_guard(BandwidthRule, args.alpha, args.scale, "pointwise")
-    if not 0.0 < args.level < 1.0:
-        raise UsageError("--level must lie in (0, 1)")
-    if args.boot < 20:
-        raise UsageError("--boot must be at least 20")
-    if not kernel_satisfies(kernel, "pointwise"):
-        raise UsageError("kernel %s fails the pointwise-level conditions"
-                         % kernel.name)
     t_start = time.monotonic()
     sample = read_observations(args.data, args.rescale)
-    if not 0.0 < args.t0 < 1.0:
-        raise UsageError("--t0 must be interior to (0, 1)")
-    result = smoothed_pointwise_ci(
+    result = _usage_guard(
+        smoothed_pointwise_ci,
         sample, args.t0, level=args.level, n_boot=args.boot, kernel=kernel,
         rule=rule, rng=RngStream(args.seed), threads=_resolve_threads(args))
     json_path = args.out + ".json"
@@ -246,18 +239,8 @@ def cmd_ci(args):
 def cmd_band(args):
     kernel = _usage_guard(kernel_by_name, args.kernel)
     rule = _usage_guard(BandwidthRule, args.alpha, args.scale, "l1")
-    if not 0.0 < args.level < 1.0:
-        raise UsageError("--level must lie in (0, 1)")
-    if args.boot < 50:
-        raise UsageError("--boot must be at least 50")
-    if not kernel_satisfies(kernel, "l1"):
-        raise UsageError("kernel %s fails the l1-level conditions (the band "
-                         "needs the stronger moment and smoothness checks)"
-                         % kernel.name)
     t_start = time.monotonic()
     sample = read_observations(args.data, args.rescale)
-    if args.m is not None and args.m <= sample.n:
-        raise UsageError("--m must exceed n=%d" % sample.n)
     result = _usage_guard(
         l1_band, sample, level=args.level, n_boot=args.boot, m=args.m,
         kernel=kernel, rule=rule, rng=RngStream(args.seed),
@@ -313,7 +296,8 @@ def cmd_experiment(args):
         if args.band:
             kernel = _usage_guard(kernel_by_name, args.kernel or "biweight")
             rule = _usage_guard(BandwidthRule,
-                                args.alpha if args.alpha is not None else 0.18,
+                                args.alpha if args.alpha is not None
+                                else DEFAULT_L1_RULE.alpha,
                                 args.scale, "l1")
             if not kernel_satisfies(kernel, "l1"):
                 raise UsageError("kernel %s fails the l1-level conditions"
@@ -325,7 +309,8 @@ def cmd_experiment(args):
         else:
             kernel = _usage_guard(kernel_by_name, args.kernel or "epanechnikov")
             rule = _usage_guard(BandwidthRule,
-                                args.alpha if args.alpha is not None else 0.30,
+                                args.alpha if args.alpha is not None
+                                else DEFAULT_POINTWISE_RULE.alpha,
                                 args.scale, "pointwise")
             if not kernel_satisfies(kernel, "pointwise"):
                 raise UsageError("kernel %s fails the pointwise-level conditions"
@@ -341,7 +326,8 @@ def cmd_experiment(args):
     elif args.name == "rate":
         kernel = _usage_guard(kernel_by_name, args.kernel or "biweight")
         rule = _usage_guard(BandwidthRule,
-                            args.alpha if args.alpha is not None else 0.18,
+                            args.alpha if args.alpha is not None
+                            else DEFAULT_L1_RULE.alpha,
                             args.scale, "l1")
         if not kernel_satisfies(kernel, "l1"):
             raise UsageError("the rate experiment needs an l1-level kernel")
@@ -404,7 +390,7 @@ def build_parser():
                    help="also dump the kernel smooth on a uniform grid of "
                         "this many points")
     p.add_argument("--kernel", default="biweight")
-    p.add_argument("--alpha", type=float, default=0.18)
+    p.add_argument("--alpha", type=float, default=DEFAULT_L1_RULE.alpha)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--regime", default="l1", choices=["pointwise", "l1"])
     p.set_defaults(func=cmd_fit, seed=None)
@@ -417,7 +403,7 @@ def build_parser():
     p.add_argument("--level", type=float, default=0.90,
                    help="confidence level (default 0.90)")
     p.add_argument("--boot", type=int, default=500, help="bootstrap replicates")
-    p.add_argument("--alpha", type=float, default=0.30,
+    p.add_argument("--alpha", type=float, default=DEFAULT_POINTWISE_RULE.alpha,
                    help="bandwidth exponent, in (0, 1/3)")
     p.add_argument("--scale", type=float, default=1.0, help="bandwidth scale")
     p.add_argument("--kernel", default="epanechnikov",
@@ -433,9 +419,10 @@ def build_parser():
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--boot", type=int, default=300)
     p.add_argument("--m", type=int, default=None,
-                   help="supersample size (default max(10n, n^1.5) capped)")
+                   help="supersample size (default "
+                        "max(10n, min(ceil(n^1.5), m_cap)))")
     p.add_argument("--m-cap", type=int, default=200000)
-    p.add_argument("--alpha", type=float, default=0.18,
+    p.add_argument("--alpha", type=float, default=DEFAULT_L1_RULE.alpha,
                    help="bandwidth exponent, in (1/6, 1/5)")
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--kernel", default="biweight",

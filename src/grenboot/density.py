@@ -9,6 +9,7 @@ from math import factorial
 
 import numpy as np
 from scipy.interpolate import PPoly
+from scipy.optimize import isotonic_regression
 
 from .integrate import adaptive_simpson, integrate_piecewise
 
@@ -125,9 +126,13 @@ class ConcaveMajorant:
 def least_concave_majorant(cdf):
     """Least concave majorant of an empirical CDF on [0, 1].
 
-    Computed as the upper hull of the points (0, 0), (x_i, F_n(x_i)), (1, 1)
-    by a single monotone-stack sweep. An observation at exactly 0 makes the
-    monotone MLE degenerate (unbounded first slope) and raises ValueError.
+    The majorant's slopes are the weighted antitonic regression of the
+    slopes between the points (0, 0), (x_i, F_n(x_i)), (1, 1), weighted by
+    the gaps between them (Robertson, Wright & Dykstra 1988). It is computed
+    by PAVA (the pool-adjacent-violators algorithm); its vertices are the
+    points at the ends of the pooled blocks, and equal adjacent slopes pool
+    into one block. An observation at exactly 0 makes the monotone MLE
+    degenerate (unbounded first slope) and raises ValueError.
     """
     if cdf.jumps[0] <= 0.0:
         raise ValueError(
@@ -139,19 +144,11 @@ def least_concave_majorant(cdf):
     if xs[-1] < 1.0:
         xs = np.append(xs, 1.0)
         ys = np.append(ys, 1.0)
-    stack = [0]
-    for i in range(1, xs.size):
-        while len(stack) >= 2:
-            j, k = stack[-2], stack[-1]
-            # pop k when it lies on or below chord j->i (keeps slopes strictly
-            # decreasing, merges collinear runs)
-            cross = (xs[k] - xs[j]) * (ys[i] - ys[j]) - (ys[k] - ys[j]) * (xs[i] - xs[j])
-            if cross >= 0.0:
-                stack.pop()
-            else:
-                break
-        stack.append(i)
-    idx = np.asarray(stack)
+    gap = np.diff(xs)
+    # blocks holds each block's first slope index and, last, the slope count:
+    # exactly the vertex indices
+    idx = isotonic_regression(np.diff(ys) / gap, weights=gap,
+                              increasing=False).blocks
     return ConcaveMajorant(xs[idx], ys[idx])
 
 
@@ -481,6 +478,8 @@ def l1_shape_integral(g, tol=1e-8):
 
     This is the shape-dependent factor in the centering constant of the L1
     error of the monotone MLE; non-finite integrand values raise ValueError.
+    When ``g`` exposes a ``ppoly``, the quadrature is also split at its
+    breakpoints (the kernel knots of a smoother), where the integrand kinks.
     """
 
     def integrand(t):
@@ -488,4 +487,7 @@ def l1_shape_integral(g, tol=1e-8):
                       * np.asarray(g(t), dtype=float)) ** (1.0 / 3.0)
 
     bp = _quad_breakpoints_of(g)
+    pp = getattr(g, "ppoly", None)
+    if pp is not None:
+        bp = np.union1d(pp.x, bp)
     return integrate_piecewise(integrand, bp, tol=tol)

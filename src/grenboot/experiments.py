@@ -13,7 +13,7 @@ from scipy import stats
 from .density import (Sample, grenander_fit, l1_distance, rate_constant,
                       sup_distance)
 from .inference import l1_band, band_contains, smoothed_pointwise_ci
-from .limits import l1_centering_constant
+from .limits import _var_of_var, l1_centering_constant
 from .parallel import map_indexed
 from .resampling import multinomial_bootstrap, sample_from_analytic
 from .smoothing import (BIWEIGHT, EPANECHNIKOV, DEFAULT_L1_RULE,
@@ -177,13 +177,8 @@ def run_inconsistency(truth, constants, n=2000, replicates=2000, t0=0.5,
     var_samp = float(np.var(samp_dev, ddof=1))
     ratio = var_boot / denom
 
-    def var_of_var(x):
-        m2 = np.mean((x - x.mean()) ** 2)
-        m4 = np.mean((x - x.mean()) ** 4)
-        return (m4 - m2 * m2 * (x.size - 3) / (x.size - 1)) / x.size
-
     denom_se = c0 ** 2 * constants.chernoff_var_se
-    ratio_se = ratio * float(np.sqrt(var_of_var(boot_dev_truth) / var_boot ** 2
+    ratio_se = ratio * float(np.sqrt(_var_of_var(boot_dev_truth) / var_boot ** 2
                                      + (denom_se / denom) ** 2))
     corr = float(np.corrcoef(boot_dev_fit, samp_dev)[0, 1])
     rows = [{

@@ -37,7 +37,8 @@ __all__ = [
 
 
 class DegenerateEstimateError(RuntimeError):
-    """The positive part of the raw estimate carries (numerically) no mass."""
+    """The positive part of the raw estimate carries no mass beyond rounding:
+    less than 1e-6 of one observation's kernel peak max|K| / (n h)."""
 
 
 class Kernel:
@@ -288,13 +289,13 @@ def _raw_pieces(x, coefficients, h):
     return knots, out[::-1]
 
 
-def _dips_below_zero(coefficients):
-    """Whether the kernel polynomial is negative somewhere on [-1, 1]."""
+def _extreme_values(coefficients):
+    """The kernel polynomial at -1, 1 and its critical points in between:
+    its extremes on [-1, 1] are among them."""
     poly = np.polynomial.Polynomial(coefficients)
     crit = poly.deriv().roots() if coefficients.size > 1 else np.array([])
     crit = crit[np.isreal(crit)].real
-    vals = poly(np.concatenate([[-1.0, 1.0], crit[np.abs(crit) <= 1.0]]))
-    return bool(np.min(vals) < -1e-12 * np.max(np.abs(vals)))
+    return poly(np.concatenate([[-1.0, 1.0], crit[np.abs(crit) <= 1.0]]))
 
 
 class SmoothedDensity:
@@ -357,7 +358,8 @@ class SmoothedDensity:
         pieces = [0.0, self._lo, self._hi, 1.0]
         if f_hi + h * s_hi < 0.0 and s_hi < 0.0:
             pieces.append(max(self._hi - f_hi / s_hi, self._hi))
-        if _dips_below_zero(kernel.coefficients):
+        extremes = _extreme_values(kernel.coefficients)
+        if np.min(extremes) < -1e-12 * np.max(np.abs(extremes)):
             roots = self._ext.roots(discontinuity=False, extrapolate=False)
             pieces.extend(roots[(roots > self._lo) & (roots < self._hi)])
         self.quad_breakpoints = np.unique(np.asarray(pieces))
@@ -368,9 +370,14 @@ class SmoothedDensity:
         coef[:, self._ext(0.5 * (x[:-1] + x[1:])) < 0.0] = 0.0
         self._cdf = PPoly(coef, x).antiderivative()
         self.normalizer = float(self._cdf(1.0))
-        if not np.isfinite(self.normalizer) or self.normalizer <= 1e-12:
+        # the coefficients carry rounding relative to one observation's peak;
+        # normalizing divides it by the mass, so a mass of rounding size is
+        # no estimate
+        peak = float(np.max(np.abs(extremes))) / (sample.n * h)
+        if not np.isfinite(self.normalizer) or self.normalizer <= 1e-6 * peak:
             raise DegenerateEstimateError(
-                "truncated kernel estimate has mass %r" % self.normalizer
+                "truncated kernel estimate has mass %r, below 1e-6 of one "
+                "observation's kernel peak %r" % (self.normalizer, peak)
             )
         self.ppoly = PPoly(coef / self.normalizer, x)
         self.envelope = envelope_bound(self)

@@ -6,7 +6,9 @@ is elementary: every concave function dominating a point set also dominates
 each piecewise-linear interpolant through a subset of those points wherever
 the interpolant is concave and dominating, and the true majorant's vertex
 set is one of the enumerated subsets. Taking a pointwise minimum over all
-valid candidates therefore reproduces the majorant exactly.
+valid candidates therefore reproduces the majorant exactly. The hull oracle
+computes the same majorant as an upper hull by a monotone-stack sweep, a
+different algorithm from the PAVA the package uses.
 
 The kernel smoother oracle recomputes the boundary-corrected estimate from
 direct kernel sums, one observation at a time, and integrates it by
@@ -20,6 +22,8 @@ from itertools import combinations
 
 import numpy as np
 from scipy.optimize import brentq
+
+from grenboot.density import ConcaveMajorant
 
 
 def brute_force_lcm(sample_values, eval_points):
@@ -58,6 +62,37 @@ def brute_force_grenander_heights(sample_values):
     knots = np.concatenate([[0.0], x, [] if x[-1] == 1.0 else [1.0]])
     vals = brute_force_lcm(sample_values, knots)
     return np.diff(vals) / np.diff(knots), knots[1:]
+
+
+def hull_majorant(cdf):
+    """Least concave majorant of an empirical CDF on [0, 1], as the upper
+    hull of the points (0, 0), (x_i, F_n(x_i)), (1, 1) by a single
+    monotone-stack sweep. An observation at exactly 0 raises ValueError.
+    """
+    if cdf.jumps[0] <= 0.0:
+        raise ValueError(
+            "observation at exactly 0 gives a degenerate monotone MLE; "
+            "shift or rescale the data away from 0"
+        )
+    xs = np.concatenate([[0.0], cdf.jumps])
+    ys = np.concatenate([[0.0], cdf.heights])
+    if xs[-1] < 1.0:
+        xs = np.append(xs, 1.0)
+        ys = np.append(ys, 1.0)
+    stack = [0]
+    for i in range(1, xs.size):
+        while len(stack) >= 2:
+            j, k = stack[-2], stack[-1]
+            # pop k when it lies on or below chord j->i (keeps slopes strictly
+            # decreasing, merges collinear runs)
+            cross = (xs[k] - xs[j]) * (ys[i] - ys[j]) - (ys[k] - ys[j]) * (xs[i] - xs[j])
+            if cross >= 0.0:
+                stack.pop()
+            else:
+                break
+        stack.append(i)
+    idx = np.asarray(stack)
+    return ConcaveMajorant(xs[idx], ys[idx])
 
 
 # -- kernel smoother ---------------------------------------------------------
@@ -102,6 +137,23 @@ def gauss_legendre(f, breakpoints, nodes=8):
     t = (0.5 * (a + b))[:, None] + half[:, None] * u[None, :]
     vals = np.asarray(f(t.ravel()), dtype=float).reshape(t.shape)
     return float(np.sum(half * (vals @ w)))
+
+
+def shape_integral(smoothed, panels=257, nodes=20):
+    """Integral of |g' g / 2|^(1/3) for a fitted smoother g, by Gauss-Legendre
+    on ``panels`` equal subpanels of every interval between the breakpoints
+    of :func:`smoother_breakpoints`. It reads the smoother's own ``pdf`` and
+    ``dpdf``, which other oracles check, so it checks only the quadrature.
+    The cube root makes the integrand no polynomial, so this is not exact;
+    it converges slowest near an interior zero of g'."""
+    bp = smoother_breakpoints(smoothed)
+    a, b = bp[:-1], bp[1:]
+    cuts = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, panels + 1)
+
+    def f(t):
+        return np.abs(0.5 * smoothed.dpdf(t) * smoothed.pdf(t)) ** (1.0 / 3.0)
+
+    return gauss_legendre(f, cuts.ravel(), nodes)
 
 
 class DirectSmoother:

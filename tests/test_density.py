@@ -8,7 +8,7 @@ from grenboot import (EmpiricalCDF, RngStream, Sample, StepDensity,
                       least_concave_majorant, rate_constant,
                       sample_from_analytic, sup_distance, triangular_density,
                       trunc_exp_density, uniform_density)
-from .oracles import brute_force_grenander_heights
+from .oracles import brute_force_grenander_heights, hull_majorant
 
 unit_floats = st.floats(0.001, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -134,6 +134,45 @@ def test_grenander_invariants_larger_n():
         assert np.all(np.diff(fit.heights) <= 1e-12)
         assert abs(fit.mass - 1.0) < 1e-12
         assert fit.heights[-1] >= 0.0
+
+
+@st.composite
+def rounded_samples(draw):
+    """Samples rounded to 2 or 3 decimals, so ties and collinear ECDF points
+    are common, with points at 1.0 and n from 1 up."""
+    scale = draw(st.sampled_from([100, 1000]))
+    point = st.integers(1, scale).map(lambda k: k / scale)
+    base = draw(st.lists(point, min_size=1, max_size=30))
+    ties = draw(st.lists(st.sampled_from(base), max_size=5))
+    return base + ties
+
+
+@given(rounded_samples())
+@settings(max_examples=300, deadline=None)
+def test_property_grenander_matches_hull_oracle(values):
+    # the two may split a collinear run of ECDF points into different
+    # blocks, so compare the fits as functions, not their block arrays
+    F = EmpiricalCDF(Sample(values))
+    fit = grenander_fit(Sample(values))
+    hull = hull_majorant(F)
+    knots = np.union1d(np.concatenate([[0.0], F.jumps]), [1.0])
+    mid = 0.5 * (knots[:-1] + knots[1:])
+    heights = np.diff(hull.vy) / np.diff(hull.vx)
+    expected = heights[np.searchsorted(hull.vx[1:], mid)]
+    np.testing.assert_allclose(fit(mid), expected, rtol=1e-12, atol=0.0)
+    lcm = least_concave_majorant(F)
+    assert np.array_equal(lcm.vy[1:-1], F(lcm.vx[1:-1]))
+
+
+def test_grenander_equals_hull_on_continuous_draws():
+    rng = RngStream(29)
+    for n in (10, 1000, 100000):
+        for k, density in enumerate((triangular_density(), trunc_exp_density(2.0))):
+            s = sample_from_analytic(density, n, rng.substream(n, k))
+            fit = grenander_fit(s)
+            hull = hull_majorant(EmpiricalCDF(s))
+            assert np.array_equal(fit.breakpoints, hull.vx[1:])
+            assert np.array_equal(fit.heights, np.diff(hull.vy) / np.diff(hull.vx))
 
 
 # -- StepDensity ----------------------------------------------------------------
