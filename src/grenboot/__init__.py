@@ -11,7 +11,8 @@ are checked against.
 
 __version__ = "0.1.0"
 
-from .density import (AnalyticDensity, ConcaveMajorant, EmpiricalCDF, Sample,
+from .density import (AnalyticDensity, ConcaveMajorant,
+                      DegenerateEstimateError, EmpiricalCDF, Sample,
                       StepDensity, grenander_fit, l1_distance,
                       l1_shape_integral, least_concave_majorant,
                       rate_constant, sup_distance, triangular_density,
@@ -30,10 +31,9 @@ from .resampling import (EnvelopeError, RngStream, envelope_bound,
                          multinomial_bootstrap, rejection_sample,
                          sample_from_analytic, subsample_without_replacement)
 from .smoothing import (BIWEIGHT, DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
-                        EPANECHNIKOV, BandwidthRule, ConditionReport,
-                        DegenerateEstimateError, Kernel, SmoothedDensity,
-                        check_kernel_conditions, fit_smoothed, kernel_by_name,
-                        kernel_satisfies)
+                        EPANECHNIKOV, BandwidthRule, ConditionReport, Kernel,
+                        SmoothedDensity, check_kernel_conditions,
+                        fit_smoothed, kernel_by_name, kernel_satisfies)
 
 __all__ = [
     "AnalyticDensity", "BIWEIGHT", "BandwidthRule", "ConcaveMajorant",

@@ -151,7 +151,11 @@ def _usage_guard(fn, *a, **kw):
 
 
 def _resolve_threads(args):
-    return int(args.threads) if args.threads is not None else default_threads()
+    if args.threads is None:
+        return _usage_guard(default_threads)
+    if args.threads < 1:
+        raise UsageError("--threads must be at least 1, got %d" % args.threads)
+    return args.threads
 
 
 def _load_constants(path):
@@ -218,12 +222,13 @@ def cmd_fit(args):
 def cmd_ci(args):
     kernel = _usage_guard(kernel_by_name, args.kernel)
     rule = _usage_guard(BandwidthRule, args.alpha, args.scale, "pointwise")
+    threads = _resolve_threads(args)
     t_start = time.monotonic()
     sample = read_observations(args.data, args.rescale)
     result = _usage_guard(
         smoothed_pointwise_ci,
         sample, args.t0, level=args.level, n_boot=args.boot, kernel=kernel,
-        rule=rule, rng=RngStream(args.seed), threads=_resolve_threads(args))
+        rule=rule, rng=RngStream(args.seed), threads=threads)
     json_path = args.out + ".json"
     csv_path = args.out + ".csv"
     _write_json(json_path, {k: _json_safe(v)
@@ -239,12 +244,13 @@ def cmd_ci(args):
 def cmd_band(args):
     kernel = _usage_guard(kernel_by_name, args.kernel)
     rule = _usage_guard(BandwidthRule, args.alpha, args.scale, "l1")
+    threads = _resolve_threads(args)
     t_start = time.monotonic()
     sample = read_observations(args.data, args.rescale)
     result = _usage_guard(
         l1_band, sample, level=args.level, n_boot=args.boot, m=args.m,
-        kernel=kernel, rule=rule, rng=RngStream(args.seed),
-        threads=_resolve_threads(args), m_cap=args.m_cap)
+        kernel=kernel, rule=rule, rng=RngStream(args.seed), threads=threads,
+        m_cap=args.m_cap)
     json_path = args.out + ".json"
     csv_path = args.out + ".csv"
     _write_json(json_path, {k: _json_safe(v)
@@ -299,26 +305,20 @@ def cmd_experiment(args):
                                 args.alpha if args.alpha is not None
                                 else DEFAULT_L1_RULE.alpha,
                                 args.scale, "l1")
-            if not kernel_satisfies(kernel, "l1"):
-                raise UsageError("kernel %s fails the l1-level conditions"
-                                 % kernel.name)
-            summary, rows = run_band_coverage(
-                truth, n=args.n, replicates=args.replicates, n_boot=args.boot,
-                m=args.m, level=args.level, kernel=kernel, rule=rule,
-                rng=rng, threads=threads)
+            summary, rows = _usage_guard(
+                run_band_coverage, truth, n=args.n, replicates=args.replicates,
+                n_boot=args.boot, m=args.m, level=args.level, kernel=kernel,
+                rule=rule, rng=rng, threads=threads)
         else:
             kernel = _usage_guard(kernel_by_name, args.kernel or "epanechnikov")
             rule = _usage_guard(BandwidthRule,
                                 args.alpha if args.alpha is not None
                                 else DEFAULT_POINTWISE_RULE.alpha,
                                 args.scale, "pointwise")
-            if not kernel_satisfies(kernel, "pointwise"):
-                raise UsageError("kernel %s fails the pointwise-level conditions"
-                                 % kernel.name)
-            summary, rows = run_pointwise_coverage(
-                truth, n=args.n, replicates=args.replicates, n_boot=args.boot,
-                level=args.level, t0=args.t0, kernel=kernel, rule=rule,
-                rng=rng, threads=threads)
+            summary, rows = _usage_guard(
+                run_pointwise_coverage, truth, n=args.n,
+                replicates=args.replicates, n_boot=args.boot, level=args.level,
+                t0=args.t0, kernel=kernel, rule=rule, rng=rng, threads=threads)
     elif args.name == "inconsistency":
         summary, rows = run_inconsistency(
             truth, constants, n=args.n, replicates=args.replicates,
@@ -329,8 +329,6 @@ def cmd_experiment(args):
                             args.alpha if args.alpha is not None
                             else DEFAULT_L1_RULE.alpha,
                             args.scale, "l1")
-        if not kernel_satisfies(kernel, "l1"):
-            raise UsageError("the rate experiment needs an l1-level kernel")
         n_grid = _usage_guard(
             lambda: [int(x) for x in args.n_grid.split(",") if x.strip()])
         summary, rows = _usage_guard(

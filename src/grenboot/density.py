@@ -14,6 +14,7 @@ from scipy.optimize import isotonic_regression
 from .integrate import adaptive_simpson, integrate_piecewise
 
 __all__ = [
+    "DegenerateEstimateError",
     "Sample",
     "EmpiricalCDF",
     "ConcaveMajorant",
@@ -30,6 +31,13 @@ __all__ = [
     "rate_constant",
     "l1_shape_integral",
 ]
+
+
+class DegenerateEstimateError(RuntimeError):
+    """The data admit no estimate: an observation at exactly 0 makes the
+    monotone MLE unbounded, or the positive part of a kernel estimate carries
+    no mass beyond rounding (less than 1e-6 of one observation's kernel peak
+    max|K| / (n h))."""
 
 
 def _as_array(t):
@@ -132,10 +140,11 @@ def least_concave_majorant(cdf):
     by PAVA (the pool-adjacent-violators algorithm); its vertices are the
     points at the ends of the pooled blocks, and equal adjacent slopes pool
     into one block. An observation at exactly 0 makes the monotone MLE
-    degenerate (unbounded first slope) and raises ValueError.
+    degenerate (unbounded first slope) and raises
+    :class:`DegenerateEstimateError`.
     """
     if cdf.jumps[0] <= 0.0:
-        raise ValueError(
+        raise DegenerateEstimateError(
             "observation at exactly 0 gives a degenerate monotone MLE; "
             "shift or rescale the data away from 0"
         )

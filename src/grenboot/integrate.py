@@ -1,8 +1,7 @@
 """Adaptive Simpson quadrature with batched integrand evaluation.
 
 Used where an integrand has no piecewise-polynomial form: L1 distances to
-non-polynomial densities, shape integrals, and kernel moments of kernels
-given only as callables.
+non-polynomial densities and shape integrals.
 
 The classic recursive scheme with Richardson acceptance is run breadth-first:
 every refinement level evaluates the integrand once on the batch of all

@@ -7,12 +7,19 @@ __all__ = ["default_threads", "map_indexed"]
 
 
 def default_threads():
-    """Worker count from the GRENBOOT_THREADS environment variable, else 1."""
+    """Worker count from the GRENBOOT_THREADS environment variable: 1 when it
+    is unset or empty, else it must be a positive integer (ValueError)."""
     raw = os.environ.get("GRENBOOT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    if not raw:
         return 1
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError("GRENBOOT_THREADS must be a positive integer, got %r"
+                         % raw)
+    return threads
 
 
 def map_indexed(fn, count, threads=1):

@@ -16,6 +16,10 @@ composite Gauss-Legendre quadrature split at every kernel knot X_i +- h, the
 seams h and 1 - h, and the truncation crossing. Between those points the
 estimate is a polynomial of degree at most 4, so eight nodes per panel
 integrate it exactly up to rounding.
+
+The kernel-condition oracle checks admissibility the way the package did
+before its checks became exact: signs and bounds on a grid of 100001 points,
+moments by adaptive Simpson quadrature.
 """
 
 from itertools import combinations
@@ -24,6 +28,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from grenboot.density import ConcaveMajorant
+from grenboot.integrate import adaptive_simpson
 
 
 def brute_force_lcm(sample_values, eval_points):
@@ -93,6 +98,42 @@ def hull_majorant(cdf):
         stack.append(i)
     idx = np.asarray(stack)
     return ConcaveMajorant(xs[idx], ys[idx])
+
+
+# -- kernel conditions -------------------------------------------------------
+
+
+def grid_kernel_conditions(kernel, level="pointwise", quad_tol=1e-10):
+    """Residual of each admissibility condition by name, from grids and
+    quadrature; ``kernel.deriv`` is the only view of the kernel it takes."""
+    closed = np.linspace(-1.0, 1.0, 100001)
+    interior = closed[1:-1]
+    outside = np.concatenate([-1.0 - np.geomspace(1e-9, 1.0, 1000),
+                              1.0 + np.geomspace(1e-9, 1.0, 1000)])
+
+    def moment(order, power):
+        return adaptive_simpson(lambda v: kernel.deriv(v, order) * v ** power,
+                                -1.0, 1.0, tol=quad_tol)
+
+    k0 = kernel.deriv(closed, 0)
+    k1 = kernel.deriv(closed, 1)
+    out = {
+        "compact_support": float(np.max(np.abs(kernel.deriv(outside, 0)))),
+        "nonnegative": max(0.0, -float(np.min(k0))),
+        "bounded": float(np.max(np.abs(k0))),
+        "unit_mass": abs(moment(0, 0) - 1.0),
+        "deriv_bounded": float(np.max(np.abs(k1))),
+        "deriv_nonincreasing_sign": max(0.0, float(np.max(closed * k1))),
+        "deriv_mass_zero": abs(moment(1, 0)),
+        "deriv_first_moment": abs(moment(1, 1) + 1.0),
+    }
+    if level == "l1":
+        out["first_moment_zero"] = abs(moment(0, 1))
+        out["dderiv_mass_zero"] = abs(moment(2, 0))
+        out["dderiv_first_moment_zero"] = abs(moment(2, 1))
+        out["dderiv_slope_bounded"] = float(
+            np.max(np.abs(kernel.deriv(interior, 3))))
+    return out
 
 
 # -- kernel smoother ---------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from grenboot.cli import main
+from grenboot.parallel import default_threads
 
 
 def run_cli(args, env_threads=None):
@@ -264,6 +265,17 @@ def test_experiment_coverage_smoke(tmp_path):
     assert 0.0 <= s["coverage"] <= 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["coverage", "--band", "--m", 800],
+    ["rate", "--n-grid", "100,200"],
+], ids=["coverage-band", "rate"])
+def test_experiment_kernel_gate(argv, tmp_path, capsys):
+    assert run_cli(["experiment"] + argv + [
+        "--kernel", "epanechnikov", "--n", 80, "--replicates", 2,
+        "--boot", 50, "--seed", 12, "--out", tmp_path / "k"]) == 2
+    assert "l1-level conditions" in capsys.readouterr().err
+
+
 def test_experiment_l1clt_smoke(limits_file, tmp_path):
     assert run_cli(["experiment", "l1clt", "--n", 100, "--replicates", 20,
                     "--seed", 13, "--threads", 4, "--limits", limits_file,
@@ -325,3 +337,53 @@ def test_threads_flag_overrides_env(data_file, tmp_path):
     assert s["radius"] == pytest.approx(
         s["mu_hat"] / s["n"] ** (1 / 3) + s["c_critical"] / np.sqrt(s["n"]),
         abs=1e-15)
+
+
+# -- degenerate data and thread counts ------------------------------------------
+
+
+DEGENERATE = {
+    "observation_at_zero": ([0.0, 0.3, 0.5], 1, "degenerate monotone MLE"),
+    "all_at_one": ([1.0, 1.0, 1.0], 1, "truncated kernel estimate has mass"),
+    "five_equal": ([0.4] * 5, 0, None),
+    "single": ([0.3], 0, None),
+}
+
+
+@pytest.mark.parametrize("command", [["ci", "--t0", 0.5, "--boot", 40],
+                                     ["band", "--boot", 60]],
+                         ids=["ci", "band"])
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_degenerate_data_exit_codes(case, command, tmp_path, capsys):
+    values, code, message = DEGENERATE[case]
+    data = tmp_path / "d.txt"
+    data.write_text("".join("%r\n" % v for v in values))
+    assert run_cli(command + ["--data", data, "--seed", 1,
+                              "--out", tmp_path / "o"]) == code
+    err = capsys.readouterr().err
+    if message is not None:
+        assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-2"])
+def test_invalid_thread_env_is_usage_error(raw, data_file, tmp_path,
+                                           monkeypatch, capsys):
+    monkeypatch.setenv("GRENBOOT_THREADS", raw)
+    assert run_cli(["ci", "--data", data_file, "--t0", 0.5, "--boot", 40,
+                    "--seed", 2, "--out", tmp_path / "t"]) == 2
+    assert "GRENBOOT_THREADS" in capsys.readouterr().err
+
+
+def test_nonpositive_threads_flag_is_usage_error(data_file, tmp_path, capsys):
+    assert run_cli(["band", "--data", data_file, "--boot", 60, "--m", 3000,
+                    "--seed", 4, "--threads", -4, "--out", tmp_path / "t"]) == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", [None, ""], ids=["unset", "empty"])
+def test_unset_or_empty_thread_env_means_one(raw, monkeypatch):
+    if raw is None:
+        monkeypatch.delenv("GRENBOOT_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("GRENBOOT_THREADS", raw)
+    assert default_threads() == 1

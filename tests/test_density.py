@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grenboot import (EmpiricalCDF, RngStream, Sample, StepDensity,
-                      grenander_fit, l1_distance, l1_shape_integral,
-                      least_concave_majorant, rate_constant,
+from grenboot import (DegenerateEstimateError, EmpiricalCDF, RngStream,
+                      Sample, StepDensity, grenander_fit, l1_distance,
+                      l1_shape_integral, least_concave_majorant, rate_constant,
                       sample_from_analytic, sup_distance, triangular_density,
                       trunc_exp_density, uniform_density)
 from .oracles import brute_force_grenander_heights, hull_majorant
@@ -71,7 +71,7 @@ def test_lcm_single_point():
 
 
 def test_lcm_rejects_observation_at_zero():
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(DegenerateEstimateError, match="degenerate"):
         least_concave_majorant(EmpiricalCDF(Sample([0.0, 0.5])))
 
 

@@ -10,8 +10,8 @@ from grenboot import (BIWEIGHT, DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
                       integrate_piecewise, kernel_by_name, kernel_satisfies,
                       l1_distance, l1_shape_integral, sample_from_analytic,
                       triangular_density, trunc_exp_density)
-from .oracles import (DirectSmoother, gauss_legendre, l1_to_step,
-                      shape_integral, smoother_breakpoints)
+from .oracles import (DirectSmoother, gauss_legendre, grid_kernel_conditions,
+                      l1_to_step, shape_integral, smoother_breakpoints)
 
 
 # -- kernel conditions ---------------------------------------------------------
@@ -56,11 +56,40 @@ def test_kernel_satisfies_cached():
 
 
 def test_nonfinite_kernel_rejected():
-    from grenboot.smoothing import Kernel
-    bad = Kernel("bad", lambda v: np.where(v == 0, np.inf, 0.0),
-                 lambda v: np.zeros_like(v), lambda v: np.zeros_like(v))
-    with pytest.raises(ValueError):
-        check_kernel_conditions(bad, "pointwise")
+    for coefficients in ([0.75, 0.0, -np.inf], [np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            Kernel("bad", coefficients)
+
+
+def test_malformed_kernel_coefficients_rejected():
+    for coefficients in ([], [[0.75, 0.0, -0.75]]):
+        with pytest.raises(ValueError, match="1-d"):
+            Kernel("bad", coefficients)
+
+
+@st.composite
+def even_kernels(draw):
+    """Even polynomial kernels of degree up to 8, scaled to unit mass unless
+    their mass is near 0."""
+    even = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5))
+    coef = np.zeros(2 * len(even) - 1)
+    coef[::2] = even
+    mass = sum(2.0 * c / (2 * p + 1) for p, c in enumerate(even))
+    if abs(mass) > 0.1:
+        coef /= mass
+    return Kernel("even", coef)
+
+
+@given(even_kernels())
+@settings(max_examples=60, deadline=None)
+def test_property_exact_conditions_match_grid_oracle(kernel):
+    oracle = grid_kernel_conditions(kernel, "l1")
+    for r in check_kernel_conditions(kernel, "l1"):
+        if r.name in ("nonnegative", "deriv_nonincreasing_sign"):
+            # the grid samples the extremes the exact check locates
+            assert r.residual >= oracle[r.name] - 1e-12, r
+        else:
+            assert abs(r.residual - oracle[r.name]) <= 1e-9, r
 
 
 # -- bandwidth rules ------------------------------------------------------------
@@ -334,19 +363,10 @@ def test_property_cdf_matches_cumulative_quadrature(inputs, ts):
         assert abs(sd.cdf(t) - oracle.cdf(t)) <= _normalized_tol(sd)
 
 
-def test_kernel_without_polynomial_form_rejected():
-    cosine = Kernel("cosine", lambda v: np.pi / 4 * np.cos(np.pi * v / 2),
-                    lambda v: -np.pi ** 2 / 8 * np.sin(np.pi * v / 2),
-                    lambda v: -np.pi ** 3 / 16 * np.cos(np.pi * v / 2))
-    assert kernel_satisfies(cosine, "pointwise")
-    with pytest.raises(ValueError, match="no polynomial form"):
-        SmoothedDensity(Sample([0.5]), cosine, 0.2)
-
-
 def test_signed_kernel_truncated_at_interior_sign_breaks():
     # a fourth-order kernel, (15/32)(1 - v^2)(3 - 7v^2), dips below zero, so
     # the raw estimate goes negative between two separated clusters
-    k4 = Kernel.polynomial("fourth_order", [45 / 32, 0.0, -150 / 32, 0.0, 105 / 32])
+    k4 = Kernel("fourth_order", [45 / 32, 0.0, -150 / 32, 0.0, 105 / 32])
     sd = SmoothedDensity(Sample([0.3, 0.31, 0.7]), k4, 0.15)
     qb = sd.quad_breakpoints
     breaks = qb[(qb > sd.h) & (qb < 1 - sd.h)]
