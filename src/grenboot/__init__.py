@@ -21,7 +21,6 @@ from .inference import (L1BandResult, PointwiseCIResult, band_contains,
                         empirical_quantile, l1_band,
                         naive_bootstrap_deviations, smoothed_pointwise_ci,
                         supersample_centering)
-from .integrate import adaptive_simpson, integrate_piecewise
 from .limits import (LimitConstants, LimitSimConfig, PathGrid,
                      WindowTooSmallError, argmax_process, chernoff_draw,
                      chernoff_sample, doubled_draw, doubled_sample,
@@ -42,11 +41,11 @@ __all__ = [
     "EnvelopeError", "Kernel", "L1BandResult", "LimitConstants",
     "LimitSimConfig", "PathGrid", "PointwiseCIResult", "RngStream", "Sample",
     "SmoothedDensity", "StepDensity", "WindowTooSmallError",
-    "adaptive_simpson", "argmax_process", "band_contains", "chernoff_draw",
+    "argmax_process", "band_contains", "chernoff_draw",
     "chernoff_sample", "check_kernel_conditions", "doubled_draw",
     "doubled_sample", "doubled_scaling_check", "empirical_quantile",
     "envelope_bound", "estimate_constants", "fit_smoothed", "grenander_fit",
-    "integrate_piecewise", "kernel_by_name", "kernel_satisfies", "l1_band",
+    "kernel_by_name", "kernel_satisfies", "l1_band",
     "l1_centering_constant", "l1_distance", "l1_shape_integral",
     "least_concave_majorant", "multinomial_bootstrap",
     "naive_bootstrap_deviations", "rate_constant", "rejection_sample",

@@ -9,9 +9,7 @@ from math import factorial
 
 import numpy as np
 from scipy.interpolate import PPoly
-from scipy.optimize import isotonic_regression
-
-from .integrate import adaptive_simpson, integrate_piecewise
+from scipy.optimize import brentq, isotonic_regression
 
 __all__ = [
     "DegenerateEstimateError",
@@ -48,6 +46,29 @@ def _as_array(t):
 
 def _ret(values, scalar):
     return float(values[0]) if scalar else values
+
+
+# Gauss-Legendre with 32 nodes after the substitution t = a + (b - a) p(s),
+# p(s) = s^3 (10 - 15 s + 6 s^2): p' vanishes to second order at both ends,
+# so a cube-root cusp of the integrand at a piece end becomes smooth in s
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
+_S = 0.5 * (_GL_X + 1.0)
+_NODES = _S ** 3 * (10.0 - 15.0 * _S + 6.0 * _S ** 2)
+_WEIGHTS = 15.0 * _S ** 2 * (1.0 - _S) ** 2 * _GL_W   # p'(s) ds on [0, 1]
+_PANELS = np.linspace(0.0, 1.0, 65)
+
+
+def _fixed_rule(f, breakpoints):
+    """Integral of the vectorized ``f`` over the pieces between sorted
+    ``breakpoints``, by the fixed rule above; non-finite values raise
+    ValueError."""
+    a, b = breakpoints[:-1], breakpoints[1:]
+    t = a[:, None] + (b - a)[:, None] * _NODES
+    vals = np.asarray(f(t.ravel()), dtype=float).reshape(t.shape)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("integrand returned a non-finite value at t=%r"
+                         % float(t[~np.isfinite(vals)][0]))
+    return float(np.sum((b - a) * (vals @ _WEIGHTS)))
 
 
 class Sample:
@@ -244,6 +265,10 @@ def grenander_fit(sample):
 class AnalyticDensity:
     """Closed-form density on [0, 1] with optional derivatives and inverse CDF.
 
+    The constructor checks that ``pdf`` has unit mass, to 1e-10, by the
+    fixed rule of :func:`l1_shape_integral` on 64 equal panels; non-finite
+    values raise ValueError.
+
     Parameters
     ----------
     name : str
@@ -255,15 +280,13 @@ class AnalyticDensity:
         Distribution function and its inverse (for exact sampling).
     nonincreasing, slope_bounded, curvature_bounded : bool
         Shape flags: monotone non-increasing; derivative bounded away from 0
-        and -inf on (0, 1); second derivative bounded.
-    piecewise_linear : bool
-        Marks densities that are globally linear on [0, 1]; they expose a
-        ``ppoly`` and get exact L1 distances.
+        and -inf on (0, 1); second derivative bounded. A nonincreasing
+        density with a ``cdf`` has exact L1 distances to step densities.
     """
 
     def __init__(self, name, pdf, dpdf=None, d2pdf=None, cdf=None, ppf=None,
                  nonincreasing=False, slope_bounded=False,
-                 curvature_bounded=False, piecewise_linear=False):
+                 curvature_bounded=False):
         self.name = name
         self._pdf = pdf
         self._dpdf = dpdf
@@ -273,22 +296,9 @@ class AnalyticDensity:
         self.nonincreasing = bool(nonincreasing)
         self.slope_bounded = bool(slope_bounded)
         self.curvature_bounded = bool(curvature_bounded)
-        self.piecewise_linear = bool(piecewise_linear)
-        mass = adaptive_simpson(self.__call__, 0.0, 1.0, tol=1e-12)
+        mass = _fixed_rule(self.__call__, _PANELS)
         if abs(mass - 1.0) > 1e-10:
             raise ValueError("density %s integrates to %r, not 1" % (name, mass))
-
-    @property
-    def ppoly(self):
-        """The density as a linear ``PPoly`` when it is linear, else None."""
-        if not self.piecewise_linear:
-            return None
-        f0, f1 = self(0.0), self(1.0)
-        return PPoly([[f1 - f0], [f0]], [0.0, 1.0])
-
-    @property
-    def quad_breakpoints(self):
-        return np.array([0.0, 1.0])
 
     def __call__(self, t):
         arr, scalar = _as_array(t)
@@ -344,7 +354,6 @@ def uniform_density():
         nonincreasing=True,
         slope_bounded=False,
         curvature_bounded=True,
-        piecewise_linear=True,
     )
 
 
@@ -360,7 +369,6 @@ def triangular_density():
         nonincreasing=True,
         slope_bounded=True,
         curvature_bounded=True,
-        piecewise_linear=True,
     )
 
 
@@ -381,13 +389,6 @@ def trunc_exp_density(rate=1.0):
         slope_bounded=True,
         curvature_bounded=True,
     )
-
-
-def _quad_breakpoints_of(d):
-    qb = getattr(d, "quad_breakpoints", None)
-    if qb is not None:
-        return np.asarray(qb, dtype=float)
-    return np.array([0.0, 1.0])
 
 
 def _reexpand(pp, x, degree):
@@ -424,24 +425,49 @@ def _l1_exact(pa, pb):
     return float(np.sum(np.abs(np.diff(diff.antiderivative()(z)))))
 
 
-def l1_distance(a, b, tol=1e-8):
-    """L1 distance between two densities on [0, 1].
+def _l1_step_monotone(step, f):
+    """Exact integral of |step - f| for a nonincreasing density ``f`` with a
+    CDF. On each step h - f is nondecreasing, so it changes sign at most once,
+    at a point c found by brentq; each side of c is a CDF difference minus a
+    rectangle, or the reverse."""
+    x = step.quad_breakpoints
+    a, b, h = x[:-1], x[1:], step.heights
+    fx = np.asarray(f(x), dtype=float)
+    # c = a where h >= f on the whole step, c = b where h <= f on it
+    c = np.where(h >= fx[:-1], a, b)
+    for j in np.nonzero((h < fx[:-1]) & (h > fx[1:]))[0]:
+        c[j] = brentq(lambda t: f(t) - h[j], a[j], b[j])
+    Fx = np.asarray(f.cdf(x), dtype=float)
+    Fc = np.asarray(f.cdf(c), dtype=float)
+    above = (Fc - Fx[:-1]) - h * (c - a)   # f >= h on (a, c)
+    below = h * (b - c) - (Fx[1:] - Fc)    # f <= h on (c, b)
+    return float(np.sum(above + below))
 
-    Exact when both arguments expose a piecewise-polynomial form as a
-    ``ppoly`` attribute (step densities, linear analytic densities, the
-    kernel smoother). Otherwise adaptive Simpson over the merged kink list,
-    where non-finite evaluations raise ValueError.
+
+def _monotone_with_cdf(d):
+    return isinstance(d, AnalyticDensity) and d.nonincreasing and d._cdf is not None
+
+
+def l1_distance(a, b):
+    """Exact L1 distance between two densities on [0, 1].
+
+    Two pairs are supported: two piecewise polynomials exposed as a
+    ``ppoly`` attribute (step densities, the kernel smoother), and a
+    :class:`StepDensity` against a nonincreasing :class:`AnalyticDensity`
+    with a ``cdf``, in either order. Any other pair raises ValueError.
     """
     pa = getattr(a, "ppoly", None)
     pb = getattr(b, "ppoly", None)
     if pa is not None and pb is not None:
         return _l1_exact(pa, pb)
-    bp = np.unique(np.concatenate([_quad_breakpoints_of(a), _quad_breakpoints_of(b)]))
-
-    def integrand(t):
-        return np.abs(np.asarray(a(t), dtype=float) - np.asarray(b(t), dtype=float))
-
-    return integrate_piecewise(integrand, bp, tol=tol)
+    if isinstance(a, StepDensity) and _monotone_with_cdf(b):
+        return _l1_step_monotone(a, b)
+    if isinstance(b, StepDensity) and _monotone_with_cdf(a):
+        return _l1_step_monotone(b, a)
+    raise ValueError(
+        "l1_distance is exact only for two densities with a ppoly, or a "
+        "StepDensity and a nonincreasing AnalyticDensity with a cdf; got "
+        "%r and %r" % (a, b))
 
 
 def _eval_sided(d, t, side):
@@ -460,8 +486,8 @@ def sup_distance(a, b, grid_size=10001):
         raise ValueError("grid_size must be at least 2")
     pts = np.unique(np.concatenate([
         np.linspace(0.0, 1.0, int(grid_size)),
-        _quad_breakpoints_of(a),
-        _quad_breakpoints_of(b),
+        getattr(a, "quad_breakpoints", []),
+        getattr(b, "quad_breakpoints", []),
     ]))
     best = 0.0
     for side in ("left", "right"):
@@ -482,21 +508,28 @@ def rate_constant(g, t):
     return float(abs(4.0 * g.dpdf(t) * g(t)) ** (1.0 / 3.0))
 
 
-def l1_shape_integral(g, tol=1e-8):
+def l1_shape_integral(g):
     """Integral of |g'(t) g(t) / 2|^(1/3) over [0, 1].
 
     This is the shape-dependent factor in the centering constant of the L1
     error of the monotone MLE; non-finite integrand values raise ValueError.
-    When ``g`` exposes a ``ppoly``, the quadrature is also split at its
-    breakpoints (the kernel knots of a smoother), where the integrand kinks.
+    The integral is a fixed Gauss-Legendre rule on pieces at whose ends the
+    integrand may kink or have a cube-root cusp. When ``g`` exposes a
+    ``ppoly`` (a smoother), the pieces end at its breakpoints and at the
+    roots of g and g'. Otherwise the rule runs on 64 equal panels, which is
+    accurate only when g and g' have no zero inside (0, 1); the shipped
+    analytic densities meet that.
     """
 
     def integrand(t):
         return np.abs(0.5 * np.asarray(g.dpdf(t), dtype=float)
                       * np.asarray(g(t), dtype=float)) ** (1.0 / 3.0)
 
-    bp = _quad_breakpoints_of(g)
     pp = getattr(g, "ppoly", None)
-    if pp is not None:
-        bp = np.union1d(pp.x, bp)
-    return integrate_piecewise(integrand, bp, tol=tol)
+    if pp is None:
+        return _fixed_rule(integrand, _PANELS)
+    roots = np.concatenate([pp.roots(discontinuity=False, extrapolate=False),
+                            pp.derivative().roots(discontinuity=False,
+                                                  extrapolate=False)])
+    # identically zero pieces report nan
+    return _fixed_rule(integrand, np.union1d(pp.x, roots[np.isfinite(roots)]))

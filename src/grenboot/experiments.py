@@ -8,7 +8,6 @@ identical for any thread count.
 """
 
 import numpy as np
-from scipy import stats
 
 from .density import (Sample, grenander_fit, l1_distance, rate_constant,
                       sup_distance)
@@ -317,6 +316,9 @@ def run_l1_clt(truth, constants, n=1000, replicates=200, rng=None, threads=1):
     def one(r):
         data = sample_from_analytic(truth, n, rng.substream(r))
         return sixth * (cube * l1_distance(grenander_fit(data), truth) - mu)
+
+    # imported here, not at module level: it slows the CLI start-up
+    from scipy import stats
 
     t_vals = np.array(map_indexed(one, int(replicates), threads))
     sigma = float(np.sqrt(constants.l1_variance))

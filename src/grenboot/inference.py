@@ -278,13 +278,15 @@ def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
     )
 
 
-def band_contains(band, density, tol=1e-8):
+def band_contains(band, density):
     """Whether a density lies within the band: L1 distance to the center
     at most the radius (weak inequality; empty bands contain nothing).
 
-    The quadrature tolerance is granted as slack so a density at distance
-    exactly equal to the radius tests inside regardless of rounding.
+    ``density`` and the step-density center must form a pair that
+    :func:`~grenboot.density.l1_distance` supports.
     """
     if band.empty:
         return False
-    return l1_distance(band.center, density, tol=tol) <= band.radius + tol
+    # the exact L1 still carries rounding; 1e-12 of slack keeps a density at
+    # distance exactly the radius inside
+    return l1_distance(band.center, density) <= band.radius + 1e-12

@@ -364,6 +364,6 @@ def estimate_constants(config, rng, threads=1):
     )
 
 
-def l1_centering_constant(density, constants, tol=1e-8):
+def l1_centering_constant(density, constants):
     """Centering constant of the L1 error: 2 E|xi(0)| times the shape integral."""
-    return 2.0 * constants.chernoff_abs_mean * l1_shape_integral(density, tol=tol)
+    return 2.0 * constants.chernoff_abs_mean * l1_shape_integral(density)

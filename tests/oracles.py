@@ -19,7 +19,11 @@ integrate it exactly up to rounding.
 
 The kernel-condition oracle checks admissibility the way the package did
 before its checks became exact: signs and bounds on a grid of 100001 points,
-moments by adaptive Simpson quadrature.
+moments by Gauss-Legendre quadrature, exact for these polynomial integrands.
+
+The L1 and shape-integral oracles split their quadrature at every sign
+change of the functions involved, found by a fine scan refined with brentq
+rather than from polynomial roots or monotonicity.
 """
 
 from itertools import combinations
@@ -28,7 +32,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from grenboot.density import ConcaveMajorant
-from grenboot.integrate import adaptive_simpson
 
 
 def brute_force_lcm(sample_values, eval_points):
@@ -103,17 +106,19 @@ def hull_majorant(cdf):
 # -- kernel conditions -------------------------------------------------------
 
 
-def grid_kernel_conditions(kernel, level="pointwise", quad_tol=1e-10):
+def grid_kernel_conditions(kernel, level="pointwise"):
     """Residual of each admissibility condition by name, from grids and
-    quadrature; ``kernel.deriv`` is the only view of the kernel it takes."""
+    quadrature; ``kernel.deriv`` is the only view of the kernel it takes.
+    Its moments are Gauss-Legendre with 16 nodes on [-1, 1], exact for
+    kernels up to degree 29."""
     closed = np.linspace(-1.0, 1.0, 100001)
     interior = closed[1:-1]
     outside = np.concatenate([-1.0 - np.geomspace(1e-9, 1.0, 1000),
                               1.0 + np.geomspace(1e-9, 1.0, 1000)])
 
     def moment(order, power):
-        return adaptive_simpson(lambda v: kernel.deriv(v, order) * v ** power,
-                                -1.0, 1.0, tol=quad_tol)
+        return gauss_legendre(lambda v: kernel.deriv(v, order) * v ** power,
+                              [-1.0, 1.0], nodes=16)
 
     k0 = kernel.deriv(closed, 0)
     k1 = kernel.deriv(closed, 1)
@@ -180,16 +185,42 @@ def gauss_legendre(f, breakpoints, nodes=8):
     return float(np.sum(half * (vals @ w)))
 
 
-def shape_integral(smoothed, panels=257, nodes=20):
+def sign_changes(f, breakpoints):
+    """Points inside each interval between ``breakpoints`` where the
+    vectorized ``f`` changes sign: a scan of 257 points per interval, each
+    bracket between consecutive nonzero values of opposite sign refined by
+    brentq."""
+    out = []
+    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
+        grid = a + (b - a) * np.clip(np.linspace(0.0, 1.0, 257), 1e-12, 1 - 1e-12)
+        vals = np.asarray(f(grid), dtype=float)
+        nz = np.nonzero(vals)[0]
+        for i, k in zip(nz[:-1], nz[1:]):
+            if vals[i] * vals[k] < 0.0:
+                out.append(brentq(lambda s: float(f(np.array([s]))[0]),
+                                  grid[i], grid[k], xtol=1e-15))
+    return np.asarray(out, dtype=float)
+
+
+def shape_integral(smoothed, nodes=20):
     """Integral of |g' g / 2|^(1/3) for a fitted smoother g, by Gauss-Legendre
-    on ``panels`` equal subpanels of every interval between the breakpoints
-    of :func:`smoother_breakpoints`. It reads the smoother's own ``pdf`` and
+    on every interval between the breakpoints of :func:`smoother_breakpoints`
+    and the sign changes of g and g'. It reads the smoother's own ``pdf`` and
     ``dpdf``, which other oracles check, so it checks only the quadrature.
-    The cube root makes the integrand no polynomial, so this is not exact;
-    it converges slowest near an interior zero of g'."""
+
+    The integrand may have a cube-root cusp at an interval's end, so each
+    interval is cut into 64 equal panels and, toward both ends, into panels
+    graded geometrically down to 2^-40 of its width: each graded panel is as
+    wide as its distance from the end, where the integrand is smooth on the
+    panel's scale."""
     bp = smoother_breakpoints(smoothed)
+    bp = np.unique(np.concatenate([bp, sign_changes(smoothed.pdf, bp),
+                                   sign_changes(smoothed.dpdf, bp)]))
+    graded = np.geomspace(2.0 ** -40, 0.5, 40)
+    q = np.unique(np.concatenate([[0.0], graded, 1.0 - graded, [1.0],
+                                  np.linspace(0.0, 1.0, 65)]))
     a, b = bp[:-1], bp[1:]
-    cuts = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, panels + 1)
+    cuts = a[:, None] + (b - a)[:, None] * q
 
     def f(t):
         return np.abs(0.5 * smoothed.dpdf(t) * smoothed.pdf(t)) ** (1.0 / 3.0)
@@ -244,22 +275,14 @@ class DirectSmoother:
         return gauss_legendre(self.pdf, np.append(cuts, t)) if t > 0 else 0.0
 
 
-def l1_to_step(smoother, step):
-    """Integral of |step - smoother.pdf| by Gauss-Legendre, split at every
-    knot and step edge and at each sign change of the difference, found by
-    a fine scan refined with brentq."""
-    bp = np.union1d(smoother.knots, step.quad_breakpoints)
+def l1_to_step(pdf, step, knots=(0.0, 1.0)):
+    """Integral of |step - pdf| by Gauss-Legendre with 20 nodes, split at
+    every step edge, at ``knots`` (where ``pdf`` may fail to be smooth) and
+    at each sign change of the difference (:func:`sign_changes`)."""
+    bp = np.union1d(knots, step.quad_breakpoints)
 
     def diff(t):
-        return np.asarray(step(t), dtype=float) - smoother.pdf(t)
+        return np.asarray(step(t), dtype=float) - np.asarray(pdf(t), dtype=float)
 
-    cuts = [bp]
-    for a, b in zip(bp[:-1], bp[1:]):
-        # inside (a, b) the step is constant and the smoother a polynomial
-        grid = a + (b - a) * np.clip(np.linspace(0.0, 1.0, 257), 1e-12, 1 - 1e-12)
-        vals = diff(grid)
-        cuts.append(grid[vals == 0.0])
-        for i in np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]:
-            cuts.append([brentq(lambda s: float(diff(np.array([s]))[0]),
-                                grid[i], grid[i + 1], xtol=1e-15)])
-    return gauss_legendre(lambda t: np.abs(diff(t)), np.concatenate(cuts))
+    cuts = np.union1d(bp, sign_changes(diff, bp))
+    return gauss_legendre(lambda t: np.abs(diff(t)), cuts, nodes=20)

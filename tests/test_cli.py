@@ -25,6 +25,16 @@ def run_cli_subprocess(args, extra_env=None):
                           capture_output=True, text=True, env=env)
 
 
+def test_import_skips_scipy_stats_and_integrate():
+    # both cost start-up that most commands never use
+    code = ("import sys, grenboot.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') "
+            "if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, check=True)
+    assert r.stdout.strip() == "[]"
+
+
 # -- gen ---------------------------------------------------------------------
 
 

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grenboot import (DegenerateEstimateError, EmpiricalCDF, RngStream,
-                      Sample, StepDensity, grenander_fit, l1_distance,
+from grenboot import (AnalyticDensity, DegenerateEstimateError, EmpiricalCDF,
+                      RngStream, Sample, StepDensity, grenander_fit, l1_distance,
                       l1_shape_integral, least_concave_majorant, rate_constant,
                       sample_from_analytic, sup_distance, triangular_density,
                       trunc_exp_density, uniform_density)
-from .oracles import brute_force_grenander_heights, hull_majorant
+from .oracles import brute_force_grenander_heights, hull_majorant, l1_to_step
 
 unit_floats = st.floats(0.001, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -214,11 +214,10 @@ def test_zoo_ppf_inverts_cdf(density):
 def test_zoo_flags():
     tri = triangular_density()
     assert tri.nonincreasing and tri.slope_bounded
-    assert tri.piecewise_linear
     uni = uniform_density()
-    assert uni.nonincreasing
+    assert uni.nonincreasing and not uni.slope_bounded
     te = trunc_exp_density()
-    assert te.nonincreasing and not te.piecewise_linear
+    assert te.nonincreasing and te.curvature_bounded
 
 
 def test_triangular_values():
@@ -237,14 +236,43 @@ def test_l1_step_vs_uniform():
 
 
 def test_l1_identity():
-    tri = triangular_density()
-    assert l1_distance(tri, tri) == 0.0
+    # the uniform density is also a one-step density
+    one_step = StepDensity([1.0], [1.0])
+    assert l1_distance(one_step, one_step) == 0.0
+    assert l1_distance(one_step, uniform_density()) == 0.0
 
 
 def test_l1_uniform_vs_triangular_closed_form():
     # |1 - 2(1-t)| = |2t - 1| integrates to two triangles of area 1/4 each
-    val = l1_distance(uniform_density(), triangular_density())
-    assert abs(val - 0.5) < 1e-10
+    one_step = StepDensity([1.0], [1.0])
+    assert abs(l1_distance(one_step, triangular_density()) - 0.5) < 1e-15
+    assert abs(l1_distance(triangular_density(), one_step) - 0.5) < 1e-15
+
+
+@pytest.mark.parametrize("truth", [trunc_exp_density(1.0), trunc_exp_density(2.0),
+                                   triangular_density()], ids=lambda d: d.name)
+@pytest.mark.parametrize("n", [1, 30, 1000])
+def test_l1_step_vs_monotone_truth_matches_oracle(truth, n):
+    # exact from CDF differences; the oracle integrates |step - truth| by
+    # Gauss-Legendre split at the edges and the crossings found by scanning
+    for r in range(3):
+        fit = grenander_fit(sample_from_analytic(truth, n, RngStream(41).substream(n, r)))
+        want = l1_to_step(truth, fit)
+        assert abs(l1_distance(fit, truth) - want) < 1e-12
+        assert l1_distance(truth, fit) == l1_distance(fit, truth)
+
+
+def test_l1_unsupported_pairs_raise():
+    fit = grenander_fit(Sample([0.2, 0.5]))
+    flat = lambda t: np.ones_like(t)
+    increasing = AnalyticDensity("rising", lambda t: 2.0 * t,
+                                 cdf=lambda t: t * t)
+    no_cdf = AnalyticDensity("flat", flat, nonincreasing=True)
+    pairs = [(trunc_exp_density(), triangular_density()),
+             (fit, increasing), (no_cdf, fit), (fit, object())]
+    for a, b in pairs:
+        with pytest.raises(ValueError, match="ppoly.*StepDensity"):
+            l1_distance(a, b)
 
 
 def test_l1_symmetry_and_triangle():
@@ -295,6 +323,15 @@ def test_rate_constant_flat_density_zero():
 def test_shape_integral_triangular_closed_form():
     val = l1_shape_integral(triangular_density())
     assert abs(val - 2 ** (1 / 3) * 0.75) < 1e-7
+
+
+@pytest.mark.parametrize("rate", [0.5, 1.0, 2.0, 5.0])
+def test_shape_integral_trunc_exp_closed_form(rate):
+    # |g' g / 2|^(1/3) = (r^3 / (2 z^2))^(1/3) exp(-2 r t / 3), z = 1 - e^-r
+    z = 1.0 - np.exp(-rate)
+    want = ((rate ** 3 / (2 * z * z)) ** (1 / 3) * 1.5 / rate
+            * (1.0 - np.exp(-2.0 * rate / 3.0)))
+    assert abs(l1_shape_integral(trunc_exp_density(rate)) - want) < 1e-13
 
 
 def test_shape_integral_uniform_zero():

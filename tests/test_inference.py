@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.interpolate import PPoly
 
 from grenboot import (BIWEIGHT, DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
                       EPANECHNIKOV, BandwidthRule, RngStream, Sample,
@@ -195,12 +196,7 @@ def test_band_contains_boundary_weak(small_band):
     lam = band.radius / d
 
     class Blend:
-        linear_pieces = None
-        quad_breakpoints = np.unique(np.concatenate(
-            [center.quad_breakpoints, [0.0, 1.0]]))
-
-        def __call__(self, t):
-            return (1 - lam) * center(np.asarray(t, dtype=float)) + lam * uni(t)
+        ppoly = PPoly((1 - lam) * center.ppoly.c + lam, center.ppoly.x)
 
     blend = Blend()
     # mixing is linear in L1 along this segment: distance = lam * d = radius
@@ -213,11 +209,7 @@ def test_band_excludes_beyond_radius(small_band):
     shifted = 1.01 * band.radius
 
     class Bumped:
-        linear_pieces = None
-        quad_breakpoints = band.center.quad_breakpoints
-
-        def __call__(self, t):
-            return band.center(np.asarray(t, dtype=float)) + shifted
+        ppoly = PPoly(band.center.ppoly.c + shifted, band.center.ppoly.x)
 
     assert not band_contains(band, Bumped())
 

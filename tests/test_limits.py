@@ -211,8 +211,7 @@ def test_centering_scale_invariance(limit_constants):
         return AnalyticDensity("blend", pdf, dpdf,
                                lambda t: np.zeros(np.asarray(t).shape),
                                cdf, None, nonincreasing=True,
-                               slope_bounded=True, curvature_bounded=True,
-                               piecewise_linear=True)
+                               slope_bounded=True, curvature_bounded=True)
 
     g = make(0.5)
     mu = l1_centering_constant(g, limit_constants)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grenboot import (BIWEIGHT, DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
                       EPANECHNIKOV, BandwidthRule, DegenerateEstimateError,
                       Kernel, RngStream, Sample, SmoothedDensity,
                       check_kernel_conditions, fit_smoothed, grenander_fit,
-                      integrate_piecewise, kernel_by_name, kernel_satisfies,
+                      kernel_by_name, kernel_satisfies,
                       l1_distance, l1_shape_integral, sample_from_analytic,
                       triangular_density, trunc_exp_density)
 from .oracles import (DirectSmoother, gauss_legendre, grid_kernel_conditions,
@@ -212,8 +212,8 @@ def test_pdf_scales_as_positive_part():
     sd = SmoothedDensity(Sample([0.5]), EPANECHNIKOV, 0.2)
     grid = np.linspace(0, 1, 501)
     base = np.maximum(sd.extended(grid), 0.0)
-    z = integrate_piecewise(lambda t: np.maximum(sd.extended(t), 0.0),
-                            sd.quad_breakpoints, tol=1e-10)
+    z = gauss_legendre(lambda t: np.maximum(sd.extended(t), 0.0),
+                       smoother_breakpoints(sd))
     assert np.allclose(sd.pdf(grid), base / z, atol=1e-12)
 
 
@@ -263,10 +263,25 @@ def test_plugin_shape_integral_near_truth():
 
 @pytest.mark.parametrize("n", [300, 1000])
 def test_shape_integral_meets_tolerance_across_kernel_knots(n):
-    # the integrand kinks at every X_i +- h; the quadrature meets its 1e-8
-    # tolerance on these samples only when split there
+    # the integrand kinks at every X_i +- h; the rule is accurate on these
+    # samples only when split there
     sd = fit_smoothed(sample_from_analytic(triangular_density(), n, RngStream(0)))
     assert abs(l1_shape_integral(sd) - shape_integral(sd)) < 1e-8
+
+
+@given(st.integers(5, 400), st.floats(0.02, 0.5), st.integers(0, 10 ** 6),
+       st.sampled_from([EPANECHNIKOV, BIWEIGHT]))
+@example(384, 0.1028814085321162, 739, EPANECHNIKOV)
+@settings(max_examples=20, deadline=None)
+def test_property_shape_integral_matches_oracle(n, h, seed, kernel):
+    # g and g' have cube-root cusps at their zeros; the rule splits at the
+    # roots, the oracle at sign changes found by scanning
+    s = sample_from_analytic(trunc_exp_density(2.0), n, RngStream(seed))
+    try:
+        sd = SmoothedDensity(s, kernel, h)
+    except DegenerateEstimateError:
+        return
+    assert abs(l1_shape_integral(sd) - shape_integral(sd)) < 1e-9
 
 
 @given(st.integers(5, 400), st.floats(0.05, 0.45), st.integers(0, 4))
@@ -346,7 +361,8 @@ def test_property_exact_l1_matches_quadrature(inputs):
     if sd is None:
         return
     step = grenander_fit(Sample(values))
-    assert abs(l1_distance(step, sd) - l1_to_step(oracle, step)) <= _normalized_tol(sd)
+    want = l1_to_step(oracle.pdf, step, oracle.knots)
+    assert abs(l1_distance(step, sd) - want) <= _normalized_tol(sd)
     assert l1_distance(sd, sd) == 0.0
 
 
