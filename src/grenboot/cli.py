@@ -272,12 +272,17 @@ def cmd_limits(args):
     t_start = time.monotonic()
     threads = _resolve_threads(args)
     rng = RngStream(args.seed)
+    # the scaling check runs first, so a bad scaling flag is a usage error
+    # before the long constants run; its stream is independent of theirs
+    scaling = None
+    if args.check_scaling:
+        scaling = _usage_guard(
+            doubled_scaling_check, args.scaling_paths, args.delta,
+            args.scaling_width, rng.substream(1), threads)
     constants = estimate_constants(config, rng.substream(0), threads)
     payload = constants.to_dict()
-    if args.check_scaling:
-        payload["scaling"] = doubled_scaling_check(
-            args.scaling_paths, args.delta, args.scaling_width,
-            rng.substream(1), threads)
+    if scaling is not None:
+        payload["scaling"] = scaling
     json_path = args.out + ".json"
     outputs = [json_path]
     _write_json(json_path, payload)

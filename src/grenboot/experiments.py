@@ -309,6 +309,9 @@ def run_l1_clt(truth, constants, n=1000, replicates=200, rng=None, threads=1):
     """
     if rng is None:
         raise ValueError("an RngStream is required")
+    if not constants.l1_variance > 0.0:
+        raise ValueError("the limit constants' l1_variance must be positive, "
+                         "got %r" % constants.l1_variance)
     mu = l1_centering_constant(truth, constants)
     sixth = float(n) ** (1.0 / 6.0)
     cube = float(n) ** (1.0 / 3.0)

@@ -5,11 +5,26 @@ the limit variate is the (leftmost) argmax of Z(h) - h^2, and the stationary
 argmax process xi(t) = argmax_{|h|<=W} {Z(t+h) - Z(t) - h^2} supplies the
 constants of the L1 central limit theorem: E|xi(0)|, Var of the argmax, and
 the long-run variance 8 * int_0^inf cov(|xi(0)|, |xi(x)|) dx.
+
+``estimate_constants`` reads every lag off one least concave majorant per
+path. With G(s) = Z(s) - s^2, xi(t) + t is the leftmost maximiser of the
+tilted path G(s) + 2ts over |s - t| <= W, and a linearly tilted path is
+maximised at a vertex of the majorant of G (the switching relation behind
+the Grenander estimator). One decreasing isotonic regression of the slopes
+of G gives the vertices, and a search of -2t among the block slopes gives
+each lag's vertex. When that vertex lies strictly inside the lag's window it
+is the windowed argmax; otherwise the lag falls back to the window scan of
+``argmax_process``, which also sets its boundary flag. The lags are all
+>= 0, so the lab draws only the arm it reads: Z on [-W, lag_max + W], the
+first increments of the symmetric path ``simulate_path`` draws, so the
+values and the argmaxes are those of that path.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 
 from .density import l1_shape_integral
 from .parallel import map_indexed
@@ -38,6 +53,18 @@ class WindowTooSmallError(RuntimeError):
     """Too many argmax draws hit the simulation window boundary."""
 
 
+def _grid_points(step, half_width):
+    """Grid points on one arm: half_width / step, a positive integer."""
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError("step must be positive and finite, got %r" % step)
+    if not math.isfinite(half_width):
+        raise ValueError("half_width must be finite, got %r" % half_width)
+    m = int(round(half_width / step))
+    if m < 1 or abs(m * step - half_width) > 1e-9:
+        raise ValueError("half_width must be a positive multiple of step")
+    return m
+
+
 class PathGrid:
     """Two-sided random-walk path on a uniform grid centered at 0.
 
@@ -47,11 +74,7 @@ class PathGrid:
 
     def __init__(self, step, half_width, values):
         step = float(step)
-        if not step > 0.0:
-            raise ValueError("step must be positive")
-        m = int(round(half_width / step))
-        if m < 1 or abs(m * step - half_width) > 1e-9:
-            raise ValueError("half_width must be a positive multiple of step")
+        m = _grid_points(step, half_width)
         values = np.asarray(values, dtype=float)
         if values.shape != (2 * m + 1,):
             raise ValueError("values must have length 2*m + 1")
@@ -87,9 +110,7 @@ def simulate_path(step, half_width, rng):
     Increments are independent Normal(0, sqrt(step)); the two arms out of 0
     are independent, matching the two-sided construction.
     """
-    m = int(round(half_width / step))
-    if m < 1 or abs(m * step - half_width) > 1e-9:
-        raise ValueError("half_width must be a positive multiple of step")
+    m = _grid_points(step, half_width)
     eps = rng.gen.normal(0.0, np.sqrt(step), size=2 * m)
     values = np.empty(2 * m + 1)
     values[m] = 0.0
@@ -131,22 +152,82 @@ def argmax_process(path, t_values, window):
     w = int(round(window / path.step))
     if w < 1 or abs(w * path.step - window) > 1e-9:
         raise ValueError("window must be a positive multiple of step")
-    offsets = np.arange(-w, w + 1) * path.step
-    offsq = offsets ** 2
     t_values = np.asarray(t_values, dtype=float)
-    vals = np.empty(t_values.size)
-    hits = np.empty(t_values.size, dtype=bool)
+    centers = np.empty(t_values.size, dtype=int)
     for j, t in enumerate(t_values):
         c = path.m + int(round(t / path.step))
         if abs((c - path.m) * path.step - t) > 1e-9:
             raise ValueError("t=%r does not land on the path grid" % t)
         if c - w < 0 or c + w >= path.values.size:
             raise ValueError("window around t=%r exceeds the path extent" % t)
-        seg = path.values[c - w:c + w + 1] - path.values[c]
+        centers[j] = c
+    offsets = np.arange(-w, w + 1) * path.step
+    return _window_scan(path.values, centers, w, offsets, offsets ** 2)
+
+
+def _window_scan(values, centers, w, offsets, offsq):
+    """Leftmost argmax of values[c + i] - values[c] - offsq[i + w] over
+    |i| <= w, for each center index c; returns ``(values, boundary_hits)``."""
+    vals = np.empty(len(centers))
+    hits = np.empty(len(centers), dtype=bool)
+    for j, c in enumerate(centers):
+        seg = values[c - w:c + w + 1] - values[c]
         i = int(np.argmax(seg - offsq))
         vals[j] = offsets[i]
         hits[j] = i == 0 or i == 2 * w
     return vals, hits
+
+
+class _MajorantLags:
+    """xi(t) at a config's lags, read off one concave majorant per path.
+
+    A path is Z(k * step) for k in [-w, m], with the origin at index w,
+    where w = window / step and m = half_width / step: the stretch that the
+    windows of the lags cover.
+    """
+
+    def __init__(self, config):
+        self.step = step = config.step
+        self.w = w = _grid_points(step, config.window)
+        self.m = _grid_points(step, config.half_width)
+        self.centers = w + np.round(config.lags / step).astype(int)
+        self.two_t = 2.0 * config.lags
+        self.s2 = (np.arange(-w, self.m + 1) * step) ** 2
+        self.offsets = np.arange(-w, w + 1) * step
+        self.offsq = self.offsets ** 2
+
+    def draw(self, rng):
+        """The path ``simulate_path`` draws from ``rng``, on [-w, m] only.
+
+        Its first m + w normals are the right arm and the first w of the
+        left arm, so the values are bit-identical to that path's.
+        """
+        m, w = self.m, self.w
+        eps = rng.gen.normal(0.0, np.sqrt(self.step), size=m + w)
+        z = np.empty(m + w + 1)
+        z[w] = 0.0
+        z[w + 1:] = np.cumsum(eps[:m])
+        z[w - 1::-1] = np.cumsum(eps[m:])
+        return z
+
+    def read(self, z):
+        """``(values, boundary_hits)`` of xi at the lags, as
+        ``argmax_process`` gives them on the same path."""
+        w = self.w
+        fit = isotonic_regression(np.diff(z - self.s2) / self.step,
+                                  increasing=False)
+        slopes = fit.x[fit.blocks[:-1]]
+        # leftmost vertex whose right-hand slope is <= -2t: the leftmost
+        # maximiser of G(s) + 2ts
+        vertex = fit.blocks[np.searchsorted(-slopes, self.two_t, side="left")]
+        i = vertex - self.centers + w
+        out = (i <= 0) | (i >= 2 * w)
+        vals = self.offsets[np.where(out, 0, i)]
+        hits = np.zeros(i.size, dtype=bool)
+        if out.any():
+            vals[out], hits[out] = _window_scan(z, self.centers[out], w,
+                                                self.offsets, self.offsq)
+        return vals, hits
 
 
 def _guard_hits(n_hits, n_draws):
@@ -198,6 +279,8 @@ def doubled_scaling_check(n_paths, step, half_width, rng, threads=1):
     delta-method standard error for the ratio, and a two-sample KS test of
     the rescaled doubled draws against the single draws.
     """
+    if n_paths < 2:
+        raise ValueError("n_paths must be at least 2, got %d" % n_paths)
     from scipy import stats
 
     singles = chernoff_sample(n_paths, step, half_width, rng.substream(0), threads)
@@ -227,7 +310,9 @@ class LimitSimConfig:
     """Grid and replication settings for the constants estimator.
 
     The path half-width is derived as window + lag_max so every lag in
-    [0, lag_max] keeps its window inside the simulated extent.
+    [0, lag_max] keeps its window inside the simulated extent. All four
+    lengths must be positive and finite, and lag_max >= lag_step, so the
+    covariance integral spans at least two lags.
     """
 
     step: float = 0.002
@@ -238,8 +323,15 @@ class LimitSimConfig:
     n_batches: int = 20
 
     def __post_init__(self):
-        if self.step <= 0 or self.window <= 0 or self.lag_max < 0 or self.lag_step <= 0:
-            raise ValueError("step, window and lag_step must be positive")
+        for name in ("step", "window", "lag_step", "lag_max"):
+            x = getattr(self, name)
+            if not (math.isfinite(x) and x > 0.0):
+                raise ValueError("%s must be positive and finite, got %r"
+                                 % (name, x))
+        if self.lag_max < self.lag_step:
+            # one lag would make the covariance integral 0
+            raise ValueError("lag_max must be at least lag_step, got %r < %r"
+                             % (self.lag_max, self.lag_step))
         if self.n_paths < 2 or self.n_batches < 2 or self.n_batches > self.n_paths:
             raise ValueError("need n_paths >= n_batches >= 2")
         for name, x in (("window", self.window), ("lag_max", self.lag_max),
@@ -300,17 +392,18 @@ class LimitConstants:
 def estimate_constants(config, rng, threads=1):
     """Estimate E|xi(0)|, Var of the argmax, and the L1 long-run variance.
 
-    One path per replicate; the argmax process is read off at the lag grid,
-    the long-run variance is 8x the trapezoid integral of the absolute-value
+    One path per replicate; the argmax process is read off at the lag grid
+    from the path's concave majorant (see the module docstring), the
+    long-run variance is 8x the trapezoid integral of the absolute-value
     covariance over lags, and all standard errors come from batch means over
     ``config.n_batches`` consecutive blocks of replicates.
     """
     lags = config.lags
     n = config.n_paths
+    reader = _MajorantLags(config)
 
     def one(r):
-        path = simulate_path(config.step, config.half_width, rng.substream(r))
-        return argmax_process(path, lags, config.window)
+        return reader.read(reader.draw(rng.substream(r)))
 
     results = map_indexed(one, n, threads)
     xi = np.stack([v for v, _ in results])

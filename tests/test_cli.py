@@ -234,6 +234,24 @@ def test_limits_check_scaling(tmp_path):
     assert s["scaling"]["ratio_theory"] == 2 ** (2 / 3)
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--window", "inf"], "window"),
+    (["--delta", "nan"], "step"),
+    (["--lag-max", -1], "lag_max"),
+    (["--lag-max", 0], "lag_max"),
+    (["--check-scaling", "--scaling-paths", 1], "n_paths"),
+    (["--check-scaling", "--scaling-paths", 0], "n_paths"),
+    (["--check-scaling", "--scaling-width", 2.005], "half_width"),
+])
+def test_limits_bad_flags_are_usage_errors(flags, message, tmp_path, capsys):
+    assert run_cli(["limits", "--delta", 0.01, "--window", 2.0, "--paths",
+                    300, "--lag-max", 5.0, "--lag-step", 0.5, "--batches",
+                    10, "--seed", 6] + flags + ["--out", tmp_path / "l"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and message in err
+    assert not (tmp_path / "l.json").exists()
+
+
 # -- experiments -------------------------------------------------------------------
 
 

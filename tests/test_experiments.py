@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,11 @@ def test_l1_clt_smoke(limit_constants):
     assert np.isfinite(summary["mean"])
     assert summary["sigma2_reference"] == limit_constants.l1_variance
     assert 0.0 <= summary["ks_pvalue"] <= 1.0
+
+
+def test_l1_clt_rejects_nonpositive_variance(limit_constants):
+    for bad in (0.0, -0.1):
+        constants = replace(limit_constants, l1_variance=bad)
+        with pytest.raises(ValueError, match="l1_variance"):
+            run_l1_clt(triangular_density(), constants, n=50, replicates=4,
+                       rng=RngStream(88))

@@ -5,8 +5,10 @@ from scipy import stats
 from grenboot import (LimitConstants, LimitSimConfig, PathGrid, RngStream,
                       WindowTooSmallError, argmax_process, chernoff_draw,
                       chernoff_sample, doubled_draw, doubled_sample,
-                      estimate_constants, l1_centering_constant,
-                      simulate_path, triangular_density, uniform_density)
+                      doubled_scaling_check, estimate_constants,
+                      l1_centering_constant, simulate_path,
+                      triangular_density, uniform_density)
+from grenboot.limits import _MajorantLags
 
 
 def _flat_path(step, half_width):
@@ -131,6 +133,71 @@ def test_window_too_small_error():
         chernoff_sample(500, 0.05, 0.2, root)
 
 
+# -- majorant read-off of the argmax process -------------------------------------
+
+# (step, window, lag_max, lag_step): the default lab grid, finer and coarser
+# ones, grids of four to eight points per window, and windows so narrow that
+# most lags fall back to the scan
+READOFF_GRIDS = [
+    (0.002, 3.0, 8.0, 0.25),
+    (0.01, 2.0, 5.0, 0.5),
+    (0.05, 1.0, 3.0, 0.25),
+    (0.25, 1.0, 2.0, 0.25),
+    (0.5, 2.0, 4.0, 0.5),
+    (0.1, 0.3, 1.0, 0.1),
+    (0.05, 0.2, 1.0, 0.25),
+]
+
+
+@pytest.mark.parametrize("step,window,lag_max,lag_step", READOFF_GRIDS)
+def test_majorant_readoff_equals_scan(step, window, lag_max, lag_step):
+    config = LimitSimConfig(step=step, window=window, n_paths=2,
+                            lag_max=lag_max, lag_step=lag_step, n_batches=2)
+    reader = _MajorantLags(config)
+    root = RngStream(95000 + int(1000 * step) + int(100 * window))
+    n_hits = 0
+    for r in range(200):
+        path = simulate_path(step, config.half_width, root.substream(r))
+        z = reader.draw(root.substream(r))
+        # the one-armed draw is the symmetric path from -window on
+        assert np.array_equal(z, path.values[path.m - reader.w:])
+        vals, hits = reader.read(z)
+        want_vals, want_hits = argmax_process(path, config.lags, window)
+        assert np.array_equal(vals, want_vals), r
+        assert np.array_equal(hits, want_hits), r
+        n_hits += int(hits.sum())
+    if window < 0.5:
+        # boundary flags come only from the fallback scan
+        assert n_hits > 0
+
+
+def test_majorant_readoff_ties_take_leftmost():
+    # dyadic values, so every sum is exact: for each lag t the tilted path
+    # Z(s) - (s - t)^2 peaks at two grid points, and xi(t) is the left one
+    config = LimitSimConfig(step=0.5, window=2.0, n_paths=2, lag_max=1.0,
+                            lag_step=0.5, n_batches=2)
+    reader = _MajorantLags(config)
+    # Z on s = -2, -1.5, ..., 3: ties at s = -0.5, 1 (t = 0), s = 1, 1.5
+    # (t = 0.5) and s = 1.5, 2 (t = 1)
+    z = np.array([0.0, 0.0, 0.0, 1.25, 0.0, 0.75, 2.0, 2.75, 3.5, 0.0, 0.0])
+    vals, hits = reader.read(z)
+    assert vals.tolist() == [-0.5, 0.5, 0.5]
+    assert not hits.any()
+    path = PathGrid(0.5, config.half_width, np.concatenate([[-9.0, -9.0], z]))
+    want_vals, want_hits = argmax_process(path, config.lags, config.window)
+    assert np.array_equal(vals, want_vals)
+    assert np.array_equal(hits, want_hits)
+
+
+def test_estimate_constants_window_too_small():
+    # the window holds four grid steps, so most lags fall back to the scan
+    # and it finds the argmax on the window edge far above 0.1% of the time
+    config = LimitSimConfig(step=0.05, window=0.2, n_paths=200, lag_max=1.0,
+                            lag_step=0.25, n_batches=2)
+    with pytest.raises(WindowTooSmallError):
+        estimate_constants(config, RngStream(96), threads=1)
+
+
 # -- constants ----------------------------------------------------------------------
 
 
@@ -177,6 +244,26 @@ def test_chernoff_var_refinement_sequence():
     for k in range(2):
         combined = np.hypot(ses[k], ses[k + 1])
         assert abs(vars_[k + 1] - vars_[k]) < 2 * combined
+
+
+@pytest.mark.parametrize("field,kwargs", [
+    ("step", dict(step=float("nan"))),
+    ("step", dict(step=0.0)),
+    ("window", dict(window=float("inf"))),
+    ("lag_step", dict(lag_step=-0.25)),
+    ("lag_max", dict(lag_max=-1.0)),
+    ("lag_max", dict(lag_max=0.0)),
+    ("lag_max", dict(lag_max=float("inf"))),
+])
+def test_config_names_the_bad_field(field, kwargs):
+    with pytest.raises(ValueError, match=field):
+        LimitSimConfig(**kwargs)
+
+
+@pytest.mark.parametrize("n_paths", [0, 1])
+def test_scaling_check_needs_two_paths(n_paths):
+    with pytest.raises(ValueError, match="n_paths"):
+        doubled_scaling_check(n_paths, 0.05, 1.0, RngStream(97))
 
 
 def test_constants_roundtrip_serialization(limit_constants):
