@@ -151,9 +151,11 @@ def _usage_guard(fn, *a, **kw):
 
 
 def _resolve_threads(args):
+    """The worker count from --threads or GRENBOOT_THREADS, stored back on
+    ``args`` so that the manifest records the count that ran."""
     if args.threads is None:
-        return _usage_guard(default_threads)
-    if args.threads < 1:
+        args.threads = _usage_guard(default_threads)
+    elif args.threads < 1:
         raise UsageError("--threads must be at least 1, got %d" % args.threads)
     return args.threads
 
@@ -372,7 +374,8 @@ def build_parser():
                            help="master seed; all randomness derives from it")
         if threads:
             p.add_argument("--threads", type=int, default=None,
-                           help="worker threads (default: GRENBOOT_THREADS or 1)")
+                           help="worker processes; 1 runs in-process "
+                                "(default: GRENBOOT_THREADS or 1)")
 
     p = sub.add_parser("gen", help="generate synthetic data from a known density")
     p.add_argument("--density", required=True,

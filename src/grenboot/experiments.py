@@ -4,7 +4,7 @@ rates, and the L1 central limit check.
 Each experiment returns ``(summary, rows)``: a flat dict of scalars for the
 JSON report and a list of per-replicate dicts for the CSV table. All
 randomness flows through substreams keyed by replicate index, so results are
-identical for any thread count.
+identical for any worker count.
 """
 
 import numpy as np

@@ -3,7 +3,7 @@
 Randomness is addressed hierarchically: a master seed plus an integer path
 names a stream, and substreams extend the path. Replicate b of experiment r
 always draws from the same stream no matter how work is scheduled, which is
-what makes multi-threaded runs byte-identical to serial ones.
+what makes runs over several worker processes byte-identical to serial ones.
 """
 
 import numpy as np

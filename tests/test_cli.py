@@ -353,6 +353,8 @@ def test_thread_count_does_not_change_output(data_file, tmp_path):
             == (tmp_path / "t8.json").read_bytes())
     assert ((tmp_path / "t1.csv").read_bytes()
             == (tmp_path / "t8.csv").read_bytes())
+    manifest = json.loads((tmp_path / "t8.manifest.json").read_text())
+    assert manifest["parameters"]["threads"] == 8
 
 
 def test_threads_flag_overrides_env(data_file, tmp_path):
@@ -365,6 +367,8 @@ def test_threads_flag_overrides_env(data_file, tmp_path):
     assert s["radius"] == pytest.approx(
         s["mu_hat"] / s["n"] ** (1 / 3) + s["c_critical"] / np.sqrt(s["n"]),
         abs=1e-15)
+    manifest = json.loads((tmp_path / "bt.manifest.json").read_text())
+    assert manifest["parameters"]["threads"] == 2
 
 
 # -- degenerate data and thread counts ------------------------------------------
