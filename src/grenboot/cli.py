@@ -184,6 +184,9 @@ def cmd_gen(args):
 
 
 def cmd_fit(args):
+    if args.smooth_grid < 0 or args.smooth_grid == 1:
+        raise UsageError("--smooth-grid must be 0 or at least 2, got %d"
+                         % args.smooth_grid)
     t0 = time.monotonic()
     sample = read_observations(args.data, args.rescale)
     fit = grenander_fit(sample)
@@ -202,17 +205,12 @@ def cmd_fit(args):
     if args.smooth_grid:
         kernel = _usage_guard(kernel_by_name, args.kernel)
         rule = _usage_guard(BandwidthRule, args.alpha, args.scale, args.regime)
-        sd = SmoothedDensity(sample, kernel, rule.bandwidth(sample.n), rule=rule)
-        grid = np.linspace(0.0, 1.0, int(args.smooth_grid))
-        has_d2 = kernel_satisfies(kernel, "l1")
-        rows = []
-        for t in grid:
-            rows.append({
-                "t": float(t),
-                "value": float(sd.pdf(t)),
-                "deriv1": float(sd.dpdf(t)),
-                "deriv2": float(sd.d2pdf(t)) if has_d2 else "",
-            })
+        sd = SmoothedDensity(sample, kernel, rule.bandwidth(sample.n))
+        grid = np.linspace(0.0, 1.0, args.smooth_grid)
+        d2 = (sd.d2pdf(grid) if kernel_satisfies(kernel, "l1")
+              else [""] * grid.size)
+        rows = [{"t": t, "value": v, "deriv1": d1, "deriv2": dd}
+                for t, v, d1, dd in zip(grid, sd.pdf(grid), sd.dpdf(grid), d2)]
         smooth_path = args.out + ".smooth.csv"
         _write_csv(smooth_path, ["t", "value", "deriv1", "deriv2"], rows)
         outputs.append(smooth_path)
@@ -251,8 +249,7 @@ def cmd_band(args):
     sample = read_observations(args.data, args.rescale)
     result = _usage_guard(
         l1_band, sample, level=args.level, n_boot=args.boot, m=args.m,
-        kernel=kernel, rule=rule, rng=RngStream(args.seed), threads=threads,
-        m_cap=args.m_cap)
+        kernel=kernel, rule=rule, rng=RngStream(args.seed), threads=threads)
     json_path = args.out + ".json"
     csv_path = args.out + ".csv"
     _write_json(json_path, {k: _json_safe(v)
@@ -327,9 +324,9 @@ def cmd_experiment(args):
                 replicates=args.replicates, n_boot=args.boot, level=args.level,
                 t0=args.t0, kernel=kernel, rule=rule, rng=rng, threads=threads)
     elif args.name == "inconsistency":
-        summary, rows = run_inconsistency(
-            truth, constants, n=args.n, replicates=args.replicates,
-            t0=args.t0, rng=rng, threads=threads)
+        summary, rows = _usage_guard(
+            run_inconsistency, truth, constants, n=args.n,
+            replicates=args.replicates, t0=args.t0, rng=rng, threads=threads)
     elif args.name == "rate":
         kernel = _usage_guard(kernel_by_name, args.kernel or "biweight")
         rule = _usage_guard(BandwidthRule,
@@ -343,9 +340,9 @@ def cmd_experiment(args):
             kernel=kernel, rule=rule, t0=args.t0, grid_size=args.grid_size,
             rng=rng, threads=threads)
     elif args.name == "l1clt":
-        summary, rows = run_l1_clt(
-            truth, constants, n=args.n, replicates=args.replicates,
-            rng=rng, threads=threads)
+        summary, rows = _usage_guard(
+            run_l1_clt, truth, constants, n=args.n,
+            replicates=args.replicates, rng=rng, threads=threads)
     else:
         raise UsageError("unknown experiment %r (choose coverage, "
                          "inconsistency, rate, l1clt)" % args.name)
@@ -394,7 +391,7 @@ def build_parser():
                    default=None, help="affinely map [LO, HI] onto [0, 1]")
     p.add_argument("--smooth-grid", type=int, default=0,
                    help="also dump the kernel smooth on a uniform grid of "
-                        "this many points")
+                        "this many points, 0 (no dump) or at least 2")
     p.add_argument("--kernel", default="biweight")
     p.add_argument("--alpha", type=float, default=DEFAULT_L1_RULE.alpha)
     p.add_argument("--scale", type=float, default=1.0)
@@ -426,8 +423,8 @@ def build_parser():
     p.add_argument("--boot", type=int, default=300)
     p.add_argument("--m", type=int, default=None,
                    help="supersample size (default "
-                        "max(10n, min(ceil(n^1.5), m_cap)))")
-    p.add_argument("--m-cap", type=int, default=200000)
+                        "max(10n, min(ceil(n^1.5), 200000)); an explicit "
+                        "value may exceed the 200000 cap)")
     p.add_argument("--alpha", type=float, default=DEFAULT_L1_RULE.alpha,
                    help="bandwidth exponent, in (1/6, 1/5)")
     p.add_argument("--scale", type=float, default=1.0)

@@ -18,7 +18,6 @@ __all__ = [
     "ConcaveMajorant",
     "StepDensity",
     "AnalyticDensity",
-    "empirical_cdf",
     "least_concave_majorant",
     "grenander_fit",
     "uniform_density",
@@ -114,11 +113,6 @@ class EmpiricalCDF:
         idx = np.searchsorted(self.jumps, arr, side="right")
         table = np.concatenate([[0.0], self.heights])
         return _ret(table[idx], scalar)
-
-
-def empirical_cdf(sample):
-    """Empirical CDF of ``sample`` with ties merged into single jumps."""
-    return EmpiricalCDF(sample)
 
 
 class ConcaveMajorant:
@@ -257,7 +251,7 @@ def grenander_fit(sample):
     The estimate is the left derivative of the least concave majorant of the
     empirical CDF, a step function dropping at a subset of the data points.
     """
-    lcm = least_concave_majorant(empirical_cdf(sample))
+    lcm = least_concave_majorant(EmpiricalCDF(sample))
     heights = np.diff(lcm.vy) / np.diff(lcm.vx)
     return StepDensity(lcm.vx[1:], heights)
 
@@ -278,15 +272,13 @@ class AnalyticDensity:
         First and second derivatives.
     cdf, ppf : callable, optional
         Distribution function and its inverse (for exact sampling).
-    nonincreasing, slope_bounded, curvature_bounded : bool
-        Shape flags: monotone non-increasing; derivative bounded away from 0
-        and -inf on (0, 1); second derivative bounded. A nonincreasing
+    nonincreasing : bool
+        Whether the density is monotone non-increasing. A nonincreasing
         density with a ``cdf`` has exact L1 distances to step densities.
     """
 
     def __init__(self, name, pdf, dpdf=None, d2pdf=None, cdf=None, ppf=None,
-                 nonincreasing=False, slope_bounded=False,
-                 curvature_bounded=False):
+                 nonincreasing=False):
         self.name = name
         self._pdf = pdf
         self._dpdf = dpdf
@@ -294,8 +286,6 @@ class AnalyticDensity:
         self._cdf = cdf
         self._ppf = ppf
         self.nonincreasing = bool(nonincreasing)
-        self.slope_bounded = bool(slope_bounded)
-        self.curvature_bounded = bool(curvature_bounded)
         mass = _fixed_rule(self.__call__, _PANELS)
         if abs(mass - 1.0) > 1e-10:
             raise ValueError("density %s integrates to %r, not 1" % (name, mass))
@@ -332,18 +322,13 @@ class AnalyticDensity:
             raise ValueError("probabilities must lie in [0, 1]")
         return _ret(np.asarray(self._ppf(arr), dtype=float), scalar)
 
-    def slope_continuous_at(self, t):
-        """Whether the derivative is continuous at ``t`` (true for the zoo)."""
-        if not 0.0 < t < 1.0:
-            raise ValueError("t must be interior to (0, 1)")
-        return self._dpdf is not None
-
     def __repr__(self):
         return "AnalyticDensity(%r)" % self.name
 
 
 def uniform_density():
-    """Uniform density on [0, 1]. Flat, so the slope is not bounded away from 0."""
+    """Uniform density on [0, 1]: flat, so its slope is not bounded away
+    from 0; its curvature is 0."""
     return AnalyticDensity(
         "uniform",
         pdf=lambda t: np.ones_like(t),
@@ -352,13 +337,12 @@ def uniform_density():
         cdf=lambda t: t.copy(),
         ppf=lambda u: u.copy(),
         nonincreasing=True,
-        slope_bounded=False,
-        curvature_bounded=True,
     )
 
 
 def triangular_density():
-    """Triangular density 2(1 - t) on [0, 1]: linear, slope -2 everywhere."""
+    """Triangular density 2(1 - t) on [0, 1]: linear, slope -2 everywhere,
+    so its slope is bounded away from 0 and its curvature is 0."""
     return AnalyticDensity(
         "triangular",
         pdf=lambda t: 2.0 * (1.0 - t),
@@ -367,13 +351,12 @@ def triangular_density():
         cdf=lambda t: t * (2.0 - t),
         ppf=lambda u: 1.0 - np.sqrt(1.0 - u),
         nonincreasing=True,
-        slope_bounded=True,
-        curvature_bounded=True,
     )
 
 
 def trunc_exp_density(rate=1.0):
-    """Exponential(rate) truncated to [0, 1] and renormalized."""
+    """Exponential(rate) truncated to [0, 1] and renormalized: its slope is
+    bounded away from 0 and its curvature is bounded."""
     rate = float(rate)
     if not rate > 0.0:
         raise ValueError("rate must be positive")
@@ -386,8 +369,6 @@ def trunc_exp_density(rate=1.0):
         cdf=lambda t: (1.0 - np.exp(-rate * t)) / z,
         ppf=lambda u: -np.log1p(-u * z) / rate,
         nonincreasing=True,
-        slope_bounded=True,
-        curvature_bounded=True,
     )
 
 

@@ -31,6 +31,14 @@ def _binomial_se(p, n):
     return float(np.sqrt(max(p * (1.0 - p), 1.0 / n) / n))
 
 
+def _check_replicates(replicates, least):
+    """The summaries need ``least`` replicates: a rate needs one, a sample
+    variance two."""
+    if replicates < least:
+        raise ValueError("replicates must be at least %d, got %d"
+                         % (least, replicates))
+
+
 def run_pointwise_coverage(truth, n=500, replicates=200, n_boot=200,
                            level=0.90, t0=0.5, kernel=EPANECHNIKOV,
                            rule=DEFAULT_POINTWISE_RULE, rng=None, threads=1):
@@ -41,6 +49,7 @@ def run_pointwise_coverage(truth, n=500, replicates=200, n_boot=200,
     """
     if rng is None:
         raise ValueError("an RngStream is required")
+    _check_replicates(replicates, 1)
     target = float(truth(t0))
 
     def one(r):
@@ -93,6 +102,7 @@ def run_band_coverage(truth, n=1000, replicates=100, n_boot=300, m=20000,
     """
     if rng is None:
         raise ValueError("an RngStream is required")
+    _check_replicates(replicates, 1)
 
     def one(r):
         data = sample_from_analytic(truth, n, rng.substream(r, 0))
@@ -151,6 +161,7 @@ def run_inconsistency(truth, constants, n=2000, replicates=2000, t0=0.5,
     """
     if rng is None:
         raise ValueError("an RngStream is required")
+    _check_replicates(replicates, 2)
     target = float(truth(t0))
     cube = float(n) ** (1.0 / 3.0)
 
@@ -227,7 +238,11 @@ def run_rate(truth, n_grid=(1000, 3162, 10000, 31623), replicates=50,
     if not kernel_satisfies(kernel, "l1"):
         raise ValueError("the rate experiment evaluates second derivatives; "
                          "kernel %s fails the l1-level conditions" % kernel.name)
+    _check_replicates(replicates, 1)
     n_grid = [int(n) for n in n_grid]
+    if len(n_grid) < 2 or min(n_grid) < 1:
+        raise ValueError("n_grid needs at least two sizes, each at least 1, "
+                         "got %r" % n_grid)
     if sorted(n_grid) != n_grid or len(set(n_grid)) != len(n_grid):
         raise ValueError("n_grid must be strictly increasing")
     n_max = n_grid[-1]
@@ -309,6 +324,7 @@ def run_l1_clt(truth, constants, n=1000, replicates=200, rng=None, threads=1):
     """
     if rng is None:
         raise ValueError("an RngStream is required")
+    _check_replicates(replicates, 2)
     if not constants.l1_variance > 0.0:
         raise ValueError("the limit constants' l1_variance must be positive, "
                          "got %r" % constants.l1_variance)

@@ -142,14 +142,11 @@ def smoothed_pointwise_ci(sample, t0, level=0.95, n_boot=500,
     )
 
 
-def naive_bootstrap_deviations(sample, t0, n_boot, rng, threads=1,
-                               center="fit"):
+def naive_bootstrap_deviations(sample, t0, n_boot, rng, threads=1):
     """Scaled deviations of multinomial-bootstrap Grenander refits at t0.
 
-    ``center="fit"`` measures n^(1/3) (refit(t0) - fit(t0)); any float is
-    used verbatim as the centering value (e.g. the true density, for
-    studying the unconditional law). This resampler is the one that fails
-    to reproduce the cube-root limit; it is provided for diagnostics.
+    Each is n^(1/3) (refit(t0) - fit(t0)). This resampler is the one that
+    fails to reproduce the cube-root limit; it is provided for diagnostics.
     """
     if not isinstance(sample, Sample):
         sample = Sample(sample)
@@ -157,7 +154,7 @@ def naive_bootstrap_deviations(sample, t0, n_boot, rng, threads=1,
     if not 0.0 < t0 < 1.0:
         raise ValueError("t0 must be interior to (0, 1)")
     fit = grenander_fit(sample)
-    c0 = float(fit(t0)) if center == "fit" else float(center)
+    c0 = float(fit(t0))
     cube = float(sample.n) ** (1.0 / 3.0)
 
     def one(b):
@@ -210,8 +207,11 @@ class L1BandResult:
         return out
 
 
+_SUPERSAMPLE_CAP = 200000
+
+
 def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
-            rule=DEFAULT_L1_RULE, rng=None, threads=1, m_cap=200000):
+            rule=DEFAULT_L1_RULE, rng=None, threads=1):
     """Fixed-radius L1 confidence band around the Grenander fit.
 
     The bootstrap L1 errors n^(1/3) * ||refit_b - smooth||_1 are centered
@@ -219,9 +219,10 @@ def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
     radius is n^(-1/3) mu_hat + n^(-1/2) q_(level) of the standardized
     sample. A negative radius yields an empty band (flagged, with a warning).
 
-    The supersample size defaults to max(10n, min(ceil(n^1.5), m_cap)): the
-    cap bounds the n^1.5 growth, and the 10n floor wins over the cap once
-    n > m_cap / 10. An explicit ``m`` below 10n raises ValueError.
+    The supersample size m defaults to max(10n, min(ceil(n^1.5), 200000)):
+    the cap of 200000 bounds the n^1.5 growth, and the 10n floor wins over
+    the cap once n > 20000. An explicit ``m`` may exceed the cap; one below
+    10n raises ValueError.
     """
     if not isinstance(sample, Sample):
         sample = Sample(sample)
@@ -236,7 +237,7 @@ def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
         raise ValueError("kernel %s fails the l1-level conditions" % kernel.name)
     n = sample.n
     if m is None:
-        m = max(10 * n, min(math.ceil(n ** 1.5), m_cap))
+        m = max(10 * n, min(math.ceil(n ** 1.5), _SUPERSAMPLE_CAP))
     m = int(m)
     if m < 10 * n:
         raise ValueError("supersample size m must be at least 10n")

@@ -21,7 +21,7 @@ values and the argmaxes are those of that path.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import isotonic_regression
@@ -385,8 +385,15 @@ class LimitConstants:
 
     @classmethod
     def from_dict(cls, d):
-        allowed = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in allowed})
+        """Constants from a :meth:`to_dict` mapping; unknown keys are
+        ignored, and missing required keys raise ValueError naming them."""
+        known = fields(cls)
+        missing = [f.name for f in known if f.name not in d
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ValueError("limit constants lack the keys %s"
+                             % ", ".join(missing))
+        return cls(**{f.name: d[f.name] for f in known if f.name in d})
 
 
 def estimate_constants(config, rng, threads=1):

@@ -97,7 +97,11 @@ def envelope_bound(smoothed):
     return bound
 
 
-def rejection_sample(smoothed, n, rng, min_rate=1e-4, burn_in=50000):
+_WARMUP_PROPOSALS = 50000
+_MIN_ACCEPTANCE = 1e-4
+
+
+def rejection_sample(smoothed, n, rng):
     """Draw n observations from the normalized smoothed density by rejection.
 
     Proposals are uniform on [0, 1] under the constant envelope
@@ -105,8 +109,8 @@ def rejection_sample(smoothed, n, rng, min_rate=1e-4, burn_in=50000):
     :func:`envelope_bound`; the target is the unnormalized truncated
     extension, so no normalizer is needed. Batch sizes adapt to the running
     acceptance-rate estimate but depend only on deterministic quantities,
-    keeping the draw reproducible. An acceptance rate below ``min_rate``
-    after ``burn_in`` proposals raises :class:`EnvelopeError`.
+    keeping the draw reproducible. An acceptance rate below 1e-4 once 50000
+    or more proposals have been made raises :class:`EnvelopeError`.
     """
     n = int(n)
     if n < 1:
@@ -129,9 +133,9 @@ def rejection_sample(smoothed, n, rng, min_rate=1e-4, burn_in=50000):
         kept.append(acc)
         got += acc.size
         proposed += batch
-        if proposed >= burn_in and got < min_rate * proposed:
+        if proposed >= _WARMUP_PROPOSALS and got < _MIN_ACCEPTANCE * proposed:
             raise EnvelopeError(
                 "acceptance rate %.3g below %g after %d proposals"
-                % (got / proposed, min_rate, proposed)
+                % (got / proposed, _MIN_ACCEPTANCE, proposed)
             )
     return Sample(np.concatenate(kept)[:n])

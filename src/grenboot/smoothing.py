@@ -114,7 +114,10 @@ def _moment(poly, order, power):
     return float(prim(1.0) - prim(-1.0))
 
 
-def check_kernel_conditions(kernel, level="pointwise", tol=1e-6):
+_CONDITION_TOL = 1e-6
+
+
+def check_kernel_conditions(kernel, level="pointwise"):
     """Admissibility report for a kernel at the requested level.
 
     ``level="pointwise"`` checks positivity, unit mass and the
@@ -127,7 +130,8 @@ def check_kernel_conditions(kernel, level="pointwise", tol=1e-6):
     hold for every polynomial kernel by construction.
 
     Returns a list of :class:`ConditionReport`; each residual is the amount
-    by which the condition is missed (0 when met exactly).
+    by which the condition is missed (0 when met exactly), and the condition
+    passes when that residual is at most 1e-6.
     """
     if level not in ("pointwise", "l1"):
         raise ValueError("level must be 'pointwise' or 'l1'")
@@ -147,16 +151,16 @@ def check_kernel_conditions(kernel, level="pointwise", tol=1e-6):
             ("dderiv_mass_zero", abs(_moment(poly, 2, 0))),
             ("dderiv_first_moment_zero", abs(_moment(poly, 2, 1))),
         ]
-    return [ConditionReport(name, r <= tol, r) for name, r in residuals]
+    return [ConditionReport(name, r <= _CONDITION_TOL, r)
+            for name, r in residuals]
 
 
-def kernel_satisfies(kernel, level="pointwise", tol=1e-6):
+def kernel_satisfies(kernel, level="pointwise"):
     """True when every condition at ``level`` passes (result cached)."""
-    key = (level, tol)
-    cached = kernel._condition_cache.get(key)
+    cached = kernel._condition_cache.get(level)
     if cached is None:
-        cached = all(r.passed for r in check_kernel_conditions(kernel, level, tol))
-        kernel._condition_cache[key] = cached
+        cached = all(r.passed for r in check_kernel_conditions(kernel, level))
+        kernel._condition_cache[level] = cached
     return cached
 
 
@@ -280,7 +284,7 @@ class SmoothedDensity:
         :func:`~grenboot.resampling.envelope_bound` of this estimate.
     """
 
-    def __init__(self, sample, kernel, h, rule=None):
+    def __init__(self, sample, kernel, h):
         if not isinstance(sample, Sample):
             sample = Sample(sample)
         h = float(h)
@@ -289,7 +293,6 @@ class SmoothedDensity:
         self.sample = sample
         self.kernel = kernel
         self.h = h
-        self.rule = rule
         self._lo = h
         self._hi = 1.0 - h
 
@@ -402,4 +405,4 @@ def fit_smoothed(sample, kernel=BIWEIGHT, rule=DEFAULT_L1_RULE):
     """Fit the boundary-corrected kernel estimate with a bandwidth rule."""
     if not isinstance(sample, Sample):
         sample = Sample(sample)
-    return SmoothedDensity(sample, kernel, rule.bandwidth(sample.n), rule=rule)
+    return SmoothedDensity(sample, kernel, rule.bandwidth(sample.n))

@@ -10,7 +10,7 @@ from grenboot.cli import main
 from grenboot.parallel import default_threads
 
 
-def run_cli(args, env_threads=None):
+def run_cli(args):
     """Invoke the CLI in-process; returns the exit code."""
     return main([str(a) for a in args])
 
@@ -302,6 +302,49 @@ def test_experiment_kernel_gate(argv, tmp_path, capsys):
         "--kernel", "epanechnikov", "--n", 80, "--replicates", 2,
         "--boot", 50, "--seed", 12, "--out", tmp_path / "k"]) == 2
     assert "l1-level conditions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,needs_limits", [
+    (["coverage", "--replicates", 0], False),
+    (["rate", "--replicates", 0], False),
+    (["rate", "--n-grid", "", "--replicates", 2], False),
+    (["rate", "--n-grid", 1000, "--replicates", 2], False),
+    (["inconsistency", "--replicates", 1], True),
+    (["l1clt", "--replicates", 1], True),
+], ids=["coverage-0", "rate-0", "rate-no-grid", "rate-one-size",
+        "inconsistency-1", "l1clt-1"])
+def test_experiment_too_few_replicates_or_sizes(argv, needs_limits,
+                                                limits_file, tmp_path,
+                                                capsys):
+    limits = ["--limits", limits_file] if needs_limits else []
+    assert run_cli(["experiment"] + argv + limits + [
+        "--n", 60, "--boot", 20, "--seed", 12,
+        "--out", tmp_path / "e"]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not (tmp_path / "e.json").exists()
+
+
+@pytest.mark.parametrize("points", [-5, 1])
+def test_fit_smooth_grid_needs_two_points(points, data_file, tmp_path,
+                                         capsys):
+    assert run_cli(["fit", "--data", data_file, "--smooth-grid", points,
+                    "--out", tmp_path / "f"]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_limits_file_missing_keys_named(limits_file, tmp_path, capsys):
+    with open(limits_file) as fh:
+        d = json.load(fh)
+    for key in ("chernoff_var", "n_batches", "lag_grid"):
+        del d[key]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    assert run_cli(["experiment", "inconsistency", "--n", 60,
+                    "--replicates", 10, "--seed", 9, "--limits", bad,
+                    "--out", tmp_path / "e"]) == 1
+    # lag_grid has a default, so only the other two are missing
+    assert capsys.readouterr().err.strip().endswith(
+        "keys chernoff_var, n_batches")
 
 
 def test_experiment_l1clt_smoke(limits_file, tmp_path):

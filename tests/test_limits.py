@@ -297,8 +297,7 @@ def test_centering_scale_invariance(limit_constants):
         cdf = lambda t, c=c: (2 * c + (1 - c)) * np.asarray(t) - c * np.asarray(t) ** 2
         return AnalyticDensity("blend", pdf, dpdf,
                                lambda t: np.zeros(np.asarray(t).shape),
-                               cdf, None, nonincreasing=True,
-                               slope_bounded=True, curvature_bounded=True)
+                               cdf, None, nonincreasing=True)
 
     g = make(0.5)
     mu = l1_centering_constant(g, limit_constants)
