@@ -7,6 +7,10 @@ file at --out plus <out>.manifest.json, every other subcommand treats --out
 as a prefix and writes <prefix>.json, usually <prefix>.csv, and
 <prefix>.manifest.json. Exit codes: 0 success, 2 usage error, 1 runtime
 error. Wall-clock time appears only in the manifest.
+
+Every subcommand but `gen` hands its results to one writer, which times the
+run and writes nothing until the run has succeeded; one helper resolves
+--kernel, --alpha and --scale, with the library's defaults for unset flags.
 """
 
 import argparse
@@ -27,9 +31,9 @@ from .limits import (LimitConstants, LimitSimConfig, doubled_scaling_check,
                      estimate_constants)
 from .parallel import default_threads
 from .resampling import RngStream, sample_from_analytic
-from .smoothing import (DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
-                        BandwidthRule, SmoothedDensity, kernel_by_name,
-                        kernel_satisfies)
+from .smoothing import (BIWEIGHT, DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
+                        EPANECHNIKOV, BandwidthRule, SmoothedDensity,
+                        kernel_by_name, kernel_satisfies)
 
 __all__ = ["main"]
 
@@ -168,6 +172,41 @@ def _load_constants(path):
 # -- subcommands --------------------------------------------------------------
 
 
+def _writes_outputs(cmd):
+    """Time ``cmd(args)`` and write what it returns: ``(inputs, payload,
+    tables)`` go to <out>.json, one <out><suffix> per (suffix, header, rows)
+    table, and <out>.manifest.json. Nothing is written when ``cmd`` raises."""
+
+    def run(args):
+        t_start = time.monotonic()
+        inputs, payload, tables = cmd(args)
+        outputs = [args.out + ".json"]
+        _write_json(outputs[0], {k: _json_safe(v) for k, v in payload.items()})
+        for suffix, header, rows in tables:
+            outputs.append(args.out + suffix)
+            _write_csv(outputs[-1], header, rows)
+        _write_manifest(args.out + ".manifest.json", args.subcommand, args,
+                        inputs, outputs, time.monotonic() - t_start)
+        return 0
+
+    return run
+
+
+# the library's kernel and bandwidth rule for each regime, for flags left unset
+_REGIME_DEFAULTS = {"pointwise": (EPANECHNIKOV, DEFAULT_POINTWISE_RULE),
+                    "l1": (BIWEIGHT, DEFAULT_L1_RULE)}
+
+
+def _smoother_flags(args, regime):
+    """The kernel and bandwidth rule that --kernel, --alpha and --scale give
+    in ``regime``."""
+    kernel, rule = _REGIME_DEFAULTS[regime]
+    name = kernel.name if args.kernel is None else args.kernel
+    alpha = rule.alpha if args.alpha is None else args.alpha
+    return (_usage_guard(kernel_by_name, name),
+            _usage_guard(BandwidthRule, alpha, args.scale, regime))
+
+
 def cmd_gen(args):
     density = make_density(args.density, args.rate)
     if args.n < 1:
@@ -183,92 +222,71 @@ def cmd_gen(args):
     return 0
 
 
+@_writes_outputs
 def cmd_fit(args):
     if args.smooth_grid < 0 or args.smooth_grid == 1:
         raise UsageError("--smooth-grid must be 0 or at least 2, got %d"
                          % args.smooth_grid)
-    t0 = time.monotonic()
+    if args.smooth_grid:
+        kernel, rule = _smoother_flags(args, args.regime)
     sample = read_observations(args.data, args.rescale)
     fit = grenander_fit(sample)
-    csv_path = args.out + ".csv"
-    json_path = args.out + ".json"
-    outputs = [csv_path, json_path]
-    _write_csv(csv_path, ["breakpoint", "height"],
+    tables = [(".csv", ["breakpoint", "height"],
                [{"breakpoint": b, "height": h}
-                for b, h in zip(fit.breakpoints, fit.heights)])
-    _write_json(json_path, {
-        "n": sample.n,
-        "steps": int(fit.heights.size),
-        "mass": fit.mass,
-        "max_height": float(fit.heights[0]),
-    })
+                for b, h in zip(fit.breakpoints, fit.heights)])]
     if args.smooth_grid:
-        kernel = _usage_guard(kernel_by_name, args.kernel)
-        rule = _usage_guard(BandwidthRule, args.alpha, args.scale, args.regime)
         sd = SmoothedDensity(sample, kernel, rule.bandwidth(sample.n))
         grid = np.linspace(0.0, 1.0, args.smooth_grid)
         d2 = (sd.d2pdf(grid) if kernel_satisfies(kernel, "l1")
               else [""] * grid.size)
         rows = [{"t": t, "value": v, "deriv1": d1, "deriv2": dd}
                 for t, v, d1, dd in zip(grid, sd.pdf(grid), sd.dpdf(grid), d2)]
-        smooth_path = args.out + ".smooth.csv"
-        _write_csv(smooth_path, ["t", "value", "deriv1", "deriv2"], rows)
-        outputs.append(smooth_path)
-    _write_manifest(args.out + ".manifest.json", "fit", args, [args.data],
-                    outputs, time.monotonic() - t0)
-    return 0
+        tables.append((".smooth.csv", ["t", "value", "deriv1", "deriv2"],
+                       rows))
+    return [args.data], {
+        "n": sample.n,
+        "steps": int(fit.heights.size),
+        "mass": fit.mass,
+        "max_height": float(fit.heights[0]),
+    }, tables
 
 
+@_writes_outputs
 def cmd_ci(args):
-    kernel = _usage_guard(kernel_by_name, args.kernel)
-    rule = _usage_guard(BandwidthRule, args.alpha, args.scale, "pointwise")
+    kernel, rule = _smoother_flags(args, "pointwise")
     threads = _resolve_threads(args)
-    t_start = time.monotonic()
     sample = read_observations(args.data, args.rescale)
     result = _usage_guard(
         smoothed_pointwise_ci,
         sample, args.t0, level=args.level, n_boot=args.boot, kernel=kernel,
         rule=rule, rng=RngStream(args.seed), threads=threads)
-    json_path = args.out + ".json"
-    csv_path = args.out + ".csv"
-    _write_json(json_path, {k: _json_safe(v)
-                            for k, v in result.summary_dict().items()})
-    _write_csv(csv_path, ["replicate", "deviation"],
-               [{"replicate": b, "deviation": d}
-                for b, d in enumerate(result.deviations)])
-    _write_manifest(args.out + ".manifest.json", "ci", args, [args.data],
-                    [json_path, csv_path], time.monotonic() - t_start)
-    return 0
+    return [args.data], result.summary_dict(), [
+        (".csv", ["replicate", "deviation"],
+         [{"replicate": b, "deviation": d}
+          for b, d in enumerate(result.deviations)])]
 
 
+@_writes_outputs
 def cmd_band(args):
-    kernel = _usage_guard(kernel_by_name, args.kernel)
-    rule = _usage_guard(BandwidthRule, args.alpha, args.scale, "l1")
+    kernel, rule = _smoother_flags(args, "l1")
     threads = _resolve_threads(args)
-    t_start = time.monotonic()
     sample = read_observations(args.data, args.rescale)
     result = _usage_guard(
         l1_band, sample, level=args.level, n_boot=args.boot, m=args.m,
         kernel=kernel, rule=rule, rng=RngStream(args.seed), threads=threads)
-    json_path = args.out + ".json"
-    csv_path = args.out + ".csv"
-    _write_json(json_path, {k: _json_safe(v)
-                            for k, v in result.summary_dict().items()})
-    _write_csv(csv_path, ["replicate", "l1_value", "standardized"],
-               [{"replicate": b, "l1_value": l, "standardized": s}
-                for b, (l, s) in enumerate(zip(result.l1_values,
-                                               result.standardized))])
-    _write_manifest(args.out + ".manifest.json", "band", args, [args.data],
-                    [json_path, csv_path], time.monotonic() - t_start)
-    return 0
+    return [args.data], result.summary_dict(), [
+        (".csv", ["replicate", "l1_value", "standardized"],
+         [{"replicate": b, "l1_value": l, "standardized": s}
+          for b, (l, s) in enumerate(zip(result.l1_values,
+                                         result.standardized))])]
 
 
+@_writes_outputs
 def cmd_limits(args):
     config = _usage_guard(
         LimitSimConfig, step=args.delta, window=args.window,
         n_paths=args.paths, lag_max=args.lag_max, lag_step=args.lag_step,
         n_batches=args.batches)
-    t_start = time.monotonic()
     threads = _resolve_threads(args)
     rng = RngStream(args.seed)
     # the scaling check runs first, so a bad scaling flag is a usage error
@@ -282,16 +300,11 @@ def cmd_limits(args):
     payload = constants.to_dict()
     if scaling is not None:
         payload["scaling"] = scaling
-    json_path = args.out + ".json"
-    outputs = [json_path]
-    _write_json(json_path, payload)
-    _write_manifest(args.out + ".manifest.json", "limits", args, [],
-                    outputs, time.monotonic() - t_start)
-    return 0
+    return [], payload, []
 
 
+@_writes_outputs
 def cmd_experiment(args):
-    t_start = time.monotonic()
     threads = _resolve_threads(args)
     rng = RngStream(args.seed)
     truth = make_density(args.density, args.rate)
@@ -304,21 +317,13 @@ def cmd_experiment(args):
         inputs.append(args.limits)
     if args.name == "coverage":
         if args.band:
-            kernel = _usage_guard(kernel_by_name, args.kernel or "biweight")
-            rule = _usage_guard(BandwidthRule,
-                                args.alpha if args.alpha is not None
-                                else DEFAULT_L1_RULE.alpha,
-                                args.scale, "l1")
+            kernel, rule = _smoother_flags(args, "l1")
             summary, rows = _usage_guard(
                 run_band_coverage, truth, n=args.n, replicates=args.replicates,
                 n_boot=args.boot, m=args.m, level=args.level, kernel=kernel,
                 rule=rule, rng=rng, threads=threads)
         else:
-            kernel = _usage_guard(kernel_by_name, args.kernel or "epanechnikov")
-            rule = _usage_guard(BandwidthRule,
-                                args.alpha if args.alpha is not None
-                                else DEFAULT_POINTWISE_RULE.alpha,
-                                args.scale, "pointwise")
+            kernel, rule = _smoother_flags(args, "pointwise")
             summary, rows = _usage_guard(
                 run_pointwise_coverage, truth, n=args.n,
                 replicates=args.replicates, n_boot=args.boot, level=args.level,
@@ -328,11 +333,7 @@ def cmd_experiment(args):
             run_inconsistency, truth, constants, n=args.n,
             replicates=args.replicates, t0=args.t0, rng=rng, threads=threads)
     elif args.name == "rate":
-        kernel = _usage_guard(kernel_by_name, args.kernel or "biweight")
-        rule = _usage_guard(BandwidthRule,
-                            args.alpha if args.alpha is not None
-                            else DEFAULT_L1_RULE.alpha,
-                            args.scale, "l1")
+        kernel, rule = _smoother_flags(args, "l1")
         n_grid = _usage_guard(
             lambda: [int(x) for x in args.n_grid.split(",") if x.strip()])
         summary, rows = _usage_guard(
@@ -346,13 +347,7 @@ def cmd_experiment(args):
     else:
         raise UsageError("unknown experiment %r (choose coverage, "
                          "inconsistency, rate, l1clt)" % args.name)
-    json_path = args.out + ".json"
-    csv_path = args.out + ".csv"
-    _write_json(json_path, {k: _json_safe(v) for k, v in summary.items()})
-    _write_csv(csv_path, list(rows[0].keys()), rows)
-    _write_manifest(args.out + ".manifest.json", "experiment", args, inputs,
-                    [json_path, csv_path], time.monotonic() - t_start)
-    return 0
+    return inputs, summary, [(".csv", list(rows[0].keys()), rows)]
 
 
 # -- parser -------------------------------------------------------------------

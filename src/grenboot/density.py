@@ -222,12 +222,7 @@ class StepDensity:
         return PPoly(self.heights[None, :], self.quad_breakpoints)
 
     def __call__(self, t):
-        arr, scalar = _as_array(t)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("evaluation point outside [0, 1]")
-        idx = np.searchsorted(self.breakpoints, arr, side="left")
-        idx = np.minimum(idx, self.heights.size - 1)
-        return _ret(self.heights[idx], scalar)
+        return self.eval_sided(t, "left")
 
     def eval_sided(self, t, side="left"):
         """Value just left (the function value) or just right of ``t``."""
@@ -252,12 +247,11 @@ def grenander_fit(sample):
     empirical CDF, a step function dropping at a subset of the data points.
     """
     lcm = least_concave_majorant(EmpiricalCDF(sample))
-    heights = np.diff(lcm.vy) / np.diff(lcm.vx)
-    return StepDensity(lcm.vx[1:], heights)
+    return StepDensity(lcm.vx[1:], lcm.slopes)
 
 
 class AnalyticDensity:
-    """Closed-form density on [0, 1] with optional derivatives and inverse CDF.
+    """Closed-form density on [0, 1] with optional derivative and inverse CDF.
 
     The constructor checks that ``pdf`` has unit mass, to 1e-10, by the
     fixed rule of :func:`l1_shape_integral` on 64 equal panels; non-finite
@@ -268,8 +262,8 @@ class AnalyticDensity:
     name : str
     pdf : callable
         Vectorized density on [0, 1].
-    dpdf, d2pdf : callable, optional
-        First and second derivatives.
+    dpdf : callable, optional
+        First derivative.
     cdf, ppf : callable, optional
         Distribution function and its inverse (for exact sampling).
     nonincreasing : bool
@@ -277,12 +271,11 @@ class AnalyticDensity:
         density with a ``cdf`` has exact L1 distances to step densities.
     """
 
-    def __init__(self, name, pdf, dpdf=None, d2pdf=None, cdf=None, ppf=None,
+    def __init__(self, name, pdf, dpdf=None, cdf=None, ppf=None,
                  nonincreasing=False):
         self.name = name
         self._pdf = pdf
         self._dpdf = dpdf
-        self._d2pdf = d2pdf
         self._cdf = cdf
         self._ppf = ppf
         self.nonincreasing = bool(nonincreasing)
@@ -301,12 +294,6 @@ class AnalyticDensity:
             raise ValueError("density %s has no derivative evaluator" % self.name)
         arr, scalar = _as_array(t)
         return _ret(np.asarray(self._dpdf(arr), dtype=float), scalar)
-
-    def d2pdf(self, t):
-        if self._d2pdf is None:
-            raise ValueError("density %s has no second-derivative evaluator" % self.name)
-        arr, scalar = _as_array(t)
-        return _ret(np.asarray(self._d2pdf(arr), dtype=float), scalar)
 
     def cdf(self, t):
         if self._cdf is None:
@@ -333,7 +320,6 @@ def uniform_density():
         "uniform",
         pdf=lambda t: np.ones_like(t),
         dpdf=lambda t: np.zeros_like(t),
-        d2pdf=lambda t: np.zeros_like(t),
         cdf=lambda t: t.copy(),
         ppf=lambda u: u.copy(),
         nonincreasing=True,
@@ -347,7 +333,6 @@ def triangular_density():
         "triangular",
         pdf=lambda t: 2.0 * (1.0 - t),
         dpdf=lambda t: np.full_like(t, -2.0),
-        d2pdf=lambda t: np.zeros_like(t),
         cdf=lambda t: t * (2.0 - t),
         ppf=lambda u: 1.0 - np.sqrt(1.0 - u),
         nonincreasing=True,
@@ -365,7 +350,6 @@ def trunc_exp_density(rate=1.0):
         "trunc_exp(%g)" % rate,
         pdf=lambda t: rate * np.exp(-rate * t) / z,
         dpdf=lambda t: -(rate ** 2) * np.exp(-rate * t) / z,
-        d2pdf=lambda t: (rate ** 3) * np.exp(-rate * t) / z,
         cdf=lambda t: (1.0 - np.exp(-rate * t)) / z,
         ppf=lambda u: -np.log1p(-u * z) / rate,
         nonincreasing=True,

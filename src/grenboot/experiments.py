@@ -162,6 +162,13 @@ def run_inconsistency(truth, constants, n=2000, replicates=2000, t0=0.5,
     if rng is None:
         raise ValueError("an RngStream is required")
     _check_replicates(replicates, 2)
+    if n < 2:
+        # the only resample of one point is the point: no bootstrap spread
+        raise ValueError("n must be at least 2, got %d" % n)
+    c0 = rate_constant(truth, t0)
+    if c0 == 0.0:
+        raise ValueError("the truth is flat at t0=%r: its rate constant is 0, "
+                         "so the variance ratio is undefined" % t0)
     target = float(truth(t0))
     cube = float(n) ** (1.0 / 3.0)
 
@@ -181,7 +188,10 @@ def run_inconsistency(truth, constants, n=2000, replicates=2000, t0=0.5,
     boot_dev_truth = np.array([b for _, b, _ in results])
     boot_dev_fit = np.array([c for _, _, c in results])
 
-    c0 = rate_constant(truth, t0)
+    for name, dev in (("bootstrap", boot_dev_fit), ("sampling", samp_dev)):
+        if np.ptp(dev) == 0.0:
+            raise ValueError("every %s deviation is %r, so their correlation "
+                             "is undefined" % (name, float(dev[0])))
     denom = c0 ** 2 * constants.chernoff_var
     var_boot = float(np.var(boot_dev_truth, ddof=1))
     var_samp = float(np.var(samp_dev, ddof=1))

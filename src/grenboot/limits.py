@@ -16,10 +16,13 @@ each lag's vertex. When that vertex lies strictly inside the lag's window it
 is the windowed argmax; otherwise the lag falls back to the window scan of
 ``argmax_process``, which also sets its boundary flag. The lags are all
 >= 0, so the lab draws only the arm it reads: Z on [-W, lag_max + W], the
-first increments of the symmetric path ``simulate_path`` draws, so the
-values and the argmaxes are those of that path.
+first increments of the symmetric path ``simulate_path`` draws (one random
+walk draws both), so the values and the argmaxes are those of that path.
+One window scan takes every argmax, the Chernoff and doubled draws' too, on
+offsets built once per (step, width).
 """
 
+import functools
 import math
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -84,24 +87,33 @@ class PathGrid:
         self.half_width = m * step
         self.m = m
         self.values = values
-        self._grid = None
-        self._gridsq = None
 
     @property
     def grid(self):
-        if self._grid is None:
-            self._grid = np.arange(-self.m, self.m + 1) * self.step
-        return self._grid
+        return _offsets(self.step, self.m)[0]
 
-    @property
-    def _grid_squared(self):
-        if self._gridsq is None:
-            self._gridsq = self.grid ** 2
-        return self._gridsq
 
-    def reflected(self):
-        """The path h -> Z(-h); same distribution as this one."""
-        return PathGrid(self.step, self.half_width, self.values[::-1].copy())
+@functools.lru_cache(maxsize=8, typed=True)
+def _offsets(step, w):
+    """Read-only ``(offsets, squares)`` of k * step for k in [-w, w], built
+    once per grid: every path of a run shares them."""
+    offsets = np.arange(-w, w + 1) * step
+    squares = offsets ** 2
+    offsets.flags.writeable = False
+    squares.flags.writeable = False
+    return offsets, squares
+
+
+def _walk(step, left, right, rng):
+    """Random walk at k * step for k in [-left, right], 0 at index ``left``:
+    the right arm takes the first ``right`` Normal(0, sqrt(step)) increments
+    and the left arm the rest, so a shorter left arm draws a prefix."""
+    eps = rng.gen.normal(0.0, np.sqrt(step), size=left + right)
+    z = np.empty(left + right + 1)
+    z[left] = 0.0
+    z[left + 1:] = np.cumsum(eps[:right])
+    z[left - 1::-1] = np.cumsum(eps[right:])
+    return z
 
 
 def simulate_path(step, half_width, rng):
@@ -111,12 +123,14 @@ def simulate_path(step, half_width, rng):
     are independent, matching the two-sided construction.
     """
     m = _grid_points(step, half_width)
-    eps = rng.gen.normal(0.0, np.sqrt(step), size=2 * m)
-    values = np.empty(2 * m + 1)
-    values[m] = 0.0
-    values[m + 1:] = np.cumsum(eps[:m])
-    values[m - 1::-1] = np.cumsum(eps[m:])
-    return PathGrid(step, m * step, values)
+    return PathGrid(step, m * step, _walk(step, m, m, rng))
+
+
+def _center_scan(path, values):
+    """Leftmost argmax of values(h) - h^2 over the window of ``path``."""
+    vals, hits = _window_scan(values, (path.m,), path.m,
+                              *_offsets(path.step, path.m))
+    return float(vals[0]), bool(hits[0])
 
 
 def chernoff_draw(path):
@@ -125,9 +139,7 @@ def chernoff_draw(path):
     Returns ``(location, boundary_hit)``; the flag is set when the argmax
     lands on the first or last grid point, indicating the window clipped it.
     """
-    crit = path.values - path._grid_squared
-    i = int(np.argmax(crit))
-    return float(path.grid[i]), i == 0 or i == crit.size - 1
+    return _center_scan(path, path.values)
 
 
 def doubled_draw(path_a, path_b):
@@ -138,9 +150,7 @@ def doubled_draw(path_a, path_b):
     """
     if path_a.step != path_b.step or path_a.m != path_b.m:
         raise ValueError("paths must share the same grid")
-    crit = path_a.values + path_b.values - path_a._grid_squared
-    i = int(np.argmax(crit))
-    return float(path_a.grid[i]), i == 0 or i == crit.size - 1
+    return _center_scan(path_a, path_a.values + path_b.values)
 
 
 def argmax_process(path, t_values, window):
@@ -161,8 +171,7 @@ def argmax_process(path, t_values, window):
         if c - w < 0 or c + w >= path.values.size:
             raise ValueError("window around t=%r exceeds the path extent" % t)
         centers[j] = c
-    offsets = np.arange(-w, w + 1) * path.step
-    return _window_scan(path.values, centers, w, offsets, offsets ** 2)
+    return _window_scan(path.values, centers, w, *_offsets(path.step, w))
 
 
 def _window_scan(values, centers, w, offsets, offsq):
@@ -172,7 +181,8 @@ def _window_scan(values, centers, w, offsets, offsq):
     hits = np.empty(len(centers), dtype=bool)
     for j, c in enumerate(centers):
         seg = values[c - w:c + w + 1] - values[c]
-        i = int(np.argmax(seg - offsq))
+        seg -= offsq
+        i = int(np.argmax(seg))
         vals[j] = offsets[i]
         hits[j] = i == 0 or i == 2 * w
     return vals, hits
@@ -192,23 +202,14 @@ class _MajorantLags:
         self.m = _grid_points(step, config.half_width)
         self.centers = w + np.round(config.lags / step).astype(int)
         self.two_t = 2.0 * config.lags
-        self.s2 = (np.arange(-w, self.m + 1) * step) ** 2
-        self.offsets = np.arange(-w, w + 1) * step
-        self.offsq = self.offsets ** 2
+        # squares of k * step for k in [-w, m]
+        self.s2 = _offsets(step, self.m)[1][self.m - w:]
+        self.offsets, self.offsq = _offsets(step, w)
 
     def draw(self, rng):
-        """The path ``simulate_path`` draws from ``rng``, on [-w, m] only.
-
-        Its first m + w normals are the right arm and the first w of the
-        left arm, so the values are bit-identical to that path's.
-        """
-        m, w = self.m, self.w
-        eps = rng.gen.normal(0.0, np.sqrt(self.step), size=m + w)
-        z = np.empty(m + w + 1)
-        z[w] = 0.0
-        z[w + 1:] = np.cumsum(eps[:m])
-        z[w - 1::-1] = np.cumsum(eps[m:])
-        return z
+        """The path ``simulate_path`` draws from ``rng``, on [-w, m] only;
+        the values are bit-identical to that path's."""
+        return _walk(self.step, self.w, self.m, rng)
 
     def read(self, z):
         """``(values, boundary_hits)`` of xi at the lags, as
@@ -238,16 +239,21 @@ def _guard_hits(n_hits, n_draws):
         )
 
 
+def _draws(one, n_paths, threads):
+    """The locations ``one(i)`` draws for i < n_paths, boundary-guarded."""
+    out = map_indexed(one, int(n_paths), threads)
+    draws = np.array([v for v, _ in out])
+    _guard_hits(sum(hit for _, hit in out), draws.size)
+    return draws
+
+
 def chernoff_sample(n_paths, step, half_width, rng, threads=1):
     """n_paths independent argmax draws; errors if boundary hits exceed 0.1%."""
 
     def one(i):
         return chernoff_draw(simulate_path(step, half_width, rng.substream(i)))
 
-    out = map_indexed(one, int(n_paths), threads)
-    draws = np.array([v for v, _ in out])
-    _guard_hits(sum(hit for _, hit in out), draws.size)
-    return draws
+    return _draws(one, n_paths, threads)
 
 
 def doubled_sample(n_paths, step, half_width, rng, threads=1):
@@ -258,10 +264,7 @@ def doubled_sample(n_paths, step, half_width, rng, threads=1):
         b = simulate_path(step, half_width, rng.substream(i, 1))
         return doubled_draw(a, b)
 
-    out = map_indexed(one, int(n_paths), threads)
-    draws = np.array([v for v, _ in out])
-    _guard_hits(sum(hit for _, hit in out), draws.size)
-    return draws
+    return _draws(one, n_paths, threads)
 
 
 def _var_of_var(x):

@@ -293,8 +293,7 @@ class SmoothedDensity:
         self.sample = sample
         self.kernel = kernel
         self.h = h
-        self._lo = h
-        self._hi = 1.0 - h
+        lo, hi = h, 1.0 - h
 
         knots, raw = _raw_pieces(sample.values, kernel.coefficients, h)
         f_lo, f_hi = raw[-1, 0], raw[-1, -1]
@@ -309,13 +308,13 @@ class SmoothedDensity:
         # right extension f_hi + (t - (1-h)) s_hi can cross zero; the left one
         # cannot (slope <= 0 walking right means it only grows toward 0), and
         # the interior is nonnegative for nonnegative kernels
-        pieces = [0.0, self._lo, self._hi, 1.0]
+        pieces = [0.0, lo, hi, 1.0]
         if f_hi + h * s_hi < 0.0 and s_hi < 0.0:
-            pieces.append(max(self._hi - f_hi / s_hi, self._hi))
+            pieces.append(max(hi - f_hi / s_hi, hi))
         extremes = _extreme_values(kernel._poly)
         if np.min(extremes) < -1e-12 * np.max(np.abs(extremes)):
             roots = self._ext.roots(discontinuity=False, extrapolate=False)
-            pieces.extend(roots[(roots > self._lo) & (roots < self._hi)])
+            pieces.extend(roots[(roots > lo) & (roots < hi)])
         self.quad_breakpoints = np.unique(np.asarray(pieces))
 
         # positive part: split at the sign breaks, zero the negative pieces
@@ -335,13 +334,6 @@ class SmoothedDensity:
             )
         self.ppoly = PPoly(coef / self.normalizer, x)
         self.envelope = envelope_bound(self)
-
-    def raw(self, t, order=0):
-        """Interior kernel estimate (or its derivatives) on [h, 1-h] only."""
-        arr, scalar = _as_array(t)
-        if np.any(arr < self._lo) or np.any(arr > self._hi):
-            raise ValueError("raw estimate is only defined on [h, 1-h]")
-        return _ret(self._ext(arr, nu=order), scalar)
 
     def extended(self, t, order=0):
         """Raw estimate glued to its linear boundary extensions, on [0, 1].

@@ -311,25 +311,33 @@ def test_experiment_kernel_gate(argv, tmp_path, capsys):
     (["rate", "--n-grid", 1000, "--replicates", 2], False),
     (["inconsistency", "--replicates", 1], True),
     (["l1clt", "--replicates", 1], True),
+    (["inconsistency", "--replicates", 5, "--n", 1], True),
+    (["inconsistency", "--replicates", 5, "--density", "uniform"], True),
 ], ids=["coverage-0", "rate-0", "rate-no-grid", "rate-one-size",
-        "inconsistency-1", "l1clt-1"])
+        "inconsistency-1", "l1clt-1", "inconsistency-n1",
+        "inconsistency-flat"])
 def test_experiment_too_few_replicates_or_sizes(argv, needs_limits,
                                                 limits_file, tmp_path,
                                                 capsys):
     limits = ["--limits", limits_file] if needs_limits else []
-    assert run_cli(["experiment"] + argv + limits + [
-        "--n", 60, "--boot", 20, "--seed", 12,
-        "--out", tmp_path / "e"]) == 2
+    # argv follows the default --n 60, so its own --n wins
+    assert run_cli(["experiment", "--n", 60] + argv + limits + [
+        "--boot", 20, "--seed", 12, "--out", tmp_path / "e"]) == 2
     assert capsys.readouterr().err.startswith("usage error:")
     assert not (tmp_path / "e.json").exists()
 
 
-@pytest.mark.parametrize("points", [-5, 1])
-def test_fit_smooth_grid_needs_two_points(points, data_file, tmp_path,
-                                         capsys):
-    assert run_cli(["fit", "--data", data_file, "--smooth-grid", points,
-                    "--out", tmp_path / "f"]) == 2
+@pytest.mark.parametrize("argv", [
+    ["--smooth-grid", -5],
+    ["--smooth-grid", 1],
+    ["--smooth-grid", 11, "--kernel", "foo"],
+    ["--smooth-grid", 11, "--alpha", 0.5],
+], ids=["-5", "1", "kernel-foo", "alpha-0.5"])
+def test_fit_smooth_grid_needs_two_points(argv, data_file, tmp_path, capsys):
+    assert run_cli(["fit", "--data", data_file, "--out", tmp_path / "f"]
+                   + argv) == 2
     assert capsys.readouterr().err.startswith("usage error:")
+    assert not list(tmp_path.glob("f.*"))
 
 
 def test_limits_file_missing_keys_named(limits_file, tmp_path, capsys):

@@ -54,6 +54,14 @@ def test_inconsistency_summary_fields(limit_constants):
                 "bootstrap_deviation_vs_fit"} <= set(r)
 
 
+def test_inconsistency_rejects_constant_deviations(limit_constants):
+    # at n = 2 most resamples refit to the fit at t0, and for this seed both
+    # replicates do: the correlation would divide by a zero spread
+    with pytest.raises(ValueError, match="every bootstrap deviation is 0.0"):
+        run_inconsistency(triangular_density(), limit_constants, n=2,
+                          replicates=2, rng=RngStream(0))
+
+
 def test_rate_requires_l1_kernel():
     from grenboot import EPANECHNIKOV
     with pytest.raises(ValueError):

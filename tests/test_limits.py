@@ -62,8 +62,9 @@ def test_reflection_negates_argmax():
     root = RngStream(3)
     for i in range(200):
         p = simulate_path(0.01, 2.0, root.substream(i))
+        reflected = PathGrid(p.step, p.half_width, p.values[::-1].copy())
         a, _ = chernoff_draw(p)
-        b, _ = chernoff_draw(p.reflected())
+        b, _ = chernoff_draw(reflected)
         assert a == -b
 
 
@@ -101,10 +102,25 @@ def test_scaling_ratio_moderate_scale():
 
 
 def test_xi_at_zero_is_chernoff_when_window_is_full():
-    p = simulate_path(0.01, 2.0, RngStream(10))
-    c, _ = chernoff_draw(p)
-    vals, hits = argmax_process(p, [0.0], 2.0)
-    assert vals[0] == c
+    # the single and doubled draws against the window scan, on a coarse
+    # grid, the default scaling grid and one so narrow that many draws hit
+    # the window edge
+    for step, half_width in ((0.01, 2.0), (0.002, 3.0), (0.05, 0.2)):
+        root = RngStream(10)
+        n_hits = 0
+        for i in range(100):
+            p = simulate_path(step, half_width, root.substream(i, 0))
+            q = simulate_path(step, half_width, root.substream(i, 1))
+            c, c_hit = chernoff_draw(p)
+            vals, hits = argmax_process(p, [0.0], half_width)
+            assert (vals[0], hits[0]) == (c, c_hit), (step, i)
+            summed = PathGrid(step, half_width, p.values + q.values)
+            d, d_hit = doubled_draw(p, q)
+            vals, hits = argmax_process(summed, [0.0], half_width)
+            assert (vals[0], hits[0]) == (d, d_hit), (step, i)
+            n_hits += c_hit + d_hit
+        if half_width < 0.5:
+            assert n_hits > 0
 
 
 def test_xi_stationarity():
@@ -295,9 +311,8 @@ def test_centering_scale_invariance(limit_constants):
         pdf = lambda t, c=c: 2 * c * (1 - np.asarray(t, dtype=float)) + (1 - c)
         dpdf = lambda t, c=c: np.full(np.asarray(t, dtype=float).shape, -2.0 * c)
         cdf = lambda t, c=c: (2 * c + (1 - c)) * np.asarray(t) - c * np.asarray(t) ** 2
-        return AnalyticDensity("blend", pdf, dpdf,
-                               lambda t: np.zeros(np.asarray(t).shape),
-                               cdf, None, nonincreasing=True)
+        return AnalyticDensity("blend", pdf, dpdf, cdf, None,
+                               nonincreasing=True)
 
     g = make(0.5)
     mu = l1_centering_constant(g, limit_constants)

@@ -11,7 +11,8 @@ from grenboot import (BIWEIGHT, DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
                       l1_distance, l1_shape_integral, sample_from_analytic,
                       triangular_density, trunc_exp_density)
 from .oracles import (DirectSmoother, gauss_legendre, grid_kernel_conditions,
-                      l1_to_step, shape_integral, smoother_breakpoints)
+                      kernel_sums, l1_to_step, shape_integral,
+                      smoother_breakpoints)
 
 
 # -- kernel conditions ---------------------------------------------------------
@@ -123,34 +124,26 @@ def test_default_rules():
 
 def test_raw_single_point_center():
     sd = SmoothedDensity(Sample([0.5]), EPANECHNIKOV, 0.2)
-    assert abs(sd.raw(0.5) - 3.75) < 1e-14
+    assert abs(sd.extended(0.5) - 3.75) < 1e-14
 
 
 def test_raw_outside_kernel_support():
     sd = SmoothedDensity(Sample([0.5]), EPANECHNIKOV, 0.2)
-    assert sd.raw(0.8) == 0.0
+    assert sd.extended(0.8) == 0.0
 
 
 def test_raw_symmetric_pair():
     sd = SmoothedDensity(Sample([0.4, 0.6]), EPANECHNIKOV, 0.2)
-    assert abs(sd.raw(0.5) - 2.8125) < 1e-12
-    assert sd.raw(0.5, order=1) == 0.0     # odd symmetry of the derivative
-
-
-def test_raw_domain_restricted():
-    sd = SmoothedDensity(Sample([0.5]), EPANECHNIKOV, 0.2)
-    with pytest.raises(ValueError):
-        sd.raw(0.1)
-    with pytest.raises(ValueError):
-        sd.raw(0.95)
+    assert abs(sd.extended(0.5) - 2.8125) < 1e-12
+    assert sd.extended(0.5, order=1) == 0.0     # odd symmetry of the derivative
 
 
 def test_extended_left_slope_anchored():
     # single point near 0 forces a negative left-seam slope: value at 0 is
     # f(h) + h * |slope|
     sd = SmoothedDensity(Sample([0.15]), EPANECHNIKOV, 0.2)
-    f_h = sd.raw(0.2)
-    s_h = sd.raw(0.2, order=1)
+    f_h = sd.extended(0.2)
+    s_h = sd.extended(0.2, order=1)
     assert s_h < 0
     assert abs(sd.extended(0.0) - (f_h + 0.2 * (-s_h))) < 1e-12
     assert abs(sd.extended(0.0) - 5.390625) < 1e-12
@@ -160,17 +153,18 @@ def test_extended_clamps_positive_slope():
     # mass concentrated right of the left seam gives a positive raw slope
     # there; the extension must stay constant
     sd = SmoothedDensity(Sample([0.35, 0.4, 0.45]), EPANECHNIKOV, 0.3)
-    assert sd.raw(0.3, order=1) > 0
-    assert abs(sd.extended(0.0) - sd.raw(0.3)) < 1e-12
-    assert abs(sd.extended(0.15) - sd.raw(0.3)) < 1e-12
+    assert sd.extended(0.3, order=1) > 0
+    assert abs(sd.extended(0.0) - sd.extended(0.3)) < 1e-12
+    assert abs(sd.extended(0.15) - sd.extended(0.3)) < 1e-12
 
 
 def test_extended_matches_interior_at_seams():
     rng = RngStream(41)
     s = sample_from_analytic(triangular_density(), 100, rng)
     sd = SmoothedDensity(s, BIWEIGHT, 0.25)
-    assert abs(sd.extended(0.25) - sd.raw(0.25)) < 1e-14
-    assert abs(sd.extended(0.75) - sd.raw(0.75)) < 1e-14
+    for seam in (0.25, 0.75):
+        interior = kernel_sums(s.values, seam, 0.25, BIWEIGHT)[0]
+        assert abs(sd.extended(seam) - interior) < 1e-14
 
 
 def test_normalized_mass_and_nonnegativity():
@@ -223,7 +217,7 @@ def test_pdf_scales_as_positive_part():
 def test_derivative_on_extension_regions():
     sd = SmoothedDensity(Sample([0.15]), EPANECHNIKOV, 0.2)
     # order 1 on [0, h): the clamped constant slope over the normalizer
-    s_h = sd.raw(0.2, order=1)
+    s_h = sd.extended(0.2, order=1)
     z = sd.normalizer
     assert abs(sd.dpdf(0.1) - s_h / z) < 1e-12
     # order 2 on the linear extension is identically 0
