@@ -11,15 +11,12 @@ are checked against.
 
 __version__ = "0.1.0"
 
-from .density import (AnalyticDensity, ConcaveMajorant,
-                      DegenerateEstimateError, EmpiricalCDF, Sample,
+from .density import (AnalyticDensity, DegenerateEstimateError, Sample,
                       StepDensity, grenander_fit, l1_distance,
-                      l1_shape_integral, least_concave_majorant,
-                      rate_constant, sup_distance, triangular_density,
-                      trunc_exp_density, uniform_density)
+                      l1_shape_integral, rate_constant, sup_distance,
+                      triangular_density, trunc_exp_density, uniform_density)
 from .inference import (L1BandResult, PointwiseCIResult, band_contains,
-                        empirical_quantile, l1_band,
-                        naive_bootstrap_deviations, smoothed_pointwise_ci,
+                        empirical_quantile, l1_band, smoothed_pointwise_ci,
                         supersample_centering)
 from .limits import (LimitConstants, LimitSimConfig, PathGrid,
                      WindowTooSmallError, argmax_process, chernoff_draw,
@@ -28,28 +25,26 @@ from .limits import (LimitConstants, LimitSimConfig, PathGrid,
                      l1_centering_constant, simulate_path)
 from .resampling import (EnvelopeError, RngStream, envelope_bound,
                          multinomial_bootstrap, rejection_sample,
-                         sample_from_analytic, subsample_without_replacement)
+                         sample_from_analytic)
 from .smoothing import (BIWEIGHT, DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
                         EPANECHNIKOV, BandwidthRule, ConditionReport, Kernel,
                         SmoothedDensity, check_kernel_conditions,
                         fit_smoothed, kernel_by_name, kernel_satisfies)
 
 __all__ = [
-    "AnalyticDensity", "BIWEIGHT", "BandwidthRule", "ConcaveMajorant",
-    "ConditionReport", "DEFAULT_L1_RULE", "DEFAULT_POINTWISE_RULE",
-    "DegenerateEstimateError", "EPANECHNIKOV", "EmpiricalCDF",
-    "EnvelopeError", "Kernel", "L1BandResult", "LimitConstants",
-    "LimitSimConfig", "PathGrid", "PointwiseCIResult", "RngStream", "Sample",
-    "SmoothedDensity", "StepDensity", "WindowTooSmallError",
-    "argmax_process", "band_contains", "chernoff_draw",
+    "AnalyticDensity", "BIWEIGHT", "BandwidthRule", "ConditionReport",
+    "DEFAULT_L1_RULE", "DEFAULT_POINTWISE_RULE", "DegenerateEstimateError",
+    "EPANECHNIKOV", "EnvelopeError", "Kernel", "L1BandResult",
+    "LimitConstants", "LimitSimConfig", "PathGrid", "PointwiseCIResult",
+    "RngStream", "Sample", "SmoothedDensity", "StepDensity",
+    "WindowTooSmallError", "argmax_process", "band_contains", "chernoff_draw",
     "chernoff_sample", "check_kernel_conditions", "doubled_draw",
     "doubled_sample", "doubled_scaling_check", "empirical_quantile",
     "envelope_bound", "estimate_constants", "fit_smoothed", "grenander_fit",
     "kernel_by_name", "kernel_satisfies", "l1_band",
     "l1_centering_constant", "l1_distance", "l1_shape_integral",
-    "least_concave_majorant", "multinomial_bootstrap",
-    "naive_bootstrap_deviations", "rate_constant", "rejection_sample",
+    "multinomial_bootstrap", "rate_constant", "rejection_sample",
     "sample_from_analytic", "simulate_path", "smoothed_pointwise_ci",
-    "subsample_without_replacement", "sup_distance", "supersample_centering",
-    "triangular_density", "trunc_exp_density", "uniform_density",
+    "sup_distance", "supersample_centering", "triangular_density",
+    "trunc_exp_density", "uniform_density",
 ]

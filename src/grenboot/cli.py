@@ -199,12 +199,15 @@ _REGIME_DEFAULTS = {"pointwise": (EPANECHNIKOV, DEFAULT_POINTWISE_RULE),
 
 def _smoother_flags(args, regime):
     """The kernel and bandwidth rule that --kernel, --alpha and --scale give
-    in ``regime``."""
+    in ``regime``. The kernel name and alpha are stored back on ``args``, so
+    that the manifest records the values that ran."""
     kernel, rule = _REGIME_DEFAULTS[regime]
-    name = kernel.name if args.kernel is None else args.kernel
-    alpha = rule.alpha if args.alpha is None else args.alpha
-    return (_usage_guard(kernel_by_name, name),
-            _usage_guard(BandwidthRule, alpha, args.scale, regime))
+    if args.kernel is None:
+        args.kernel = kernel.name
+    if args.alpha is None:
+        args.alpha = rule.alpha
+    return (_usage_guard(kernel_by_name, args.kernel),
+            _usage_guard(BandwidthRule, args.alpha, args.scale, regime))
 
 
 def cmd_gen(args):
@@ -227,8 +230,7 @@ def cmd_fit(args):
     if args.smooth_grid < 0 or args.smooth_grid == 1:
         raise UsageError("--smooth-grid must be 0 or at least 2, got %d"
                          % args.smooth_grid)
-    if args.smooth_grid:
-        kernel, rule = _smoother_flags(args, args.regime)
+    kernel, rule = _smoother_flags(args, args.regime)
     sample = read_observations(args.data, args.rescale)
     fit = grenander_fit(sample)
     tables = [(".csv", ["breakpoint", "height"],
@@ -387,10 +389,11 @@ def build_parser():
     p.add_argument("--smooth-grid", type=int, default=0,
                    help="also dump the kernel smooth on a uniform grid of "
                         "this many points, 0 (no dump) or at least 2")
-    p.add_argument("--kernel", default="biweight")
-    p.add_argument("--alpha", type=float, default=DEFAULT_L1_RULE.alpha)
+    p.add_argument("--kernel", default=None)
+    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--regime", default="l1", choices=["pointwise", "l1"])
+    p.add_argument("--regime", default="l1", choices=["pointwise", "l1"],
+                   help="smoother regime; sets the default kernel and alpha")
     p.set_defaults(func=cmd_fit, seed=None)
 
     p = sub.add_parser("ci", help="smoothed-bootstrap pointwise confidence interval")
@@ -401,10 +404,10 @@ def build_parser():
     p.add_argument("--level", type=float, default=0.90,
                    help="confidence level (default 0.90)")
     p.add_argument("--boot", type=int, default=500, help="bootstrap replicates")
-    p.add_argument("--alpha", type=float, default=DEFAULT_POINTWISE_RULE.alpha,
+    p.add_argument("--alpha", type=float, default=None,
                    help="bandwidth exponent, in (0, 1/3)")
     p.add_argument("--scale", type=float, default=1.0, help="bandwidth scale")
-    p.add_argument("--kernel", default="epanechnikov",
+    p.add_argument("--kernel", default=None,
                    choices=["epanechnikov", "biweight"])
     p.add_argument("--out", required=True, help="output prefix")
     add_common(p)
@@ -420,10 +423,10 @@ def build_parser():
                    help="supersample size (default "
                         "max(10n, min(ceil(n^1.5), 200000)); an explicit "
                         "value may exceed the 200000 cap)")
-    p.add_argument("--alpha", type=float, default=DEFAULT_L1_RULE.alpha,
+    p.add_argument("--alpha", type=float, default=None,
                    help="bandwidth exponent, in (1/6, 1/5)")
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--kernel", default="biweight",
+    p.add_argument("--kernel", default=None,
                    choices=["epanechnikov", "biweight"])
     p.add_argument("--out", required=True, help="output prefix")
     add_common(p)

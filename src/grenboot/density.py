@@ -1,8 +1,9 @@
 """Monotone density geometry on [0, 1].
 
-Samples, empirical CDFs, least concave majorants, the Grenander estimator
-(slopes of the majorant), closed-form reference densities, and the distances
-and rate constants the inference layer is built on.
+Samples, step densities, the Grenander estimator, closed-form reference
+densities, and the distances and rate constants the inference layer is
+built on. The Grenander fit is one antitonic regression of the empirical
+CDF's slopes; it builds no ECDF or majorant object.
 """
 
 from math import factorial
@@ -14,11 +15,8 @@ from scipy.optimize import brentq, isotonic_regression
 __all__ = [
     "DegenerateEstimateError",
     "Sample",
-    "EmpiricalCDF",
-    "ConcaveMajorant",
     "StepDensity",
     "AnalyticDensity",
-    "least_concave_majorant",
     "grenander_fit",
     "uniform_density",
     "triangular_density",
@@ -99,83 +97,6 @@ class Sample:
         return "Sample(n=%d, min=%g, max=%g)" % (self.n, self.values[0], self.values[-1])
 
 
-class EmpiricalCDF:
-    """Right-continuous empirical CDF of a sample, tied values merged."""
-
-    def __init__(self, sample):
-        jumps, counts = np.unique(sample.values, return_counts=True)
-        self.jumps = jumps
-        self.heights = np.cumsum(counts) / sample.n
-        self.n = sample.n
-
-    def __call__(self, t):
-        arr, scalar = _as_array(t)
-        idx = np.searchsorted(self.jumps, arr, side="right")
-        table = np.concatenate([[0.0], self.heights])
-        return _ret(table[idx], scalar)
-
-
-class ConcaveMajorant:
-    """Piecewise-linear concave function from (0, 0) to (1, 1).
-
-    Vertices are stored as parallel arrays ``vx`` / ``vy``; slopes between
-    consecutive vertices are strictly decreasing.
-    """
-
-    def __init__(self, vx, vy):
-        vx = np.asarray(vx, dtype=float)
-        vy = np.asarray(vy, dtype=float)
-        if vx.shape != vy.shape or vx.ndim != 1 or vx.size < 2:
-            raise ValueError("need matching vertex arrays with at least two vertices")
-        if vx[0] != 0.0 or vy[0] != 0.0 or vx[-1] != 1.0 or vy[-1] != 1.0:
-            raise ValueError("majorant must run from (0, 0) to (1, 1)")
-        if np.any(np.diff(vx) <= 0):
-            raise ValueError("vertex x's must be strictly increasing")
-        slopes = np.diff(vy) / np.diff(vx)
-        # strictly decreasing by construction; tiny float slack for validation
-        if np.any(np.diff(slopes) > 1e-12):
-            raise ValueError("slopes must be decreasing")
-        self.vx = vx
-        self.vy = vy
-        self.slopes = slopes
-
-    def __call__(self, t):
-        arr, scalar = _as_array(t)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("evaluation point outside [0, 1]")
-        return _ret(np.interp(arr, self.vx, self.vy), scalar)
-
-
-def least_concave_majorant(cdf):
-    """Least concave majorant of an empirical CDF on [0, 1].
-
-    The majorant's slopes are the weighted antitonic regression of the
-    slopes between the points (0, 0), (x_i, F_n(x_i)), (1, 1), weighted by
-    the gaps between them (Robertson, Wright & Dykstra 1988). It is computed
-    by PAVA (the pool-adjacent-violators algorithm); its vertices are the
-    points at the ends of the pooled blocks, and equal adjacent slopes pool
-    into one block. An observation at exactly 0 makes the monotone MLE
-    degenerate (unbounded first slope) and raises
-    :class:`DegenerateEstimateError`.
-    """
-    if cdf.jumps[0] <= 0.0:
-        raise DegenerateEstimateError(
-            "observation at exactly 0 gives a degenerate monotone MLE; "
-            "shift or rescale the data away from 0"
-        )
-    xs = np.concatenate([[0.0], cdf.jumps])
-    ys = np.concatenate([[0.0], cdf.heights])
-    if xs[-1] < 1.0:
-        xs = np.append(xs, 1.0)
-        ys = np.append(ys, 1.0)
-    gap = np.diff(xs)
-    # blocks holds each block's first slope index and, last, the slope count:
-    # exactly the vertex indices
-    idx = isotonic_regression(np.diff(ys) / gap, weights=gap,
-                              increasing=False).blocks
-    return ConcaveMajorant(xs[idx], ys[idx])
-
-
 class StepDensity:
     """Piecewise-constant non-increasing density on [0, 1].
 
@@ -245,9 +166,33 @@ def grenander_fit(sample):
 
     The estimate is the left derivative of the least concave majorant of the
     empirical CDF, a step function dropping at a subset of the data points.
+    Its heights are the weighted antitonic regression of the slopes between
+    the points (0, 0), (x_i, F_n(x_i)), (1, 1), weighted by the gaps between
+    them (Robertson, Wright & Dykstra 1988), computed by PAVA (the
+    pool-adjacent-violators algorithm). The majorant's vertices are the
+    points at the ends of the pooled blocks, and equal adjacent slopes pool
+    into one block. An observation at exactly 0 makes the monotone MLE
+    degenerate (unbounded first slope) and raises
+    :class:`DegenerateEstimateError`.
     """
-    lcm = least_concave_majorant(EmpiricalCDF(sample))
-    return StepDensity(lcm.vx[1:], lcm.slopes)
+    jumps, counts = np.unique(sample.values, return_counts=True)
+    if jumps[0] <= 0.0:
+        raise DegenerateEstimateError(
+            "observation at exactly 0 gives a degenerate monotone MLE; "
+            "shift or rescale the data away from 0"
+        )
+    xs = np.concatenate([[0.0], jumps])
+    ys = np.concatenate([[0.0], np.cumsum(counts) / sample.n])
+    if xs[-1] < 1.0:
+        xs = np.append(xs, 1.0)
+        ys = np.append(ys, 1.0)
+    gap = np.diff(xs)
+    # blocks holds each block's first slope index and, last, the slope count:
+    # exactly the vertex indices
+    idx = isotonic_regression(np.diff(ys) / gap, weights=gap,
+                              increasing=False).blocks
+    vx, vy = xs[idx], ys[idx]
+    return StepDensity(vx[1:], np.diff(vy) / np.diff(vx))
 
 
 class AnalyticDensity:
@@ -481,9 +426,10 @@ def l1_shape_integral(g):
     The integral is a fixed Gauss-Legendre rule on pieces at whose ends the
     integrand may kink or have a cube-root cusp. When ``g`` exposes a
     ``ppoly`` (a smoother), the pieces end at its breakpoints and at the
-    roots of g and g'. Otherwise the rule runs on 64 equal panels, which is
-    accurate only when g and g' have no zero inside (0, 1); the shipped
-    analytic densities meet that.
+    roots of g, g' and g''; then |g'| is monotone on each piece, so a near
+    zero of g' sits at a piece end. Otherwise the rule runs on 64 equal
+    panels, which is accurate only when g and g' have no zero inside (0, 1);
+    the shipped analytic densities meet that.
     """
 
     def integrand(t):
@@ -493,8 +439,8 @@ def l1_shape_integral(g):
     pp = getattr(g, "ppoly", None)
     if pp is None:
         return _fixed_rule(integrand, _PANELS)
-    roots = np.concatenate([pp.roots(discontinuity=False, extrapolate=False),
-                            pp.derivative().roots(discontinuity=False,
-                                                  extrapolate=False)])
+    roots = np.concatenate([
+        p.roots(discontinuity=False, extrapolate=False)
+        for p in (pp, pp.derivative(), pp.derivative(2))])
     # identically zero pieces report nan
     return _fixed_rule(integrand, np.union1d(pp.x, roots[np.isfinite(roots)]))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .density import Sample, grenander_fit, l1_distance
 from .parallel import map_indexed
-from .resampling import multinomial_bootstrap, rejection_sample
+from .resampling import rejection_sample
 from .smoothing import (BIWEIGHT, EPANECHNIKOV, DEFAULT_L1_RULE,
                         DEFAULT_POINTWISE_RULE, SmoothedDensity,
                         fit_smoothed, kernel_satisfies)
@@ -24,7 +24,6 @@ __all__ = [
     "empirical_quantile",
     "PointwiseCIResult",
     "smoothed_pointwise_ci",
-    "naive_bootstrap_deviations",
     "supersample_centering",
     "L1BandResult",
     "l1_band",
@@ -140,28 +139,6 @@ def smoothed_pointwise_ci(sample, t0, level=0.95, n_boot=500,
         h=smoothed.h,
         deviations=deviations,
     )
-
-
-def naive_bootstrap_deviations(sample, t0, n_boot, rng, threads=1):
-    """Scaled deviations of multinomial-bootstrap Grenander refits at t0.
-
-    Each is n^(1/3) (refit(t0) - fit(t0)). This resampler is the one that
-    fails to reproduce the cube-root limit; it is provided for diagnostics.
-    """
-    if not isinstance(sample, Sample):
-        sample = Sample(sample)
-    t0 = float(t0)
-    if not 0.0 < t0 < 1.0:
-        raise ValueError("t0 must be interior to (0, 1)")
-    fit = grenander_fit(sample)
-    c0 = float(fit(t0))
-    cube = float(sample.n) ** (1.0 / 3.0)
-
-    def one(b):
-        star = multinomial_bootstrap(sample, rng.substream(b))
-        return cube * (grenander_fit(star)(t0) - c0)
-
-    return np.array(map_indexed(one, int(n_boot), threads))
 
 
 def supersample_centering(smoothed, m, rng):

@@ -13,11 +13,12 @@ maximised at a vertex of the majorant of G (the switching relation behind
 the Grenander estimator). One decreasing isotonic regression of the slopes
 of G gives the vertices, and a search of -2t among the block slopes gives
 each lag's vertex. When that vertex lies strictly inside the lag's window it
-is the windowed argmax; otherwise the lag falls back to the window scan of
-``argmax_process``, which also sets its boundary flag. The lags are all
->= 0, so the lab draws only the arm it reads: Z on [-W, lag_max + W], the
-first increments of the symmetric path ``simulate_path`` draws (one random
-walk draws both), so the values and the argmaxes are those of that path.
+is the windowed argmax; otherwise the lag falls back to ``_window_scan``,
+the scan ``argmax_process`` also uses, which sets its boundary flag. The
+lags are all >= 0, so the lab draws only the arm it reads: Z on
+[-W, lag_max + W], the first increments of the symmetric path
+``simulate_path`` draws (one random walk draws both), so the values and the
+argmaxes are those of that path.
 One window scan takes every argmax, the Chernoff and doubled draws' too, on
 offsets built once per (step, width).
 """

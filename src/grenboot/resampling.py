@@ -15,7 +15,6 @@ __all__ = [
     "EnvelopeError",
     "sample_from_analytic",
     "multinomial_bootstrap",
-    "subsample_without_replacement",
     "envelope_bound",
     "rejection_sample",
 ]
@@ -66,15 +65,6 @@ def sample_from_analytic(density, n, rng):
 def multinomial_bootstrap(sample, rng):
     """Resample n of the n observations with replacement."""
     idx = rng.gen.integers(0, sample.n, size=sample.n)
-    return Sample(sample.values[idx])
-
-
-def subsample_without_replacement(sample, m, rng):
-    """Draw m of the n observations without replacement, m <= n."""
-    m = int(m)
-    if not 1 <= m <= sample.n:
-        raise ValueError("m must lie in [1, n]")
-    idx = rng.gen.choice(sample.n, size=m, replace=False)
     return Sample(sample.values[idx])
 
 

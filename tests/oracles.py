@@ -31,8 +31,6 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import brentq
 
-from grenboot.density import ConcaveMajorant
-
 
 def brute_force_lcm(sample_values, eval_points):
     """Least concave majorant of the ECDF of ``sample_values`` at
@@ -72,18 +70,20 @@ def brute_force_grenander_heights(sample_values):
     return np.diff(vals) / np.diff(knots), knots[1:]
 
 
-def hull_majorant(cdf):
-    """Least concave majorant of an empirical CDF on [0, 1], as the upper
-    hull of the points (0, 0), (x_i, F_n(x_i)), (1, 1) by a single
-    monotone-stack sweep. An observation at exactly 0 raises ValueError.
+def hull_majorant(values):
+    """Least concave majorant of the empirical CDF of the sorted ``values``
+    on [0, 1], as the vertex arrays ``(vx, vy)`` of the upper hull of the
+    points (0, 0), (x_i, F_n(x_i)), (1, 1) by a single monotone-stack sweep.
+    An observation at exactly 0 raises ValueError.
     """
-    if cdf.jumps[0] <= 0.0:
+    jumps, counts = np.unique(values, return_counts=True)
+    if jumps[0] <= 0.0:
         raise ValueError(
             "observation at exactly 0 gives a degenerate monotone MLE; "
             "shift or rescale the data away from 0"
         )
-    xs = np.concatenate([[0.0], cdf.jumps])
-    ys = np.concatenate([[0.0], cdf.heights])
+    xs = np.concatenate([[0.0], jumps])
+    ys = np.concatenate([[0.0], np.cumsum(counts) / len(values)])
     if xs[-1] < 1.0:
         xs = np.append(xs, 1.0)
         ys = np.append(ys, 1.0)
@@ -100,7 +100,7 @@ def hull_majorant(cdf):
                 break
         stack.append(i)
     idx = np.asarray(stack)
-    return ConcaveMajorant(xs[idx], ys[idx])
+    return xs[idx], ys[idx]
 
 
 # -- kernel conditions -------------------------------------------------------

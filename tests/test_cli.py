@@ -134,6 +134,22 @@ def test_fit_smooth_grid_dump(tmp_path):
     assert all(len(c) > 0 for c in cells)
 
 
+def test_fit_pointwise_regime_uses_pointwise_defaults(tmp_path):
+    run_cli(["gen", "--density", "triangular", "--n", 200, "--seed", 5,
+             "--out", tmp_path / "d.txt"])
+    for out, flags in (("implicit", []),
+                       ("explicit", ["--kernel", "epanechnikov",
+                                     "--alpha", 0.3])):
+        assert run_cli(["fit", "--data", tmp_path / "d.txt", "--smooth-grid",
+                        41, "--regime", "pointwise", "--out", tmp_path / out]
+                       + flags) == 0
+    assert ((tmp_path / "implicit.smooth.csv").read_bytes()
+            == (tmp_path / "explicit.smooth.csv").read_bytes())
+    params = json.loads(
+        (tmp_path / "implicit.manifest.json").read_text())["parameters"]
+    assert (params["kernel"], params["alpha"]) == ("epanechnikov", 0.3)
+
+
 # -- ci ----------------------------------------------------------------------
 
 

@@ -3,17 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grenboot import (AnalyticDensity, DegenerateEstimateError, EmpiricalCDF,
-                      RngStream, Sample, StepDensity, grenander_fit, l1_distance,
-                      l1_shape_integral, least_concave_majorant, rate_constant,
-                      sample_from_analytic, sup_distance, triangular_density,
-                      trunc_exp_density, uniform_density)
+from grenboot import (AnalyticDensity, DegenerateEstimateError, RngStream,
+                      Sample, StepDensity, grenander_fit, l1_distance,
+                      l1_shape_integral, rate_constant, sample_from_analytic,
+                      sup_distance, triangular_density, trunc_exp_density,
+                      uniform_density)
 from .oracles import brute_force_grenander_heights, hull_majorant, l1_to_step
 
 unit_floats = st.floats(0.001, 1.0, allow_nan=False, allow_infinity=False)
 
 
-# -- Sample / ECDF ------------------------------------------------------------
+# -- Sample ------------------------------------------------------------------
 
 
 def test_sample_sorts_and_freezes():
@@ -30,65 +30,6 @@ def test_sample_rejects_out_of_range():
         Sample([-0.1])
     with pytest.raises(ValueError):
         Sample([np.nan, 0.3])
-
-
-def test_ecdf_basic():
-    F = EmpiricalCDF(Sample([0.25, 0.75]))
-    assert F(0.25) == 0.5 and F(0.5) == 0.5 and F(0.75) == 1.0
-    assert F(0.0) == 0.0
-
-
-def test_ecdf_single_point():
-    F = EmpiricalCDF(Sample([0.3]))
-    assert F(0.2) == 0.0 and F(0.3) == 1.0
-
-
-def test_ecdf_tie_merged():
-    F = EmpiricalCDF(Sample([0.4, 0.4]))
-    assert F(0.4) == 1.0
-    assert F(0.39) == 0.0
-
-
-# -- least concave majorant ----------------------------------------------------
-
-
-def test_lcm_keeps_all_vertices_when_already_concave():
-    lcm = least_concave_majorant(EmpiricalCDF(Sample([0.25, 0.75])))
-    assert np.allclose(lcm.vx, [0, 0.25, 0.75, 1])
-    assert np.allclose(lcm.vy, [0, 0.5, 1, 1])
-
-
-def test_lcm_drops_dominated_vertex():
-    lcm = least_concave_majorant(EmpiricalCDF(Sample([0.5, 0.6])))
-    assert np.allclose(lcm.vx, [0, 0.6, 1])
-    assert np.allclose(lcm.vy, [0, 1, 1])
-
-
-def test_lcm_single_point():
-    lcm = least_concave_majorant(EmpiricalCDF(Sample([0.3])))
-    assert np.allclose(lcm.vx, [0, 0.3, 1])
-    assert np.allclose(lcm.vy, [0, 1, 1])
-
-
-def test_lcm_rejects_observation_at_zero():
-    with pytest.raises(DegenerateEstimateError, match="degenerate"):
-        least_concave_majorant(EmpiricalCDF(Sample([0.0, 0.5])))
-
-
-def test_lcm_dominates_and_touches():
-    rng = RngStream(5).gen
-    for _ in range(50):
-        n = int(rng.integers(1, 40))
-        s = Sample(rng.uniform(0.01, 1.0, n))
-        F = EmpiricalCDF(s)
-        lcm = least_concave_majorant(F)
-        grid = np.linspace(0, 1, 10001)
-        assert np.all(lcm(grid) >= F(grid) - 1e-12)
-        # interior vertices coincide with ECDF jump targets
-        for x, y in zip(lcm.vx[1:-1], lcm.vy[1:-1]):
-            assert abs(F(x) - y) < 1e-12
-        slopes = lcm.slopes
-        assert np.all(np.diff(slopes) < 1e-12)
 
 
 # -- Grenander fit -------------------------------------------------------------
@@ -113,6 +54,29 @@ def test_grenander_single_point(x):
     assert abs(fit(x / 2) - 1.0 / x) < 1e-9 * (1 / x)
     if x < 1.0:
         assert fit((1 + x) / 2) == 0.0
+
+
+def test_grenander_rejects_observation_at_zero():
+    with pytest.raises(DegenerateEstimateError, match="degenerate"):
+        grenander_fit(Sample([0.0, 0.5]))
+
+
+def test_lcm_dominates_and_touches():
+    # the fit's CDF is the least concave majorant of the ECDF
+    rng = RngStream(5).gen
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        s = Sample(rng.uniform(0.01, 1.0, n))
+        fit = grenander_fit(s)
+        vx = np.concatenate([[0.0], fit.breakpoints])
+        vy = np.concatenate([[0.0], np.cumsum(fit.heights * np.diff(vx))])
+        grid = np.linspace(0, 1, 10001)
+        F = np.searchsorted(s.values, grid, "right") / s.n
+        assert np.all(np.interp(grid, vx, vy) >= F - 1e-12)
+        # interior vertices coincide with ECDF jump targets
+        Fv = np.searchsorted(s.values, vx[1:-1], "right") / s.n
+        assert np.all(np.abs(Fv - vy[1:-1]) < 1e-12)
+        assert np.all(np.diff(fit.heights) < 1e-12)
 
 
 def test_grenander_matches_brute_force_oracle():
@@ -152,16 +116,14 @@ def rounded_samples(draw):
 def test_property_grenander_matches_hull_oracle(values):
     # the two may split a collinear run of ECDF points into different
     # blocks, so compare the fits as functions, not their block arrays
-    F = EmpiricalCDF(Sample(values))
-    fit = grenander_fit(Sample(values))
-    hull = hull_majorant(F)
-    knots = np.union1d(np.concatenate([[0.0], F.jumps]), [1.0])
+    s = Sample(values)
+    fit = grenander_fit(s)
+    vx, vy = hull_majorant(s.values)
+    knots = np.union1d(np.concatenate([[0.0], s.values]), [1.0])
     mid = 0.5 * (knots[:-1] + knots[1:])
-    heights = np.diff(hull.vy) / np.diff(hull.vx)
-    expected = heights[np.searchsorted(hull.vx[1:], mid)]
+    heights = np.diff(vy) / np.diff(vx)
+    expected = heights[np.searchsorted(vx[1:], mid)]
     np.testing.assert_allclose(fit(mid), expected, rtol=1e-12, atol=0.0)
-    lcm = least_concave_majorant(F)
-    assert np.array_equal(lcm.vy[1:-1], F(lcm.vx[1:-1]))
 
 
 def test_grenander_equals_hull_on_continuous_draws():
@@ -170,9 +132,9 @@ def test_grenander_equals_hull_on_continuous_draws():
         for k, density in enumerate((triangular_density(), trunc_exp_density(2.0))):
             s = sample_from_analytic(density, n, rng.substream(n, k))
             fit = grenander_fit(s)
-            hull = hull_majorant(EmpiricalCDF(s))
-            assert np.array_equal(fit.breakpoints, hull.vx[1:])
-            assert np.array_equal(fit.heights, np.diff(hull.vy) / np.diff(hull.vx))
+            vx, vy = hull_majorant(s.values)
+            assert np.array_equal(fit.breakpoints, vx[1:])
+            assert np.array_equal(fit.heights, np.diff(vy) / np.diff(vx))
 
 
 # -- StepDensity ----------------------------------------------------------------

@@ -30,6 +30,17 @@ def test_pointwise_coverage_deterministic():
     assert a == b
 
 
+def test_inconsistency_deterministic(limit_constants):
+    def run(threads, seed):
+        return run_inconsistency(triangular_density(), limit_constants, n=60,
+                                 replicates=6, rng=RngStream(seed),
+                                 threads=threads)
+
+    a, other = run(1, 87), run(1, 89)
+    assert a == run(4, 87)
+    assert a[0] != other[0] and a[1] != other[1]
+
+
 def test_band_coverage_smoke():
     summary, rows = run_band_coverage(
         triangular_density(), n=100, replicates=6, n_boot=50, m=1200,

@@ -8,9 +8,9 @@ from grenboot import (BIWEIGHT, DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
                       EPANECHNIKOV, BandwidthRule, RngStream, Sample,
                       band_contains, empirical_quantile, fit_smoothed,
                       grenander_fit, l1_band, l1_distance,
-                      naive_bootstrap_deviations, sample_from_analytic,
-                      smoothed_pointwise_ci, supersample_centering,
-                      triangular_density, uniform_density)
+                      sample_from_analytic, smoothed_pointwise_ci,
+                      supersample_centering, triangular_density,
+                      uniform_density)
 from grenboot.inference import L1BandResult
 
 
@@ -125,24 +125,6 @@ def test_ci_builds_envelope_once_with_two_threads(tri_sample_500, monkeypatch):
     smoothed_pointwise_ci(tri_sample_500, 0.5, n_boot=40, rng=RngStream(63),
                           threads=2)
     assert len(calls) == 1
-
-
-# -- naive bootstrap deviations ------------------------------------------------------
-
-
-def test_naive_deviation_single_point_zero():
-    s = Sample([0.4])
-    devs = naive_bootstrap_deviations(s, 0.2, 25, RngStream(65))
-    assert np.all(devs == 0.0)
-
-
-def test_naive_deviation_reproducible():
-    s = sample_from_analytic(triangular_density(), 100, RngStream(66))
-    a = naive_bootstrap_deviations(s, 0.5, 50, RngStream(67))
-    b = naive_bootstrap_deviations(s, 0.5, 50, RngStream(67), threads=4)
-    c = naive_bootstrap_deviations(s, 0.5, 50, RngStream(68))
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
 
 
 # -- supersample centering -------------------------------------------------------------

@@ -5,8 +5,8 @@ from scipy import stats
 from grenboot import (EPANECHNIKOV, EnvelopeError, RngStream, Sample,
                       SmoothedDensity, envelope_bound, fit_smoothed,
                       multinomial_bootstrap, rejection_sample,
-                      sample_from_analytic, subsample_without_replacement,
-                      triangular_density, uniform_density)
+                      sample_from_analytic, triangular_density,
+                      uniform_density)
 
 
 # -- RngStream -----------------------------------------------------------------
@@ -101,37 +101,6 @@ def test_bootstrap_inclusion_frequency():
         freq += np.isin(s.values, bs.values)
     theory = 1 - (1 - 1 / n) ** n
     assert abs(freq.mean() / reps - theory) < 0.02
-
-
-# -- subsampling --------------------------------------------------------------------
-
-
-def test_subsample_full_size_is_identity():
-    s = sample_from_analytic(triangular_density(), 25, RngStream(11))
-    sub = subsample_without_replacement(s, 25, RngStream(12))
-    assert np.array_equal(sub.values, s.values)
-
-
-def test_subsample_zero_rejected():
-    s = Sample([0.2, 0.8])
-    with pytest.raises(ValueError):
-        subsample_without_replacement(s, 0, RngStream(1))
-    with pytest.raises(ValueError):
-        subsample_without_replacement(s, 3, RngStream(1))
-
-
-def test_subsample_single_uniform():
-    n = 8
-    s = Sample(np.linspace(0.1, 0.9, n))
-    root = RngStream(13)
-    counts = np.zeros(n)
-    reps = 10000
-    for r in range(reps):
-        v = subsample_without_replacement(s, 1, root.substream(r)).values[0]
-        counts[np.searchsorted(s.values, v)] += 1
-    p = 1 / n
-    sigma = np.sqrt(reps * p * (1 - p))
-    assert np.all(np.abs(counts - reps * p) < 3 * sigma + 1e-9)
 
 
 # -- rejection sampling ---------------------------------------------------------------
