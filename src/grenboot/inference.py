@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import Sample, grenander_fit, l1_distance
+from .density import Sample, _l1_steps, grenander_fit, l1_distance
 from .parallel import map_indexed
 from .resampling import rejection_sample
 from .smoothing import (BIWEIGHT, EPANECHNIKOV, DEFAULT_L1_RULE,
-                        DEFAULT_POINTWISE_RULE, SmoothedDensity,
-                        fit_smoothed, kernel_satisfies)
+                        DEFAULT_POINTWISE_RULE, fit_smoothed,
+                        kernel_satisfies)
 
 __all__ = [
     "empirical_quantile",
@@ -195,6 +195,9 @@ def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
     with a supersample estimate mu_hat and standardized by n^(1/6); the band
     radius is n^(-1/3) mu_hat + n^(-1/2) q_(level) of the standardized
     sample. A negative radius yields an empty band (flagged, with a warning).
+    The workers return the refits, and the caller computes all ``n_boot``
+    distances to the smooth in one batched pass over its pieces, so the
+    values do not depend on ``threads``.
 
     The supersample size m defaults to max(10n, min(ceil(n^1.5), 200000)):
     the cap of 200000 bounds the n^1.5 growth, and the 10n floor wins over
@@ -227,9 +230,10 @@ def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
 
     def one(b):
         star = rejection_sample(smoothed, n, rng.substream(1 + b))
-        return l1_distance(grenander_fit(star), smoothed)
+        return grenander_fit(star)
 
-    l1_values = np.array(map_indexed(one, int(n_boot), threads))
+    refits = map_indexed(one, int(n_boot), threads)
+    l1_values = _l1_steps(refits, smoothed.ppoly)
     standardized = sixth * (cube * l1_values - mu_hat)
     c_crit = empirical_quantile(standardized, level)
     radius = mu_hat / cube + c_crit / np.sqrt(n)

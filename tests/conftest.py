@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from grenboot import LimitConstants, LimitSimConfig, RngStream, estimate_constants
+from grenboot import LimitSimConfig, RngStream, estimate_constants
 
 
 def pytest_addoption(parser):

@@ -1,13 +1,10 @@
-import warnings
-
 import numpy as np
 import pytest
 from scipy.interpolate import PPoly
 
-from grenboot import (BIWEIGHT, DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
-                      EPANECHNIKOV, BandwidthRule, RngStream, Sample,
-                      band_contains, empirical_quantile, fit_smoothed,
-                      grenander_fit, l1_band, l1_distance,
+from grenboot import (DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE, EPANECHNIKOV,
+                      RngStream, Sample, band_contains, empirical_quantile,
+                      fit_smoothed, grenander_fit, l1_band, l1_distance,
                       sample_from_analytic, smoothed_pointwise_ci,
                       supersample_centering, triangular_density,
                       uniform_density)

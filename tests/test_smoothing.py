@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PPoly
 
 from grenboot import (BIWEIGHT, DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
                       EPANECHNIKOV, BandwidthRule, DegenerateEstimateError,
-                      Kernel, RngStream, Sample, SmoothedDensity,
-                      check_kernel_conditions, fit_smoothed, grenander_fit,
-                      kernel_by_name, kernel_satisfies,
-                      l1_distance, l1_shape_integral, sample_from_analytic,
-                      triangular_density, trunc_exp_density)
+                      Kernel, RngStream, Sample, SmoothedDensity, StepDensity,
+                      check_kernel_conditions, density, fit_smoothed,
+                      grenander_fit, kernel_by_name, kernel_satisfies,
+                      l1_distance, l1_shape_integral, rejection_sample,
+                      sample_from_analytic, triangular_density,
+                      trunc_exp_density)
 from .oracles import (DirectSmoother, gauss_legendre, grid_kernel_conditions,
                       kernel_sums, l1_to_step, shape_integral,
                       smoother_breakpoints)
@@ -359,6 +361,74 @@ def test_property_exact_l1_matches_quadrature(inputs):
     want = l1_to_step(oracle.pdf, step, oracle.knots)
     assert abs(l1_distance(step, sd) - want) <= _normalized_tol(sd)
     assert l1_distance(sd, sd) == 0.0
+
+
+@given(smoother_inputs(), st.integers(0, 2 ** 16))
+@settings(max_examples=100, deadline=None)
+def test_property_batched_l1_matches_single_and_merged(inputs, seed):
+    values, h, kernel = inputs
+    sd, oracle = _fit_both(values, h, kernel)
+    if sd is None:
+        return
+    rng = RngStream(seed)
+    refits = [grenander_fit(rejection_sample(sd, values.size, rng.substream(b)))
+              for b in range(4)]
+    batched = density._l1_steps(refits, sd.ppoly)
+    for step, value in zip(refits, batched):
+        assert abs(value - l1_distance(step, sd)) <= 1e-14
+        assert abs(value - density._l1_exact(step.ppoly, sd.ppoly)) <= 1e-14
+        want = l1_to_step(oracle.pdf, step, oracle.knots)
+        assert abs(value - want) <= _normalized_tol(sd)
+
+
+def _smoother_and_steps():
+    sd = fit_smoothed(sample_from_analytic(trunc_exp_density(2.0), 200,
+                                           RngStream(61)))
+    x = sd.ppoly.x
+    # steps whose breakpoints are all the smoother's own, every third one
+    bp = np.append(x[3:-1:3], 1.0)
+    mids = 0.5 * (np.concatenate([[0.0], bp[:-1]]) + bp)
+    heights = np.sort(sd.pdf(mids))[::-1]
+    heights /= np.sum(heights * np.diff(np.concatenate([[0.0], bp])))
+    shared = StepDensity(bp, heights)
+    return sd, [shared, StepDensity([1.0], [1.0]),
+                grenander_fit(rejection_sample(sd, 200, RngStream(62)))]
+
+
+def test_batched_l1_pinned_steps_match_merged_and_oracle():
+    # breakpoints equal to the smoother's own split no piece; the one-step
+    # uniform splits none either; a refit splits some
+    sd, steps = _smoother_and_steps()
+    oracle = DirectSmoother(sd.sample.values, sd.kernel, sd.h)
+    batched = density._l1_steps(steps, sd.ppoly)
+    for step, value in zip(steps, batched):
+        assert abs(value - density._l1_exact(step.ppoly, sd.ppoly)) <= 1e-14
+        assert abs(value - l1_to_step(oracle.pdf, step, oracle.knots)) <= 1e-10
+        assert abs(value - l1_distance(sd, step)) <= 1e-14
+    # a step against its own ppoly: every piece is identically zero
+    assert density._l1_steps(steps[:1], steps[0].ppoly)[0] == 0.0
+
+
+def test_batched_l1_piece_equal_to_step_height():
+    # on [0, 1/2) the ppoly equals the step, so PPoly.roots reports nan
+    # there; on [1/2, 1] |1/2 - (1 - 2u)| integrates to two triangles of 1/16
+    pp = PPoly(np.array([[0.0, -2.0], [1.5, 1.0]]), [0.0, 0.5, 1.0])
+    whole = StepDensity([0.5, 1.0], [1.5, 0.5])
+    # the same with a step breakpoint inside the equal piece
+    split = StepDensity([0.25, 0.5, 1.0], [1.5, 1.5, 0.5])
+    for value in density._l1_steps([whole, split], pp):
+        assert abs(value - 0.125) <= 1e-15
+
+
+def test_batched_l1_non_unit_mass():
+    # no unit mass is assumed of the ppoly: a lift by 0.3 is at distance 0.3
+    sd, steps = _smoother_and_steps()
+    refit = steps[2]
+    lifted = PPoly(refit.ppoly.c + 0.3, refit.ppoly.x)
+    assert abs(density._l1_steps([refit], lifted)[0] - 0.3) <= 1e-15
+    doubled = PPoly(2.0 * sd.ppoly.c, sd.ppoly.x)
+    for step, value in zip(steps, density._l1_steps(steps, doubled)):
+        assert abs(value - density._l1_exact(step.ppoly, doubled)) <= 1e-14
 
 
 @given(smoother_inputs(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
