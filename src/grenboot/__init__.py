@@ -18,11 +18,9 @@ from .density import (AnalyticDensity, DegenerateEstimateError, Sample,
 from .inference import (L1BandResult, PointwiseCIResult, band_contains,
                         empirical_quantile, l1_band, smoothed_pointwise_ci,
                         supersample_centering)
-from .limits import (LimitConstants, LimitSimConfig, PathGrid,
-                     WindowTooSmallError, argmax_process, chernoff_draw,
-                     chernoff_sample, doubled_draw, doubled_sample,
+from .limits import (LimitConstants, LimitSimConfig, WindowTooSmallError,
                      doubled_scaling_check, estimate_constants,
-                     l1_centering_constant, simulate_path)
+                     l1_centering_constant)
 from .resampling import (EnvelopeError, RngStream, envelope_bound,
                          multinomial_bootstrap, rejection_sample,
                          sample_from_analytic)
@@ -35,16 +33,14 @@ __all__ = [
     "AnalyticDensity", "BIWEIGHT", "BandwidthRule", "ConditionReport",
     "DEFAULT_L1_RULE", "DEFAULT_POINTWISE_RULE", "DegenerateEstimateError",
     "EPANECHNIKOV", "EnvelopeError", "Kernel", "L1BandResult",
-    "LimitConstants", "LimitSimConfig", "PathGrid", "PointwiseCIResult",
-    "RngStream", "Sample", "SmoothedDensity", "StepDensity",
-    "WindowTooSmallError", "argmax_process", "band_contains", "chernoff_draw",
-    "chernoff_sample", "check_kernel_conditions", "doubled_draw",
-    "doubled_sample", "doubled_scaling_check", "empirical_quantile",
-    "envelope_bound", "estimate_constants", "fit_smoothed", "grenander_fit",
-    "kernel_by_name", "kernel_satisfies", "l1_band",
-    "l1_centering_constant", "l1_distance", "l1_shape_integral",
+    "LimitConstants", "LimitSimConfig", "PointwiseCIResult", "RngStream",
+    "Sample", "SmoothedDensity", "StepDensity", "WindowTooSmallError",
+    "band_contains", "check_kernel_conditions", "doubled_scaling_check",
+    "empirical_quantile", "envelope_bound", "estimate_constants",
+    "fit_smoothed", "grenander_fit", "kernel_by_name", "kernel_satisfies",
+    "l1_band", "l1_centering_constant", "l1_distance", "l1_shape_integral",
     "multinomial_bootstrap", "rate_constant", "rejection_sample",
-    "sample_from_analytic", "simulate_path", "smoothed_pointwise_ci",
-    "sup_distance", "supersample_centering", "triangular_density",
-    "trunc_exp_density", "uniform_density",
+    "sample_from_analytic", "smoothed_pointwise_ci", "sup_distance",
+    "supersample_centering", "triangular_density", "trunc_exp_density",
+    "uniform_density",
 ]

@@ -14,12 +14,14 @@ the Grenander estimator). One decreasing isotonic regression of the slopes
 of G gives the vertices, and a search of -2t among the block slopes gives
 each lag's vertex. When that vertex lies strictly inside the lag's window it
 is the windowed argmax; otherwise the lag falls back to ``_window_scan``,
-the scan ``argmax_process`` also uses, which sets its boundary flag. The
-lags are all >= 0, so the lab draws only the arm it reads: Z on
-[-W, lag_max + W], the first increments of the symmetric path
-``simulate_path`` draws (one random walk draws both), so the values and the
+which sets its boundary flag. The lags are all >= 0, so the lab draws only
+the arm it reads: Z on [-W, lag_max + W], the first increments of the
+symmetric walk on [-lag_max - W, lag_max + W], so the values and the
 argmaxes are those of that path.
-One window scan takes every argmax, the Chernoff and doubled draws' too, on
+
+``doubled_scaling_check`` scans whole symmetric walks about their centers.
+One random walk (``_walk``) draws every path and one window scan
+(``_window_scan``) takes every argmax that the majorant does not read, on
 offsets built once per (step, width).
 """
 
@@ -35,13 +37,6 @@ from .parallel import map_indexed
 
 __all__ = [
     "WindowTooSmallError",
-    "PathGrid",
-    "simulate_path",
-    "chernoff_draw",
-    "doubled_draw",
-    "argmax_process",
-    "chernoff_sample",
-    "doubled_sample",
     "doubled_scaling_check",
     "LimitSimConfig",
     "LimitConstants",
@@ -69,31 +64,6 @@ def _grid_points(step, half_width):
     return m
 
 
-class PathGrid:
-    """Two-sided random-walk path on a uniform grid centered at 0.
-
-    ``values[m + k]`` approximates Z(k * step) for k in [-m, m], with
-    ``values[m] == 0``.
-    """
-
-    def __init__(self, step, half_width, values):
-        step = float(step)
-        m = _grid_points(step, half_width)
-        values = np.asarray(values, dtype=float)
-        if values.shape != (2 * m + 1,):
-            raise ValueError("values must have length 2*m + 1")
-        if values[m] != 0.0:
-            raise ValueError("path must vanish at the origin")
-        self.step = step
-        self.half_width = m * step
-        self.m = m
-        self.values = values
-
-    @property
-    def grid(self):
-        return _offsets(self.step, self.m)[0]
-
-
 @functools.lru_cache(maxsize=8, typed=True)
 def _offsets(step, w):
     """Read-only ``(offsets, squares)`` of k * step for k in [-w, w], built
@@ -115,64 +85,6 @@ def _walk(step, left, right, rng):
     z[left + 1:] = np.cumsum(eps[:right])
     z[left - 1::-1] = np.cumsum(eps[right:])
     return z
-
-
-def simulate_path(step, half_width, rng):
-    """Simulate two-sided Brownian motion on a grid of spacing ``step``.
-
-    Increments are independent Normal(0, sqrt(step)); the two arms out of 0
-    are independent, matching the two-sided construction.
-    """
-    m = _grid_points(step, half_width)
-    return PathGrid(step, m * step, _walk(step, m, m, rng))
-
-
-def _center_scan(path, values):
-    """Leftmost argmax of values(h) - h^2 over the window of ``path``."""
-    vals, hits = _window_scan(values, (path.m,), path.m,
-                              *_offsets(path.step, path.m))
-    return float(vals[0]), bool(hits[0])
-
-
-def chernoff_draw(path):
-    """Leftmost argmax of Z(h) - h^2 over the path window.
-
-    Returns ``(location, boundary_hit)``; the flag is set when the argmax
-    lands on the first or last grid point, indicating the window clipped it.
-    """
-    return _center_scan(path, path.values)
-
-
-def doubled_draw(path_a, path_b):
-    """Leftmost argmax of Z_a(h) + Z_b(h) - h^2 for two independent paths.
-
-    Doubling the noise scales the argmax by 2^(1/3) in distribution, which
-    is the calibration identity the scaling check exercises.
-    """
-    if path_a.step != path_b.step or path_a.m != path_b.m:
-        raise ValueError("paths must share the same grid")
-    return _center_scan(path_a, path_a.values + path_b.values)
-
-
-def argmax_process(path, t_values, window):
-    """xi(t) = leftmost argmax over |h| <= window of Z(t+h) - Z(t) - h^2.
-
-    ``t_values`` must land on the path grid and keep the window inside the
-    simulated extent. Returns ``(values, boundary_hits)`` arrays.
-    """
-    w = int(round(window / path.step))
-    if w < 1 or abs(w * path.step - window) > 1e-9:
-        raise ValueError("window must be a positive multiple of step")
-    t_values = np.asarray(t_values, dtype=float)
-    centers = np.empty(t_values.size, dtype=int)
-    for j, t in enumerate(t_values):
-        c = path.m + int(round(t / path.step))
-        if abs((c - path.m) * path.step - t) > 1e-9:
-            raise ValueError("t=%r does not land on the path grid" % t)
-        if c - w < 0 or c + w >= path.values.size:
-            raise ValueError("window around t=%r exceeds the path extent" % t)
-        centers[j] = c
-    return _window_scan(path.values, centers, w, *_offsets(path.step, w))
 
 
 def _window_scan(values, centers, w, offsets, offsq):
@@ -208,13 +120,13 @@ class _MajorantLags:
         self.offsets, self.offsq = _offsets(step, w)
 
     def draw(self, rng):
-        """The path ``simulate_path`` draws from ``rng``, on [-w, m] only;
-        the values are bit-identical to that path's."""
+        """The symmetric walk ``_walk(step, m, m, rng)`` on [-w, m] only;
+        the values are bit-identical to that walk's."""
         return _walk(self.step, self.w, self.m, rng)
 
     def read(self, z):
         """``(values, boundary_hits)`` of xi at the lags, as
-        ``argmax_process`` gives them on the same path."""
+        ``_window_scan`` gives them about the lags' centers."""
         w = self.w
         fit = isotonic_regression(np.diff(z - self.s2) / self.step,
                                   increasing=False)
@@ -240,32 +152,25 @@ def _guard_hits(n_hits, n_draws):
         )
 
 
-def _draws(one, n_paths, threads):
-    """The locations ``one(i)`` draws for i < n_paths, boundary-guarded."""
+def _scaling_draws(n_paths, step, m, rng, threads, doubled):
+    """Leftmost argmaxes of Z(h) - h^2 over |h| <= m * step for i < n_paths,
+    boundary-guarded. Z is the walk on ``rng.substream(i)``, or for a
+    doubled draw the sum of the walks on substreams (i, 0) and (i, 1)."""
+    offsets, squares = _offsets(step, m)
+
+    def one(i):
+        if doubled:
+            z = (_walk(step, m, m, rng.substream(i, 0))
+                 + _walk(step, m, m, rng.substream(i, 1)))
+        else:
+            z = _walk(step, m, m, rng.substream(i))
+        vals, hits = _window_scan(z, (m,), m, offsets, squares)
+        return vals[0], hits[0]
+
     out = map_indexed(one, int(n_paths), threads)
     draws = np.array([v for v, _ in out])
-    _guard_hits(sum(hit for _, hit in out), draws.size)
+    _guard_hits(sum(bool(hit) for _, hit in out), draws.size)
     return draws
-
-
-def chernoff_sample(n_paths, step, half_width, rng, threads=1):
-    """n_paths independent argmax draws; errors if boundary hits exceed 0.1%."""
-
-    def one(i):
-        return chernoff_draw(simulate_path(step, half_width, rng.substream(i)))
-
-    return _draws(one, n_paths, threads)
-
-
-def doubled_sample(n_paths, step, half_width, rng, threads=1):
-    """n_paths doubled-noise argmax draws (two fresh paths per draw)."""
-
-    def one(i):
-        a = simulate_path(step, half_width, rng.substream(i, 0))
-        b = simulate_path(step, half_width, rng.substream(i, 1))
-        return doubled_draw(a, b)
-
-    return _draws(one, n_paths, threads)
 
 
 def _var_of_var(x):
@@ -287,8 +192,9 @@ def doubled_scaling_check(n_paths, step, half_width, rng, threads=1):
         raise ValueError("n_paths must be at least 2, got %d" % n_paths)
     from scipy import stats
 
-    singles = chernoff_sample(n_paths, step, half_width, rng.substream(0), threads)
-    doubles = doubled_sample(n_paths, step, half_width, rng.substream(1), threads)
+    m = _grid_points(step, half_width)
+    singles = _scaling_draws(n_paths, step, m, rng.substream(0), threads, False)
+    doubles = _scaling_draws(n_paths, step, m, rng.substream(1), threads, True)
     var_s = float(np.var(singles, ddof=1))
     var_d = float(np.var(doubles, ddof=1))
     ratio = var_d / var_s

@@ -24,6 +24,10 @@ moments by Gauss-Legendre quadrature, exact for these polynomial integrands.
 The L1 and shape-integral oracles split their quadrature at every sign
 change of the functions involved, found by a fine scan refined with brentq
 rather than from polynomial roots or monotonicity.
+
+The windowed-argmax oracle finds xi(t) on a simulated path by stepping
+through every offset of the window in turn and keeping the first strict
+improvement, with no concave majorant and no vectorised argmax.
 """
 
 from itertools import combinations
@@ -286,3 +290,23 @@ def l1_to_step(pdf, step, knots=(0.0, 1.0)):
 
     cuts = np.union1d(bp, sign_changes(diff, bp))
     return gauss_legendre(lambda t: np.abs(diff(t)), cuts, nodes=20)
+
+
+def windowed_argmax(values, centers, w, step):
+    """Leftmost argmax i * step over |i| <= w of
+    values[..., c + i] - values[..., c] - (i * step)^2, for each center
+    index c, on the last axis of ``values``. Returns ``(locations, hits)``,
+    each shaped ``values.shape[:-1] + (len(centers),)``; a hit flags an
+    argmax on the window edge, i = -w or i = w.
+    """
+    centers = np.asarray(centers, dtype=int)
+    base = values[..., centers]
+    best = np.full(base.shape, -np.inf)
+    arg = np.zeros(base.shape, dtype=int)
+    for i in range(-w, w + 1):
+        h = i * step
+        v = values[..., centers + i] - base - h * h
+        better = v > best
+        best[better] = v[better]
+        arg[better] = i
+    return arg * step, np.abs(arg) == w

@@ -58,8 +58,9 @@ def test_criterion_01_lcm_oracle_equivalence(capsys):
     elapsed = time.monotonic() - t0
     ok = worst < 1e-12 and elapsed < 60
     announce(capsys, "ACCEPTANCE 1 lcm-oracle-equivalence: %s "
-             "(1000 samples, max height error %.3g, %.1fs)"
-             % (verdict(ok), worst, elapsed))
+             "(1000 samples, max height error %.3g, time limit 60s)"
+             % (verdict(ok), worst))
+    announce(capsys, "criterion 1 elapsed: %.1fs" % elapsed)
     assert ok
 
 
@@ -85,7 +86,8 @@ def test_criterion_02_grenander_invariants(capsys):
     ok = ok and elapsed < 60
     announce(capsys, "ACCEPTANCE 2 grenander-invariants: %s "
              "(monotone steps, unit mass, domination, vertex touching to "
-             "n=100000, %.1fs)" % (verdict(ok), elapsed))
+             "n=100000, time limit 60s)" % verdict(ok))
+    announce(capsys, "criterion 2 elapsed: %.1fs" % elapsed)
     assert ok
 
 

@@ -2,28 +2,31 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from grenboot import (LimitConstants, LimitSimConfig, PathGrid, RngStream,
-                      WindowTooSmallError, argmax_process, chernoff_draw,
-                      chernoff_sample, doubled_draw, doubled_sample,
-                      doubled_scaling_check, estimate_constants,
-                      l1_centering_constant, simulate_path,
+from grenboot import (LimitConstants, LimitSimConfig, RngStream,
+                      WindowTooSmallError, doubled_scaling_check,
+                      estimate_constants, l1_centering_constant,
                       triangular_density, uniform_density)
-from grenboot.limits import _MajorantLags
+from grenboot import limits
+from grenboot.limits import (_MajorantLags, _grid_points, _offsets,
+                             _scaling_draws, _walk, _window_scan)
+
+from .oracles import windowed_argmax
 
 
-def _flat_path(step, half_width):
-    m = round(half_width / step)
-    return PathGrid(step, half_width, np.zeros(2 * m + 1))
+def _center_scan(z, step):
+    """Leftmost argmax of z(h) - h^2 over the whole symmetric walk ``z``."""
+    m = len(z) // 2
+    vals, hits = _window_scan(z, (m,), m, *_offsets(step, m))
+    return vals[0], hits[0]
 
 
 # -- path simulation -------------------------------------------------------------
 
 
 def test_path_starts_at_zero():
-    p = simulate_path(0.01, 2.0, RngStream(1))
-    m = len(p.values) // 2
-    assert p.values[m] == 0.0
-    assert p.grid[m] == 0.0
+    z = _walk(0.01, 200, 200, RngStream(1))
+    assert z[200] == 0.0
+    assert _offsets(0.01, 200)[0][200] == 0.0
 
 
 def test_path_variance_matches_brownian():
@@ -32,44 +35,33 @@ def test_path_variance_matches_brownian():
     mids1 = np.empty(10000)
     mids2 = np.empty(10000)
     for i in range(10000):
-        p = simulate_path(0.01, 2.0, root.substream(i))
-        m = len(p.values) // 2
-        ends[i] = p.values[-1]
-        mids1[i] = p.values[m + 100]     # Z(1)
-        mids2[i] = p.values[m + 200]     # Z(2)
+        z = _walk(0.01, 200, 200, root.substream(i))
+        ends[i] = z[-1]
+        mids1[i] = z[200 + 100]     # Z(1)
+        mids2[i] = z[200 + 200]     # Z(2)
     assert abs(ends.var() / 2.0 - 1.0) < 0.05
     assert abs(np.cov(mids1, mids2)[0, 1] - 1.0) < 0.10
-
-
-def test_pathgrid_validation():
-    with pytest.raises(ValueError):
-        PathGrid(0.01, 2.0, np.zeros(10))          # wrong length
-    vals = np.zeros(401)
-    vals[200] = 0.5
-    with pytest.raises(ValueError):
-        PathGrid(0.01, 2.0, vals)                  # Z(0) != 0
 
 
 # -- chernoff draws ---------------------------------------------------------------
 
 
 def test_flat_path_argmax_zero():
-    loc, hit = chernoff_draw(_flat_path(0.01, 2.0))
+    loc, hit = _center_scan(np.zeros(401), 0.01)
     assert loc == 0.0 and not hit
 
 
 def test_reflection_negates_argmax():
     root = RngStream(3)
     for i in range(200):
-        p = simulate_path(0.01, 2.0, root.substream(i))
-        reflected = PathGrid(p.step, p.half_width, p.values[::-1].copy())
-        a, _ = chernoff_draw(p)
-        b, _ = chernoff_draw(reflected)
+        z = _walk(0.01, 200, 200, root.substream(i))
+        a, _ = _center_scan(z, 0.01)
+        b, _ = _center_scan(z[::-1].copy(), 0.01)
         assert a == -b
 
 
 def test_chernoff_sample_symmetry():
-    draws = chernoff_sample(20000, 0.005, 2.5, RngStream(4), threads=4)
+    draws = _scaling_draws(20000, 0.005, 500, RngStream(4), 4, False)
     assert abs(draws.mean()) <= 3 * draws.std() / np.sqrt(len(draws))
     # distribution indistinguishable from its negation
     stat, p = stats.ks_2samp(draws, -draws)
@@ -77,23 +69,14 @@ def test_chernoff_sample_symmetry():
 
 
 def test_doubled_with_zero_second_path():
-    p = simulate_path(0.01, 2.0, RngStream(5))
-    single, _ = chernoff_draw(p)
-    dbl, _ = doubled_draw(p, _flat_path(0.01, 2.0))
-    assert dbl == single
-
-
-def test_doubled_requires_shared_grid():
-    a = simulate_path(0.01, 2.0, RngStream(6))
-    b = simulate_path(0.02, 2.0, RngStream(7))
-    with pytest.raises(ValueError):
-        doubled_draw(a, b)
+    z = _walk(0.01, 200, 200, RngStream(5))
+    assert _center_scan(z + np.zeros(401), 0.01) == _center_scan(z, 0.01)
 
 
 def test_scaling_ratio_moderate_scale():
     # acceptance runs the full configuration; this is a coarse guard
-    singles = chernoff_sample(4000, 0.005, 2.5, RngStream(8), threads=4)
-    doubles = doubled_sample(4000, 0.005, 2.5, RngStream(9), threads=4)
+    singles = _scaling_draws(4000, 0.005, 500, RngStream(8), 4, False)
+    doubles = _scaling_draws(4000, 0.005, 500, RngStream(9), 4, True)
     ratio = doubles.var() / singles.var()
     assert 1.35 < ratio < 1.85
 
@@ -101,44 +84,45 @@ def test_scaling_ratio_moderate_scale():
 # -- the stationary argmax process -------------------------------------------------
 
 
-def test_xi_at_zero_is_chernoff_when_window_is_full():
-    # the single and doubled draws against the window scan, on a coarse
-    # grid, the default scaling grid and one so narrow that many draws hit
-    # the window edge
+def test_xi_at_zero_is_chernoff_when_window_is_full(monkeypatch):
+    # the scaling check's single and doubled draws against the oracle, on a
+    # coarse grid, the default scaling grid and one so narrow that many
+    # draws hit the window edge; the boundary guard only counts here
+    counted = []
+    monkeypatch.setattr(limits, "_guard_hits",
+                        lambda n_hits, n_draws: counted.append(n_hits))
     for step, half_width in ((0.01, 2.0), (0.002, 3.0), (0.05, 0.2)):
+        m = _grid_points(step, half_width)
         root = RngStream(10)
+        single = np.stack([_walk(step, m, m, root.substream(i))
+                           for i in range(100)])
+        summed = np.stack([_walk(step, m, m, root.substream(i, 0))
+                           + _walk(step, m, m, root.substream(i, 1))
+                           for i in range(100)])
         n_hits = 0
-        for i in range(100):
-            p = simulate_path(step, half_width, root.substream(i, 0))
-            q = simulate_path(step, half_width, root.substream(i, 1))
-            c, c_hit = chernoff_draw(p)
-            vals, hits = argmax_process(p, [0.0], half_width)
-            assert (vals[0], hits[0]) == (c, c_hit), (step, i)
-            summed = PathGrid(step, half_width, p.values + q.values)
-            d, d_hit = doubled_draw(p, q)
-            vals, hits = argmax_process(summed, [0.0], half_width)
-            assert (vals[0], hits[0]) == (d, d_hit), (step, i)
-            n_hits += c_hit + d_hit
+        for z, doubled in ((single, False), (summed, True)):
+            counted.clear()
+            draws = _scaling_draws(100, step, m, root, 1, doubled)
+            want, hits = windowed_argmax(z, [m], m, step)
+            assert np.array_equal(draws, want[:, 0]), (step, doubled)
+            assert counted == [int(hits.sum())], (step, doubled)
+            n_hits += counted[0]
         if half_width < 0.5:
             assert n_hits > 0
 
 
 def test_xi_stationarity():
+    config = LimitSimConfig(step=0.01, window=2.5, n_paths=2, lag_max=5.0,
+                            lag_step=5.0, n_batches=2)
+    reader = _MajorantLags(config)
     root = RngStream(11)
     xi0 = np.empty(10000)
     xi5 = np.empty(10000)
     for i in range(10000):
-        p = simulate_path(0.01, 7.5, root.substream(i))
-        vals, _ = argmax_process(p, [0.0, 5.0], 2.5)
+        vals, _ = reader.read(reader.draw(root.substream(i)))
         xi0[i], xi5[i] = vals
     stat, pval = stats.ks_2samp(xi0, xi5)
     assert pval > 0.01
-
-
-def test_xi_window_must_fit():
-    p = simulate_path(0.01, 2.0, RngStream(12))
-    with pytest.raises(ValueError):
-        argmax_process(p, [1.5], 1.0)   # 1.5 + 1.0 exceeds the extent
 
 
 def test_window_too_small_error():
@@ -146,7 +130,7 @@ def test_window_too_small_error():
     # lands on the window edge constantly
     root = RngStream(13)
     with pytest.raises(WindowTooSmallError):
-        chernoff_sample(500, 0.05, 0.2, root)
+        _scaling_draws(500, 0.05, 4, root, 1, False)
 
 
 # -- majorant read-off of the argmax process -------------------------------------
@@ -170,17 +154,20 @@ def test_majorant_readoff_equals_scan(step, window, lag_max, lag_step):
     config = LimitSimConfig(step=step, window=window, n_paths=2,
                             lag_max=lag_max, lag_step=lag_step, n_batches=2)
     reader = _MajorantLags(config)
+    m, w = reader.m, reader.w
     root = RngStream(95000 + int(1000 * step) + int(100 * window))
+    paths = np.stack([_walk(step, m, m, root.substream(r))
+                      for r in range(200)])
+    centers = m + np.round(config.lags / step).astype(int)
+    want_vals, want_hits = windowed_argmax(paths, centers, w, step)
     n_hits = 0
     for r in range(200):
-        path = simulate_path(step, config.half_width, root.substream(r))
         z = reader.draw(root.substream(r))
-        # the one-armed draw is the symmetric path from -window on
-        assert np.array_equal(z, path.values[path.m - reader.w:])
+        # the one-armed draw is the symmetric walk from -window on
+        assert np.array_equal(z, paths[r, m - w:])
         vals, hits = reader.read(z)
-        want_vals, want_hits = argmax_process(path, config.lags, window)
-        assert np.array_equal(vals, want_vals), r
-        assert np.array_equal(hits, want_hits), r
+        assert np.array_equal(vals, want_vals[r]), r
+        assert np.array_equal(hits, want_hits[r]), r
         n_hits += int(hits.sum())
     if window < 0.5:
         # boundary flags come only from the fallback scan
@@ -199,8 +186,7 @@ def test_majorant_readoff_ties_take_leftmost():
     vals, hits = reader.read(z)
     assert vals.tolist() == [-0.5, 0.5, 0.5]
     assert not hits.any()
-    path = PathGrid(0.5, config.half_width, np.concatenate([[-9.0, -9.0], z]))
-    want_vals, want_hits = argmax_process(path, config.lags, config.window)
+    want_vals, want_hits = windowed_argmax(z, [4, 5, 6], 4, 0.5)
     assert np.array_equal(vals, want_vals)
     assert np.array_equal(hits, want_hits)
 
@@ -254,7 +240,8 @@ def test_abs_mean_stable_under_grid_halving():
 def test_chernoff_var_refinement_sequence():
     vars_, ses = [], []
     for k, step in enumerate((0.008, 0.004, 0.002)):
-        draws = chernoff_sample(3000, step, 3.0, RngStream(17 + k), threads=4)
+        draws = _scaling_draws(3000, step, _grid_points(step, 3.0),
+                               RngStream(17 + k), 4, False)
         vars_.append(draws.var())
         ses.append(np.sqrt((draws ** 4).mean() - draws.var() ** 2) / np.sqrt(3000))
     for k in range(2):
