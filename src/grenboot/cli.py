@@ -106,31 +106,36 @@ def read_observations(path, rescale=None):
     ``rescale`` is an optional (lo, hi) pair mapping [lo, hi] affinely onto
     [0, 1] before validation. Errors name the offending line number.
     """
-    values = []
-    lo = hi = None
     if rescale is not None:
         lo, hi = float(rescale[0]), float(rescale[1])
         if not hi > lo:
             raise UsageError("--rescale needs LO < HI")
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                x = float(text)
-            except ValueError:
-                raise ValueError("line %d of %s: not a decimal value: %r"
-                                 % (lineno, path, text)) from None
-            if rescale is not None:
-                x = (x - lo) / (hi - lo)
-            if not 0.0 <= x <= 1.0:
-                raise ValueError("line %d of %s: value %r outside [0, 1]"
-                                 % (lineno, path, x))
-            values.append(x)
-    if not values:
+        lines = list(map(str.strip, fh))
+    texts = [text for text in lines if text and text[0] != "#"]
+    values = []
+    for text in texts:   # up to the first line that is no decimal
+        try:
+            values.append(float(text))
+        except ValueError:
+            break
+    x = np.array(values)
+    if rescale is not None:
+        x = (x - lo) / (hi - lo)
+    outside = np.flatnonzero(~((x >= 0.0) & (x <= 1.0)))
+    first = outside[0] if outside.size else x.size
+    if first < len(texts):
+        # the first bad line in file order, out of range or no decimal; an
+        # equal line before it would have failed first, so index finds it
+        lineno = lines.index(texts[first]) + 1
+        if outside.size:
+            raise ValueError("line %d of %s: value %r outside [0, 1]"
+                             % (lineno, path, float(x[first])))
+        raise ValueError("line %d of %s: not a decimal value: %r"
+                         % (lineno, path, texts[first]))
+    if not texts:
         raise ValueError("no observations in %s" % path)
-    return Sample(values)
+    return Sample(x)
 
 
 def make_density(name, rate):

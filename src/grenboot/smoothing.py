@@ -242,10 +242,20 @@ def _raw_pieces(x, coefficients, h):
     shifted = np.zeros((deg + 1, at.size))
     for b in block[np.minimum(first, n - 1)] + np.arange(4)[:, None]:
         lo_i = np.maximum(first, start[b])
-        window = prefix[:, np.maximum(np.minimum(last, start[b + 1]), lo_i)] - prefix[:, lo_i]
+        # in place, so one (deg + 1) x knots array fewer is alive at once
+        window = prefix[:, np.maximum(np.minimum(last, start[b + 1]), lo_i)]
+        window -= prefix[:, lo_i]
+        # powers of the offset by products, not d ** k: for the blocks right
+        # of the first, d is mostly negative, and numpy's power on negative
+        # bases falls back to scalar pow (d ** 3 on 150k doubles: 25 ms, and
+        # 0.6 ms when d > 0, numpy 2.4); d * d is numpy's d ** 2 exactly, so
+        # degree 2 kernels give the same bits
         d = at - (h * b + 0.5 * h)
+        d_pow = [1.0, d]
+        for _ in range(deg - 1):
+            d_pow.append(d_pow[-1] * d)
         for r in range(deg + 1):
-            shifted[r] += sum(comb(r, m) * (-1.0) ** m * d ** (r - m) * window[m]
+            shifted[r] += sum(comb(r, m) * (-1.0) ** m * d_pow[r - m] * window[m]
                               for m in range(r + 1))
     # ascending coefficients of (1/(n h)) sum_i K((knot + s - X_i) / h) in s
     rows = max(deg, 1) + 1

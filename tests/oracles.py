@@ -30,6 +30,7 @@ through every offset of the window in turn and keeping the first strict
 improvement, with no concave majorant and no vectorised argmax.
 """
 
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -254,7 +255,12 @@ class DirectSmoother:
         if self.s_hi < 0.0 and self.f_hi + h * self.s_hi < 0.0:
             knots.append(max(self.hi - self.f_hi / self.s_hi, self.hi))
         self.knots = np.unique(knots)
-        self.mass = gauss_legendre(self.positive, self.knots)
+
+    @cached_property
+    def mass(self):
+        # on first use: the quadrature sums every observation at every node,
+        # which costs seconds at a few thousand observations
+        return gauss_legendre(self.positive, self.knots)
 
     def extended(self, t, order=0):
         t = np.atleast_1d(np.asarray(t, dtype=float))

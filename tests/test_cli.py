@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from grenboot.cli import main
+from grenboot.cli import main, read_observations
 from grenboot.parallel import default_threads
 
 
@@ -109,6 +109,27 @@ def test_fit_out_of_range_line(tmp_path, capsys):
     data.write_text("0.5\n1.5\n")
     assert run_cli(["fit", "--data", data, "--out", tmp_path / "fit"]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+def test_read_observations_names_first_bad_line_in_file_order(tmp_path):
+    data = tmp_path / "bad.txt"
+    data.write_text("# header\n1.5\n\nbogus\n0.5\n")
+    with pytest.raises(ValueError) as err:
+        read_observations(str(data))
+    assert str(err.value) == "line 2 of %s: value 1.5 outside [0, 1]" % data
+    data.write_text("0.5\n\n0.25\nbogus\n1.5\n")
+    with pytest.raises(ValueError) as err:
+        read_observations(str(data))
+    assert str(err.value) == "line 4 of %s: not a decimal value: 'bogus'" % data
+
+
+def test_read_observations_rescale_is_bit_identical(tmp_path):
+    texts = ["0.1", "7.9", "3.3333333333333335", "8", "0", "5.55e-1"]
+    data = tmp_path / "wide.txt"
+    data.write_text("\n".join(["# raw"] + texts) + "\n")
+    got = read_observations(str(data), rescale=(0, 8)).values
+    want = sorted((float(s) - 0.0) / 8.0 for s in texts)
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_fit_rescale(tmp_path):

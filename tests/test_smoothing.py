@@ -350,6 +350,31 @@ def test_property_ppoly_matches_direct_sums(inputs, extra):
         assert np.max(np.abs(fast - direct), initial=0.0) <= 1e-9 * scale, order
 
 
+TRIWEIGHT = Kernel("triweight", [35 / 32, 0, -105 / 32, 0, 105 / 32, 0, -35 / 32])
+
+
+@pytest.mark.parametrize("kernel", [BIWEIGHT, TRIWEIGHT], ids=lambda k: k.name)
+def test_ppoly_matches_direct_sums_at_real_size(kernel):
+    # thousands of observations per block and a degree 6 kernel, which the
+    # property test above never draws: the window power sums and the powers
+    # of the knot offsets reach their largest here
+    n = 4000
+    s = sample_from_analytic(triangular_density(), n, RngStream(53))
+    h = DEFAULT_L1_RULE.bandwidth(n)
+    sd, oracle = SmoothedDensity(s, kernel, h), DirectSmoother(s.values, kernel, h)
+    knots = oracle.knots
+    t = np.concatenate([np.linspace(0.0, 1.0, 1001), knots[::4]])
+    for order in (0, 1, 2):
+        if order:
+            i = np.clip(np.searchsorted(knots, t), 1, knots.size - 1)
+            gap = np.minimum(t - knots[i - 1], knots[i] - t)
+            t = t[gap > 1e-9]
+        direct = oracle.extended(t, order)
+        one = np.max(np.abs(kernel.deriv(np.linspace(-1.0, 1.0, 201), order)))
+        scale = max(np.max(np.abs(direct)), one / (n * h ** (order + 1)))
+        assert np.max(np.abs(sd.extended(t, order) - direct)) <= 1e-9 * scale, order
+
+
 @given(smoother_inputs())
 @settings(max_examples=100, deadline=None)
 def test_property_exact_l1_matches_quadrature(inputs):
