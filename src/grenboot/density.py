@@ -175,14 +175,17 @@ def grenander_fit(sample):
     degenerate (unbounded first slope) and raises
     :class:`DegenerateEstimateError`.
     """
-    jumps, counts = np.unique(sample.values, return_counts=True)
-    if jumps[0] <= 0.0:
+    v = sample.values
+    if v[0] <= 0.0:
         raise DegenerateEstimateError(
             "observation at exactly 0 gives a degenerate monotone MLE; "
             "shift or rescale the data away from 0"
         )
-    xs = np.concatenate([[0.0], jumps])
-    ys = np.concatenate([[0.0], np.cumsum(counts) / sample.n])
+    # the values are sorted, so each run of ties ends where its neighbour
+    # differs
+    last = np.append(np.flatnonzero(v[1:] != v[:-1]), v.size - 1)
+    xs = np.concatenate([[0.0], v[last]])
+    ys = np.concatenate([[0.0], (last + 1) / sample.n])
     if xs[-1] < 1.0:
         xs = np.append(xs, 1.0)
         ys = np.append(ys, 1.0)
@@ -301,14 +304,27 @@ def trunc_exp_density(rate=1.0):
     )
 
 
-def _reexpand(pp, x, degree):
-    """Coefficients of ``pp`` about the left end of each piece of ``x``, a
-    refinement of its breakpoints, padded to ``degree``."""
-    left = x[:-1]
+def _reexpand(pp, left, degree):
+    """Coefficients of ``pp`` about each point of ``left``, padded to
+    ``degree``: the column of the piece that starts there once ``pp`` is
+    split at those points."""
     c = np.empty((degree + 1, left.size))
     for q in range(degree + 1):
         c[degree - q] = pp(left, nu=q) / factorial(q)
     return c
+
+
+def _split(pp, at):
+    """``pp``'s breakpoints joined with the points of the sorted, distinct
+    ``at`` inside its pieces, and its coefficients on them. Only the pieces
+    that start at a new point are re-expanded; the others keep their
+    columns."""
+    at = at[(at > pp.x[0]) & (at < pp.x[-1])]
+    j = np.searchsorted(pp.x, at)
+    new = pp.x[j] != at
+    at, j = at[new], j[new]
+    return (np.insert(pp.x, j, at),
+            np.insert(pp.c, j, _reexpand(pp, at, pp.c.shape[0] - 1), axis=1))
 
 
 def _l1_exact(pa, pb):
@@ -321,7 +337,7 @@ def _l1_exact(pa, pb):
     """
     x = np.union1d(pa.x, pb.x)
     k = max(pa.c.shape[0], pb.c.shape[0]) - 1
-    diff = PPoly(_reexpand(pa, x, k) - _reexpand(pb, x, k), x)
+    diff = PPoly(_reexpand(pa, x[:-1], k) - _reexpand(pb, x[:-1], k), x)
     # a piece whose constant term exceeds the rest of its Taylor bound keeps
     # one sign; hand the root finder a constant there instead
     c = diff.c

@@ -8,7 +8,7 @@ what makes runs over several worker processes byte-identical to serial ones.
 
 import numpy as np
 
-from .density import Sample
+from .density import Sample, _spread_and_integral, _split
 
 __all__ = [
     "RngStream",
@@ -87,6 +87,29 @@ def envelope_bound(smoothed):
     return bound
 
 
+# a power of two, so t * _CELLS and k / _CELLS are exact
+_CELLS = 4096
+
+
+def _squeeze_table(ext, envelope):
+    """Lower and upper bounds of max(ext, 0) on each cell [k, k+1) / 4096,
+    for the piecewise polynomial ``ext`` on [0, 1].
+
+    ``ext`` is split at the cell edges and each sub-piece bounded by its
+    range bound c0 +- sum_{q>=1} |c_q| w^q. The bounds are widened by
+    1e-9 ``envelope``, far above the rounding of evaluating ``ext``, so
+    they bracket its computed values too.
+    """
+    edges = np.arange(_CELLS + 1) / _CELLS
+    x, c = _split(ext, edges)
+    rest = _spread_and_integral(c[::-1], np.diff(x))[0]
+    start = np.searchsorted(x, edges[:-1])
+    margin = 1e-9 * envelope
+    lo = np.maximum(np.minimum.reduceat(c[-1] - rest, start), 0.0) - margin
+    hi = np.maximum(np.maximum.reduceat(c[-1] + rest, start), 0.0) + margin
+    return lo, hi
+
+
 _WARMUP_PROPOSALS = 50000
 _MIN_ACCEPTANCE = 1e-4
 
@@ -97,7 +120,13 @@ def rejection_sample(smoothed, n, rng):
     Proposals are uniform on [0, 1] under the constant envelope
     ``smoothed.envelope``, which the smoother computes once with
     :func:`envelope_bound`; the target is the unnormalized truncated
-    extension, so no normalizer is needed. Batch sizes adapt to the running
+    extension, so no normalizer is needed. A squeeze decides most proposals
+    (Marsaglia 1977): ``smoothed.squeeze`` bounds the target on each cell
+    [k, k+1) / 4096, a proposal under the cell's lower bound is accepted and
+    one over its upper bound rejected, and only the rest, a fraction of a
+    percent, evaluate ``smoothed.extended``. The bounds bracket the computed
+    target, so every decision, and so every draw, is the one evaluating each
+    proposal would give. Batch sizes adapt to the running
     acceptance-rate estimate but depend only on deterministic quantities,
     keeping the draw reproducible. An acceptance rate below 1e-4 once 50000
     or more proposals have been made raises :class:`EnvelopeError`.
@@ -106,6 +135,7 @@ def rejection_sample(smoothed, n, rng):
     if n < 1:
         raise ValueError("n must be at least 1")
     bound = smoothed.envelope
+    lo, hi = smoothed.squeeze
     gen = rng.gen
     kept = []
     got = 0
@@ -118,8 +148,13 @@ def rejection_sample(smoothed, n, rng):
             batch = int(min(65536, max(256, 1.25 * (n - got) / rate)))
         t = gen.uniform(size=batch)
         u = gen.uniform(0.0, bound, size=batch)
-        target = np.maximum(np.asarray(smoothed.extended(t, 0)), 0.0)
-        acc = t[u <= target]
+        k = (t * _CELLS).astype(np.intp)
+        keep = u <= lo[k]
+        near = np.flatnonzero(~keep & (u <= hi[k]))
+        if near.size:
+            keep[near] = u[near] <= np.maximum(
+                np.asarray(smoothed.extended(t[near], 0)), 0.0)
+        acc = t[keep]
         kept.append(acc)
         got += acc.size
         proposed += batch

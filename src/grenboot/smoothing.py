@@ -10,15 +10,16 @@ exactly at two levels: "pointwise" suffices for pointwise bootstrap limits,
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.interpolate import PPoly
 
-from .density import (DegenerateEstimateError, Sample, _as_array, _reexpand,
-                      _ret)
-from .resampling import envelope_bound
+from .density import (DegenerateEstimateError, Sample, _as_array, _ret,
+                      _split)
+from .resampling import _squeeze_table, envelope_bound
 
 __all__ = [
     "Kernel",
@@ -292,6 +293,10 @@ class SmoothedDensity:
     envelope : float
         Upper bound of the truncated extension for rejection sampling,
         :func:`~grenboot.resampling.envelope_bound` of this estimate.
+    squeeze : tuple of ndarray
+        Lower and upper bounds of the truncated extension on each of 4096
+        equal cells of [0, 1], which decide most rejection proposals without
+        evaluating it; built on first use.
     """
 
     def __init__(self, sample, kernel, h):
@@ -328,8 +333,7 @@ class SmoothedDensity:
         self.quad_breakpoints = np.unique(np.asarray(pieces))
 
         # positive part: split at the sign breaks, zero the negative pieces
-        x = np.union1d(self._ext.x, self.quad_breakpoints)
-        coef = _reexpand(self._ext, x, raw.shape[0] - 1)
+        x, coef = _split(self._ext, self.quad_breakpoints)
         coef[:, self._ext(0.5 * (x[:-1] + x[1:])) < 0.0] = 0.0
         self._cdf = PPoly(coef, x).antiderivative()
         self.normalizer = float(self._cdf(1.0))
@@ -344,6 +348,11 @@ class SmoothedDensity:
             )
         self.ppoly = PPoly(coef / self.normalizer, x)
         self.envelope = envelope_bound(self)
+
+    @cached_property
+    def squeeze(self):
+        # built on first draw, not here: fit never samples
+        return _squeeze_table(self._ext, self.envelope)
 
     def extended(self, t, order=0):
         """Raw estimate glued to its linear boundary extensions, on [0, 1].

@@ -25,6 +25,14 @@ The L1 and shape-integral oracles split their quadrature at every sign
 change of the functions involved, found by a fine scan refined with brentq
 rather than from polynomial roots or monotonicity.
 
+The ties oracle fits the Grenander estimator as the package does, but
+finds the support points and their counts with ``np.unique``, which sorts
+the data again, instead of from the runs of the sorted sample.
+
+The rejection-sampling oracle evaluates the smoother at every proposal, with
+no squeeze; it draws the same uniforms in the same batches as the package's
+sampler, so the two must agree bit for bit.
+
 The windowed-argmax oracle finds xi(t) on a simulated path by stepping
 through every offset of the window in turn and keeping the first strict
 improvement, with no concave majorant and no vectorised argmax.
@@ -34,7 +42,9 @@ from functools import cached_property
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, isotonic_regression
+
+from grenboot import EnvelopeError, Sample
 
 
 def brute_force_lcm(sample_values, eval_points):
@@ -73,6 +83,49 @@ def brute_force_grenander_heights(sample_values):
     knots = np.concatenate([[0.0], x, [] if x[-1] == 1.0 else [1.0]])
     vals = brute_force_lcm(sample_values, knots)
     return np.diff(vals) / np.diff(knots), knots[1:]
+
+
+def unique_grenander(sample):
+    """Breakpoints and heights of the Grenander estimator of ``sample``,
+    with the support and its counts from ``np.unique``."""
+    jumps, counts = np.unique(sample.values, return_counts=True)
+    xs = np.concatenate([[0.0], jumps])
+    ys = np.concatenate([[0.0], np.cumsum(counts) / sample.n])
+    if xs[-1] < 1.0:
+        xs = np.append(xs, 1.0)
+        ys = np.append(ys, 1.0)
+    gap = np.diff(xs)
+    idx = isotonic_regression(np.diff(ys) / gap, weights=gap,
+                              increasing=False).blocks
+    vx, vy = xs[idx], ys[idx]
+    return vx[1:], np.diff(vy) / np.diff(vx)
+
+
+def every_proposal_sample(smoothed, n, rng):
+    """n draws from the normalized smoother by rejection under the constant
+    ``smoothed.envelope``, evaluating the truncated extension at every
+    proposal."""
+    bound = smoothed.envelope
+    gen = rng.gen
+    kept = []
+    got = 0
+    proposed = 0
+    while got < n:
+        if proposed == 0:
+            batch = min(8192, max(512, 2 * n))
+        else:
+            rate = max(got, 1) / proposed
+            batch = int(min(65536, max(256, 1.25 * (n - got) / rate)))
+        t = gen.uniform(size=batch)
+        u = gen.uniform(0.0, bound, size=batch)
+        target = np.maximum(np.asarray(smoothed.extended(t, 0)), 0.0)
+        acc = t[u <= target]
+        kept.append(acc)
+        got += acc.size
+        proposed += batch
+        if proposed >= 50000 and got < 1e-4 * proposed:
+            raise EnvelopeError("acceptance rate collapsed")
+    return Sample(np.concatenate(kept)[:n])
 
 
 def hull_majorant(values):

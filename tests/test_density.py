@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from grenboot import (AnalyticDensity, DegenerateEstimateError, RngStream,
                       Sample, StepDensity, grenander_fit, l1_distance,
-                      l1_shape_integral, rate_constant, sample_from_analytic,
-                      sup_distance, triangular_density, trunc_exp_density,
-                      uniform_density)
-from .oracles import brute_force_grenander_heights, hull_majorant, l1_to_step
+                      l1_shape_integral, multinomial_bootstrap, rate_constant,
+                      sample_from_analytic, sup_distance, triangular_density,
+                      trunc_exp_density, uniform_density)
+from .oracles import (brute_force_grenander_heights, hull_majorant,
+                      l1_to_step, unique_grenander)
 
 unit_floats = st.floats(0.001, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -88,6 +89,30 @@ def test_grenander_matches_brute_force_oracle():
         oracle_h, oracle_x = brute_force_grenander_heights(s.values)
         ours = fit(oracle_x - 1e-9)
         assert np.all(np.abs(ours - oracle_h) < 1e-12), (s.values, ours, oracle_h)
+
+
+def test_grenander_on_bootstrap_resamples_matches_oracles():
+    # a multinomial resample repeats about a third of its points, so the
+    # runs of ties are what the fit reads its counts from
+    rng = RngStream(19)
+    for trial in range(200):
+        n = int(rng.substream(trial).gen.integers(1, 9))
+        data = sample_from_analytic(triangular_density(), n,
+                                    rng.substream(trial, 0))
+        star = multinomial_bootstrap(data, rng.substream(trial, 1))
+        fit = grenander_fit(star)
+        oracle_h, oracle_x = brute_force_grenander_heights(star.values)
+        assert np.all(np.abs(fit(oracle_x - 1e-9) - oracle_h) < 1e-12)
+        bp, hv = unique_grenander(star)
+        assert np.array_equal(fit.breakpoints, bp)
+        assert np.array_equal(fit.heights, hv)
+    data = sample_from_analytic(triangular_density(), 1000, rng)
+    for b in range(20):
+        star = multinomial_bootstrap(data, rng.substream(1000, b))
+        fit = grenander_fit(star)
+        bp, hv = unique_grenander(star)
+        assert np.array_equal(fit.breakpoints, bp)
+        assert np.array_equal(fit.heights, hv)
 
 
 def test_grenander_invariants_larger_n():

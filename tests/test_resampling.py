@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from grenboot import (EPANECHNIKOV, EnvelopeError, RngStream, Sample,
-                      SmoothedDensity, envelope_bound, fit_smoothed,
-                      multinomial_bootstrap, rejection_sample,
-                      sample_from_analytic, triangular_density,
-                      uniform_density)
+from grenboot import (BIWEIGHT, DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
+                      EPANECHNIKOV, DegenerateEstimateError, EnvelopeError,
+                      Kernel, RngStream, Sample, SmoothedDensity,
+                      envelope_bound, fit_smoothed, multinomial_bootstrap,
+                      rejection_sample, sample_from_analytic,
+                      triangular_density, trunc_exp_density, uniform_density)
+from .oracles import every_proposal_sample
 
 
 # -- RngStream -----------------------------------------------------------------
@@ -112,6 +116,10 @@ class _FlatTarget:
     def __init__(self, c):
         self.c = c
         self.quad_breakpoints = np.array([0.0, 1.0])
+        # per-cell bounds of the target for the sampler's squeeze: c itself,
+        # widened by a margin, on each of the 4096 cells
+        self.squeeze = (np.full(4096, c * (1.0 - 1e-9)),
+                        np.full(4096, c * (1.0 + 1e-9)))
 
     def extended(self, t, order=0):
         t = np.asarray(t, dtype=float)
@@ -179,3 +187,78 @@ def test_rejection_deterministic():
     a = rejection_sample(sd, 300, RngStream(22))
     b = rejection_sample(sd, 300, RngStream(22))
     assert np.array_equal(a.values, b.values)
+
+
+_TRI_1000 = sample_from_analytic(triangular_density(), 1000, RngStream(23))
+
+SQUEEZE_CASES = {
+    "epanechnikov": lambda: SmoothedDensity(
+        _TRI_1000, EPANECHNIKOV, DEFAULT_POINTWISE_RULE.bandwidth(1000)),
+    "biweight": lambda: SmoothedDensity(
+        _TRI_1000, BIWEIGHT, DEFAULT_L1_RULE.bandwidth(1000)),
+    "single_point": lambda: SmoothedDensity(Sample([0.5]), EPANECHNIKOV, 0.2),
+    # the right extension crosses zero at about 0.867
+    "zero_crossing": lambda: SmoothedDensity(
+        Sample(np.linspace(0.05, 0.7, 40)), BIWEIGHT, 0.2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SQUEEZE_CASES))
+def test_rejection_squeeze_matches_every_proposal_oracle(case):
+    sd = SQUEEZE_CASES[case]()
+    if case == "zero_crossing":
+        assert sd.quad_breakpoints.size == 5
+    for seed in range(24, 28):
+        for n in (1, 1000):
+            ours = rejection_sample(sd, n, RngStream(seed, (n,)))
+            oracle = every_proposal_sample(sd, n, RngStream(seed, (n,)))
+            assert np.array_equal(ours.values, oracle.values), (seed, n)
+
+
+def test_rejection_squeeze_matches_oracle_at_supersample_size():
+    # the band's default supersample size, which takes several batches
+    sd = SQUEEZE_CASES["biweight"]()
+    ours = rejection_sample(sd, 31623, RngStream(28))
+    oracle = every_proposal_sample(sd, 31623, RngStream(28))
+    assert np.array_equal(ours.values, oracle.values)
+
+
+# dips below zero, so the raw estimate can go negative inside [h, 1-h]
+FOURTH_ORDER = Kernel("fourth_order", [45 / 32, 0.0, -150 / 32, 0.0, 105 / 32])
+
+
+@st.composite
+def squeeze_smoothers(draw):
+    """Smoothers with n from 1 to 400 and h from 0.01 to 0.5, on triangular
+    or trunc-exp data, some rounded to 2 or 3 decimals so ties are common."""
+    n = draw(st.integers(1, 400))
+    density = draw(st.sampled_from([triangular_density(),
+                                    trunc_exp_density(2.0)]))
+    seed = draw(st.integers(0, 10 ** 6))
+    values = sample_from_analytic(density, n, RngStream(seed)).values
+    decimals = draw(st.sampled_from([None, 2, 3]))
+    if decimals is not None:
+        values = np.round(values, decimals)
+    kernel = draw(st.sampled_from([EPANECHNIKOV, BIWEIGHT, FOURTH_ORDER]))
+    h = draw(st.floats(0.01, 0.5))
+    try:
+        return SmoothedDensity(Sample(values), kernel, h)
+    except DegenerateEstimateError:
+        assume(False)
+
+
+@given(squeeze_smoothers(),
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
+@settings(max_examples=100, deadline=None)
+def test_property_squeeze_brackets_target(sd, extra):
+    # random points, every knot of the extension and the point just below
+    # it, and every cell edge: the sampler draws t from [0, 1)
+    knots = sd._ext.x
+    t = np.concatenate([extra, RngStream(30).gen.uniform(size=5000), knots,
+                        np.nextafter(knots[1:], 0.0), np.arange(4096) / 4096])
+    t = t[t < 1.0]
+    lo, hi = sd.squeeze
+    k = (t * 4096).astype(int)
+    target = np.maximum(sd.extended(t), 0.0)
+    assert np.all(lo[k] <= target)
+    assert np.all(target <= hi[k])
