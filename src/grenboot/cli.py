@@ -144,7 +144,7 @@ def make_density(name, rate):
     if name == "triangular":
         return triangular_density()
     if name == "trunc-exp":
-        return trunc_exp_density(rate)
+        return _usage_guard(trunc_exp_density, rate)
     raise UsageError("unknown density %r (choose uniform, triangular, trunc-exp)"
                      % name)
 
@@ -157,6 +157,11 @@ def _usage_guard(fn, *a, **kw):
         raise
     except ValueError as e:
         raise UsageError(str(e)) from None
+
+
+def _root_stream(args):
+    """The stream that --seed names; a bad seed is a usage error."""
+    return _usage_guard(RngStream, args.seed)
 
 
 def _resolve_threads(args):
@@ -219,7 +224,7 @@ def cmd_gen(args):
     density = make_density(args.density, args.rate)
     if args.n < 1:
         raise UsageError("--n must be at least 1")
-    rng = RngStream(args.seed)
+    rng = _root_stream(args)
     t0 = time.monotonic()
     sample = sample_from_analytic(density, args.n, rng)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -266,7 +271,7 @@ def cmd_ci(args):
     result = _usage_guard(
         smoothed_pointwise_ci,
         sample, args.t0, level=args.level, n_boot=args.boot, kernel=kernel,
-        rule=rule, rng=RngStream(args.seed), threads=threads)
+        rule=rule, rng=_root_stream(args), threads=threads)
     return [args.data], result.summary_dict(), [
         (".csv", ["replicate", "deviation"],
          [{"replicate": b, "deviation": d}
@@ -280,7 +285,7 @@ def cmd_band(args):
     sample = read_observations(args.data, args.rescale)
     result = _usage_guard(
         l1_band, sample, level=args.level, n_boot=args.boot, m=args.m,
-        kernel=kernel, rule=rule, rng=RngStream(args.seed), threads=threads)
+        kernel=kernel, rule=rule, rng=_root_stream(args), threads=threads)
     return [args.data], result.summary_dict(), [
         (".csv", ["replicate", "l1_value", "standardized"],
          [{"replicate": b, "l1_value": l, "standardized": s}
@@ -295,7 +300,7 @@ def cmd_limits(args):
         n_paths=args.paths, lag_max=args.lag_max, lag_step=args.lag_step,
         n_batches=args.batches)
     threads = _resolve_threads(args)
-    rng = RngStream(args.seed)
+    rng = _root_stream(args)
     # the scaling check runs first, so a bad scaling flag is a usage error
     # before the long constants run; its stream is independent of theirs
     scaling = None
@@ -313,7 +318,7 @@ def cmd_limits(args):
 @_writes_outputs
 def cmd_experiment(args):
     threads = _resolve_threads(args)
-    rng = RngStream(args.seed)
+    rng = _root_stream(args)
     truth = make_density(args.density, args.rate)
     inputs = []
     if args.name in ("inconsistency", "l1clt"):

@@ -327,31 +327,6 @@ def _split(pp, at):
             np.insert(pp.c, j, _reexpand(pp, at, pp.c.shape[0] - 1), axis=1))
 
 
-def _l1_exact(pa, pb):
-    """Exact integral of |pa - pb| for two piecewise polynomials on [0, 1].
-
-    Both are re-expanded on the merged breakpoints. Between consecutive
-    roots of the difference its sign is fixed, so the integral is a sum of
-    absolute antiderivative increments. A step density against a piecewise
-    polynomial goes through :func:`_l1_steps` instead.
-    """
-    x = np.union1d(pa.x, pb.x)
-    k = max(pa.c.shape[0], pb.c.shape[0]) - 1
-    diff = PPoly(_reexpand(pa, x[:-1], k) - _reexpand(pb, x[:-1], k), x)
-    # a piece whose constant term exceeds the rest of its Taylor bound keeps
-    # one sign; hand the root finder a constant there instead
-    c = diff.c
-    width = np.diff(x)
-    rest = sum(np.abs(c[k - q]) * width ** q for q in range(1, k + 1))
-    one_sign = np.abs(c[k]) > rest
-    probe = np.where(one_sign, 0.0, c)
-    probe[k, one_sign] = 1.0
-    roots = PPoly(probe, x).roots(discontinuity=False, extrapolate=False)
-    # identically zero pieces report nan
-    z = np.union1d(x, roots[np.isfinite(roots)])
-    return float(np.sum(np.abs(np.diff(diff.antiderivative()(z)))))
-
-
 def _spread_and_integral(coef, width):
     """For pieces with ascending Taylor coefficients ``coef`` about their
     left ends: the bound sum_{q>=1} |c_q| w^q on how far each strays from
@@ -480,13 +455,13 @@ def _monotone_with_cdf(d):
 def l1_distance(a, b):
     """Exact L1 distance between two densities on [0, 1].
 
-    Three pairs are supported, each in either order: a
-    :class:`StepDensity` against a piecewise polynomial exposed as a
-    ``ppoly`` attribute (another step density, the kernel smoother), by the
-    same batched computation that :func:`~grenboot.inference.l1_band` runs
-    on all of its refits at once; a :class:`StepDensity` against a
-    nonincreasing :class:`AnalyticDensity` with a ``cdf``; and two other
-    densities with a ``ppoly``. Any other pair raises ValueError.
+    Two pairs are supported, each in either order: a :class:`StepDensity`
+    against a piecewise polynomial exposed as a ``ppoly`` attribute (another
+    step density, the kernel smoother), by the same batched computation that
+    :func:`~grenboot.inference.l1_band` runs on all of its refits at once;
+    and a :class:`StepDensity` against a nonincreasing
+    :class:`AnalyticDensity` with a ``cdf``. Any other pair raises
+    ValueError.
     """
     step, other = (a, b) if isinstance(a, StepDensity) else (b, a)
     if isinstance(step, StepDensity):
@@ -495,14 +470,9 @@ def l1_distance(a, b):
             return float(_l1_steps([step], pp)[0])
         if _monotone_with_cdf(other):
             return _l1_step_monotone(step, other)
-    else:
-        pa = getattr(a, "ppoly", None)
-        pb = getattr(b, "ppoly", None)
-        if pa is not None and pb is not None:
-            return _l1_exact(pa, pb)
     raise ValueError(
-        "l1_distance is exact only for two densities with a ppoly, or a "
-        "StepDensity and a nonincreasing AnalyticDensity with a cdf; got "
+        "l1_distance is exact only for a StepDensity against a density with "
+        "a ppoly, or against a nonincreasing AnalyticDensity with a cdf; got "
         "%r and %r" % (a, b))
 
 

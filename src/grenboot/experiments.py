@@ -41,14 +41,12 @@ def _check_replicates(replicates, least):
 
 def run_pointwise_coverage(truth, n=500, replicates=200, n_boot=200,
                            level=0.90, t0=0.5, kernel=EPANECHNIKOV,
-                           rule=DEFAULT_POINTWISE_RULE, rng=None, threads=1):
+                           rule=DEFAULT_POINTWISE_RULE, *, rng, threads=1):
     """Monte Carlo coverage of the smoothed-bootstrap pointwise interval.
 
     Each replicate draws fresh data from ``truth``, builds the interval at
     ``t0``, and records whether the true density value is covered.
     """
-    if rng is None:
-        raise ValueError("an RngStream is required")
     _check_replicates(replicates, 1)
     target = float(truth(t0))
 
@@ -93,15 +91,13 @@ def run_pointwise_coverage(truth, n=500, replicates=200, n_boot=200,
 
 def run_band_coverage(truth, n=1000, replicates=100, n_boot=300, m=20000,
                       level=0.95, kernel=BIWEIGHT, rule=DEFAULT_L1_RULE,
-                      rng=None, threads=1):
+                      *, rng, threads=1):
     """Monte Carlo coverage of the L1 confidence band.
 
     Besides the hit rate, the pooled mean of the standardized replicate
     values across all data replicates is reported: by the limit law it is
     centered at 0 up to the supersample centering noise.
     """
-    if rng is None:
-        raise ValueError("an RngStream is required")
     _check_replicates(replicates, 1)
 
     def one(r):
@@ -149,7 +145,7 @@ def run_band_coverage(truth, n=1000, replicates=100, n_boot=300, m=20000,
 
 
 def run_inconsistency(truth, constants, n=2000, replicates=2000, t0=0.5,
-                      rng=None, threads=1):
+                      *, rng, threads=1):
     """Unconditional variance of naive-bootstrap deviations at a point.
 
     Each replicate draws fresh data and one multinomial resample; the
@@ -159,8 +155,6 @@ def run_inconsistency(truth, constants, n=2000, replicates=2000, t0=0.5,
     The correlation between the bootstrap deviation (about the fit) and the
     sampling deviation (about the truth) is reported alongside.
     """
-    if rng is None:
-        raise ValueError("an RngStream is required")
     _check_replicates(replicates, 2)
     if n < 2:
         # the only resample of one point is the point: no bootstrap spread
@@ -232,7 +226,7 @@ def run_inconsistency(truth, constants, n=2000, replicates=2000, t0=0.5,
 
 def run_rate(truth, n_grid=(1000, 3162, 10000, 31623), replicates=50,
              kernel=BIWEIGHT, rule=DEFAULT_L1_RULE, t0=0.5, grid_size=2001,
-             rng=None, threads=1):
+             *, rng, threads=1):
     """Convergence rates of the kernel smoother and the Grenander estimator.
 
     Per replicate, one block of uniforms is drawn at the largest n and its
@@ -243,8 +237,6 @@ def run_rate(truth, n_grid=(1000, 3162, 10000, 31623), replicates=50,
     Grenander fit at t0, and the cube-root-scaled sup-error medians whose
     decrease exhibits the o(n^(-1/3)) sup-norm behavior.
     """
-    if rng is None:
-        raise ValueError("an RngStream is required")
     if not kernel_satisfies(kernel, "l1"):
         raise ValueError("the rate experiment evaluates second derivatives; "
                          "kernel %s fails the l1-level conditions" % kernel.name)
@@ -325,15 +317,13 @@ def run_rate(truth, n_grid=(1000, 3162, 10000, 31623), replicates=50,
     return summary, rows
 
 
-def run_l1_clt(truth, constants, n=1000, replicates=200, rng=None, threads=1):
+def run_l1_clt(truth, constants, n=1000, replicates=200, *, rng, threads=1):
     """Standardized L1 errors of the Grenander fit vs the normal reference.
 
     T_r = n^(1/6) (n^(1/3) ||fit - truth||_1 - mu(truth)) with mu from the
     Monte Carlo constants; the summary compares the empirical mean/variance
     against N(0, sigma^2) and reports a KS p-value.
     """
-    if rng is None:
-        raise ValueError("an RngStream is required")
     _check_replicates(replicates, 2)
     if not constants.l1_variance > 0.0:
         raise ValueError("the limit constants' l1_variance must be positive, "

@@ -85,7 +85,7 @@ def _check_level(level):
 
 def smoothed_pointwise_ci(sample, t0, level=0.95, n_boot=500,
                           kernel=EPANECHNIKOV, rule=DEFAULT_POINTWISE_RULE,
-                          rng=None, threads=1):
+                          *, rng, threads=1):
     """Smoothed-bootstrap confidence interval for the density at t0.
 
     Each replicate redraws n points from the kernel smooth, refits the
@@ -101,8 +101,6 @@ def smoothed_pointwise_ci(sample, t0, level=0.95, n_boot=500,
     _check_level(level)
     if n_boot < 20:
         raise ValueError("need at least 20 bootstrap replicates")
-    if rng is None:
-        raise ValueError("an RngStream is required")
     if rule.regime != "pointwise":
         raise ValueError("pointwise intervals need a pointwise-regime bandwidth rule")
     if not kernel_satisfies(kernel, "pointwise"):
@@ -188,7 +186,7 @@ _SUPERSAMPLE_CAP = 200000
 
 
 def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
-            rule=DEFAULT_L1_RULE, rng=None, threads=1):
+            rule=DEFAULT_L1_RULE, *, rng, threads=1):
     """Fixed-radius L1 confidence band around the Grenander fit.
 
     The bootstrap L1 errors n^(1/3) * ||refit_b - smooth||_1 are centered
@@ -209,8 +207,6 @@ def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
     _check_level(level)
     if n_boot < 50:
         raise ValueError("need at least 50 bootstrap replicates")
-    if rng is None:
-        raise ValueError("an RngStream is required")
     if rule.regime != "l1":
         raise ValueError("L1 bands need an l1-regime bandwidth rule")
     if not kernel_satisfies(kernel, "l1"):

@@ -34,6 +34,9 @@ class RngStream:
 
     def __init__(self, seed, path=()):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer, got %d"
+                             % self.seed)
         self.path = tuple(int(p) for p in path)
         if any(p < 0 for p in self.path):
             raise ValueError("path indices must be nonnegative")
@@ -69,7 +72,8 @@ def multinomial_bootstrap(sample, rng):
 
 
 def envelope_bound(smoothed):
-    """Upper bound for the truncated extended estimate, for rejection sampling.
+    """Upper bound of the normalized smoothed density, for rejection
+    sampling.
 
     Grid maximum over 4096 points joined with the seam points, plus a
     Lipschitz slack max|slope| * grid spacing.
@@ -79,8 +83,8 @@ def envelope_bound(smoothed):
         np.linspace(0.0, 1.0, 4096),
         np.asarray(smoothed.quad_breakpoints, dtype=float),
     ]))
-    vals = np.maximum(np.asarray(smoothed.extended(grid, 0)), 0.0)
-    slopes = np.abs(np.asarray(smoothed.extended(grid, 1)))
+    vals = np.maximum(smoothed.ppoly(grid), 0.0)
+    slopes = np.abs(smoothed.ppoly(grid, 1))
     bound = float(np.max(vals) + np.max(slopes) * spacing)
     if not np.isfinite(bound) or bound <= 0.0:
         raise ValueError("degenerate rejection envelope %r" % bound)
@@ -91,17 +95,17 @@ def envelope_bound(smoothed):
 _CELLS = 4096
 
 
-def _squeeze_table(ext, envelope):
-    """Lower and upper bounds of max(ext, 0) on each cell [k, k+1) / 4096,
-    for the piecewise polynomial ``ext`` on [0, 1].
+def _squeeze_table(pp, envelope):
+    """Lower and upper bounds of max(pp, 0) on each cell [k, k+1) / 4096,
+    for the piecewise polynomial ``pp`` on [0, 1].
 
-    ``ext`` is split at the cell edges and each sub-piece bounded by its
+    ``pp`` is split at the cell edges and each sub-piece bounded by its
     range bound c0 +- sum_{q>=1} |c_q| w^q. The bounds are widened by
-    1e-9 ``envelope``, far above the rounding of evaluating ``ext``, so
+    1e-9 ``envelope``, far above the rounding of evaluating ``pp``, so
     they bracket its computed values too.
     """
     edges = np.arange(_CELLS + 1) / _CELLS
-    x, c = _split(ext, edges)
+    x, c = _split(pp, edges)
     rest = _spread_and_integral(c[::-1], np.diff(x))[0]
     start = np.searchsorted(x, edges[:-1])
     margin = 1e-9 * envelope
@@ -119,17 +123,17 @@ def rejection_sample(smoothed, n, rng):
 
     Proposals are uniform on [0, 1] under the constant envelope
     ``smoothed.envelope``, which the smoother computes once with
-    :func:`envelope_bound`; the target is the unnormalized truncated
-    extension, so no normalizer is needed. A squeeze decides most proposals
-    (Marsaglia 1977): ``smoothed.squeeze`` bounds the target on each cell
-    [k, k+1) / 4096, a proposal under the cell's lower bound is accepted and
-    one over its upper bound rejected, and only the rest, a fraction of a
-    percent, evaluate ``smoothed.extended``. The bounds bracket the computed
-    target, so every decision, and so every draw, is the one evaluating each
-    proposal would give. Batch sizes adapt to the running
-    acceptance-rate estimate but depend only on deterministic quantities,
-    keeping the draw reproducible. An acceptance rate below 1e-4 once 50000
-    or more proposals have been made raises :class:`EnvelopeError`.
+    :func:`envelope_bound`; the target is ``smoothed.ppoly``. A squeeze
+    decides most proposals (Marsaglia 1977): ``smoothed.squeeze`` bounds the
+    target on each cell [k, k+1) / 4096, a proposal under the cell's lower
+    bound is accepted and one over its upper bound rejected, and only the
+    rest, a fraction of a percent, evaluate ``smoothed.ppoly``. The bounds
+    bracket the computed target, so every decision, and so every draw, is
+    the one evaluating each proposal would give. Batch sizes adapt to the
+    running acceptance-rate estimate but depend only on deterministic
+    quantities, keeping the draw reproducible. An acceptance rate below 1e-4
+    once 50000 or more proposals have been made raises
+    :class:`EnvelopeError`.
     """
     n = int(n)
     if n < 1:
@@ -152,8 +156,7 @@ def rejection_sample(smoothed, n, rng):
         keep = u <= lo[k]
         near = np.flatnonzero(~keep & (u <= hi[k]))
         if near.size:
-            keep[near] = u[near] <= np.maximum(
-                np.asarray(smoothed.extended(t[near], 0)), 0.0)
+            keep[near] = u[near] <= smoothed.ppoly(t[near])
         acc = t[keep]
         kept.append(acc)
         got += acc.size

@@ -274,11 +274,11 @@ class SmoothedDensity:
     zero and rescaled to unit mass.
 
     The kernel is a polynomial, so the raw estimate is a piecewise polynomial
-    with knots at X_i +- h. Construction builds it once, glued to its linear
-    extensions, as one ``scipy.interpolate.PPoly`` on [0, 1]; evaluation and
-    derivatives read from it. The truncated and rescaled copy ``ppoly`` gives
-    the normalizer and the CDF by antiderivative and exact L1 distances.
-    At a knot, derivatives are those of the piece to its right.
+    with knots at X_i +- h. Construction glues it to its linear extensions,
+    zeroes the pieces where that is negative and divides by the mass left:
+    the result is one ``scipy.interpolate.PPoly``, ``ppoly``, that values,
+    derivatives, the CDF, the rejection sampler and the exact L1 distances
+    all read. At a knot, derivatives are those of the piece to its right.
 
     Attributes
     ----------
@@ -291,10 +291,10 @@ class SmoothedDensity:
     ppoly : scipy.interpolate.PPoly
         The normalized density on [0, 1].
     envelope : float
-        Upper bound of the truncated extension for rejection sampling,
+        Upper bound of the normalized density for rejection sampling,
         :func:`~grenboot.resampling.envelope_bound` of this estimate.
     squeeze : tuple of ndarray
-        Lower and upper bounds of the truncated extension on each of 4096
+        Lower and upper bounds of the normalized density on each of 4096
         equal cells of [0, 1], which decide most rejection proposals without
         evaluating it; built on first use.
     """
@@ -318,7 +318,7 @@ class SmoothedDensity:
         coef[:, 1:-1] = raw[:, :-2]
         coef[-2:, 0] = s_lo, f_lo - h * s_lo
         coef[-2:, -1] = s_hi, f_hi
-        self._ext = PPoly(coef, np.concatenate([[0.0], knots, [1.0]]))
+        ext = PPoly(coef, np.concatenate([[0.0], knots, [1.0]]))
 
         # right extension f_hi + (t - (1-h)) s_hi can cross zero; the left one
         # cannot (slope <= 0 walking right means it only grows toward 0), and
@@ -328,13 +328,13 @@ class SmoothedDensity:
             pieces.append(max(hi - f_hi / s_hi, hi))
         extremes = _extreme_values(kernel._poly)
         if np.min(extremes) < -1e-12 * np.max(np.abs(extremes)):
-            roots = self._ext.roots(discontinuity=False, extrapolate=False)
+            roots = ext.roots(discontinuity=False, extrapolate=False)
             pieces.extend(roots[(roots > lo) & (roots < hi)])
         self.quad_breakpoints = np.unique(np.asarray(pieces))
 
         # positive part: split at the sign breaks, zero the negative pieces
-        x, coef = _split(self._ext, self.quad_breakpoints)
-        coef[:, self._ext(0.5 * (x[:-1] + x[1:])) < 0.0] = 0.0
+        x, coef = _split(ext, self.quad_breakpoints)
+        coef[:, ext(0.5 * (x[:-1] + x[1:])) < 0.0] = 0.0
         self._cdf = PPoly(coef, x).antiderivative()
         self.normalizer = float(self._cdf(1.0))
         # the coefficients carry rounding relative to one observation's peak;
@@ -352,40 +352,27 @@ class SmoothedDensity:
     @cached_property
     def squeeze(self):
         # built on first draw, not here: fit never samples
-        return _squeeze_table(self._ext, self.envelope)
+        return _squeeze_table(self.ppoly, self.envelope)
 
-    def extended(self, t, order=0):
-        """Raw estimate glued to its linear boundary extensions, on [0, 1].
-
-        ``order`` 0/1/2 gives the value and first two derivatives; on the
-        extension pieces the derivative is the clamped seam slope and the
-        second derivative is 0.
-        """
-        if order not in (0, 1, 2):
-            raise ValueError("order must be 0, 1 or 2")
+    def _eval(self, t, nu):
+        """``ppoly`` or its derivative of order ``nu`` at points of [0, 1];
+        values are clamped at 0 against rounding next to a sign break."""
         arr, scalar = _as_array(t)
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise ValueError("evaluation point outside [0, 1]")
-        return _ret(self._ext(arr, nu=order), scalar)
-
-    # -- normalized density --------------------------------------------------
+        vals = self.ppoly(arr, nu)
+        return _ret(np.maximum(vals, 0.0) if nu == 0 else vals, scalar)
 
     def pdf(self, t):
-        """Normalized density: positive part of the extension over its mass."""
-        arr, scalar = _as_array(t)
-        vals = np.maximum(np.asarray(self.extended(arr, 0)), 0.0) / self.normalizer
-        return _ret(vals, scalar)
+        """Normalized density."""
+        return self._eval(t, 0)
 
     def __call__(self, t):
         return self.pdf(t)
 
     def dpdf(self, t):
         """Derivative of the normalized density; 0 where truncation is active."""
-        arr, scalar = _as_array(t)
-        base = np.asarray(self.extended(arr, 0))
-        slope = np.asarray(self.extended(arr, 1))
-        vals = np.where(base > 0.0, slope / self.normalizer, 0.0)
-        return _ret(vals, scalar)
+        return self._eval(t, 1)
 
     def d2pdf(self, t):
         """Second derivative; requires a kernel passing the l1-level checks."""
@@ -394,11 +381,7 @@ class SmoothedDensity:
                 "kernel %s fails the l1-level smoothness conditions; "
                 "second derivatives are not trustworthy" % self.kernel.name
             )
-        arr, scalar = _as_array(t)
-        base = np.asarray(self.extended(arr, 0))
-        curv = np.asarray(self.extended(arr, 2))
-        vals = np.where(base > 0.0, curv / self.normalizer, 0.0)
-        return _ret(vals, scalar)
+        return self._eval(t, 2)
 
     def cdf(self, t):
         """Distribution function of the normalized density; cdf(1) == 1."""

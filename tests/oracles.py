@@ -21,6 +21,13 @@ The kernel-condition oracle checks admissibility the way the package did
 before its checks became exact: signs and bounds on a grid of 100001 points,
 moments by Gauss-Legendre quadrature, exact for these polynomial integrands.
 
+The exact two-polynomial L1 oracle re-expands both piecewise polynomials
+on their merged breakpoints, each coefficient from a derivative, and
+integrates the absolute difference between the roots of the difference
+that ``PPoly.roots`` finds: one pair at a time, with none of the Taylor
+shifts or batching over steps of the package's step-against-polynomial
+distance.
+
 The L1 and shape-integral oracles split their quadrature at every sign
 change of the functions involved, found by a fine scan refined with brentq
 rather than from polynomial roots or monotonicity.
@@ -40,8 +47,10 @@ improvement, with no concave majorant and no vectorised argmax.
 
 from functools import cached_property
 from itertools import combinations
+from math import factorial
 
 import numpy as np
+from scipy.interpolate import PPoly
 from scipy.optimize import brentq, isotonic_regression
 
 from grenboot import EnvelopeError, Sample
@@ -103,7 +112,7 @@ def unique_grenander(sample):
 
 def every_proposal_sample(smoothed, n, rng):
     """n draws from the normalized smoother by rejection under the constant
-    ``smoothed.envelope``, evaluating the truncated extension at every
+    ``smoothed.envelope``, evaluating ``smoothed.ppoly`` at every
     proposal."""
     bound = smoothed.envelope
     gen = rng.gen
@@ -118,8 +127,7 @@ def every_proposal_sample(smoothed, n, rng):
             batch = int(min(65536, max(256, 1.25 * (n - got) / rate)))
         t = gen.uniform(size=batch)
         u = gen.uniform(0.0, bound, size=batch)
-        target = np.maximum(np.asarray(smoothed.extended(t, 0)), 0.0)
-        acc = t[u <= target]
+        acc = t[u <= smoothed.ppoly(t)]
         kept.append(acc)
         got += acc.size
         proposed += batch
@@ -349,6 +357,37 @@ def l1_to_step(pdf, step, knots=(0.0, 1.0)):
 
     cuts = np.union1d(bp, sign_changes(diff, bp))
     return gauss_legendre(lambda t: np.abs(diff(t)), cuts, nodes=20)
+
+
+def l1_exact(pa, pb):
+    """Exact integral of |pa - pb| for two piecewise polynomials on [0, 1].
+
+    Both are re-expanded on the merged breakpoints. Between consecutive
+    roots of the difference its sign is fixed, so the integral is a sum of
+    absolute antiderivative increments.
+    """
+    x = np.union1d(pa.x, pb.x)
+    k = max(pa.c.shape[0], pb.c.shape[0]) - 1
+
+    def reexpand(pp):
+        c = np.empty((k + 1, x.size - 1))
+        for q in range(k + 1):
+            c[k - q] = pp(x[:-1], nu=q) / factorial(q)
+        return c
+
+    diff = PPoly(reexpand(pa) - reexpand(pb), x)
+    # a piece whose constant term exceeds the rest of its Taylor bound keeps
+    # one sign; hand the root finder a constant there instead
+    c = diff.c
+    width = np.diff(x)
+    rest = sum(np.abs(c[k - q]) * width ** q for q in range(1, k + 1))
+    one_sign = np.abs(c[k]) > rest
+    probe = np.where(one_sign, 0.0, c)
+    probe[k, one_sign] = 1.0
+    roots = PPoly(probe, x).roots(discontinuity=False, extrapolate=False)
+    # identically zero pieces report nan
+    z = np.union1d(x, roots[np.isfinite(roots)])
+    return float(np.sum(np.abs(np.diff(diff.antiderivative()(z)))))
 
 
 def windowed_argmax(values, centers, w, step):

@@ -507,3 +507,33 @@ def test_unset_or_empty_thread_env_means_one(raw, monkeypatch):
     else:
         monkeypatch.setenv("GRENBOOT_THREADS", raw)
     assert default_threads() == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--density", "triangular", "--n", 5],
+    ["ci", "--t0", 0.5, "--boot", 40],
+    ["band", "--boot", 60, "--m", 3000],
+    ["limits", "--paths", 300, "--lag-max", 5.0, "--lag-step", 0.5],
+    ["experiment", "coverage", "--n", 60, "--replicates", 2, "--boot", 20],
+], ids=["gen", "ci", "band", "limits", "experiment"])
+def test_negative_seed_is_usage_error(command, data_file, tmp_path, capsys):
+    data = [] if command[0] in ("gen", "limits", "experiment") else [
+        "--data", data_file]
+    assert run_cli(command + data + ["--seed", -1,
+                                     "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "seed" in err and "-1" in err
+    assert not list(tmp_path.glob("o*"))
+
+
+@pytest.mark.parametrize("rate", ["-1", "nan", "0"])
+@pytest.mark.parametrize("command", [
+    ["gen", "--n", 5],
+    ["experiment", "coverage", "--n", 60, "--replicates", 2, "--boot", 20],
+], ids=["gen", "experiment"])
+def test_bad_trunc_exp_rate_is_usage_error(command, rate, tmp_path, capsys):
+    assert run_cli(command + ["--density", "trunc-exp", "--rate", rate,
+                              "--seed", 1, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "rate must be positive" in err
+    assert not list(tmp_path.glob("o*"))

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grenboot import (AnalyticDensity, DegenerateEstimateError, RngStream,
-                      Sample, StepDensity, grenander_fit, l1_distance,
-                      l1_shape_integral, multinomial_bootstrap, rate_constant,
-                      sample_from_analytic, sup_distance, triangular_density,
-                      trunc_exp_density, uniform_density)
+                      Sample, StepDensity, fit_smoothed, grenander_fit,
+                      l1_distance, l1_shape_integral, multinomial_bootstrap,
+                      rate_constant, sample_from_analytic, sup_distance,
+                      triangular_density, trunc_exp_density, uniform_density)
 from .oracles import (brute_force_grenander_heights, hull_majorant,
                       l1_to_step, unique_grenander)
 
@@ -252,10 +252,14 @@ def test_l1_unsupported_pairs_raise():
     increasing = AnalyticDensity("rising", lambda t: 2.0 * t,
                                  cdf=lambda t: t * t)
     no_cdf = AnalyticDensity("flat", flat, nonincreasing=True)
+    smoothed = fit_smoothed(Sample([0.2, 0.5]))
     pairs = [(trunc_exp_density(), triangular_density()),
-             (fit, increasing), (no_cdf, fit), (fit, object())]
+             (fit, increasing), (no_cdf, fit), (fit, object()),
+             (smoothed, smoothed)]
     for a, b in pairs:
-        with pytest.raises(ValueError, match="ppoly.*StepDensity"):
+        with pytest.raises(ValueError, match="StepDensity against a density "
+                           "with a ppoly, or against a nonincreasing "
+                           "AnalyticDensity with a cdf"):
             l1_distance(a, b)
 
 

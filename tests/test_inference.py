@@ -86,8 +86,8 @@ def test_ci_validation(tri_sample_500):
     with pytest.raises(ValueError):
         smoothed_pointwise_ci(tri_sample_500, 0.5, rng=RngStream(1),
                               rule=DEFAULT_L1_RULE)   # wrong regime
-    with pytest.raises(ValueError):
-        smoothed_pointwise_ci(tri_sample_500, 0.5, rng=None)
+    with pytest.raises(TypeError, match="rng"):
+        smoothed_pointwise_ci(tri_sample_500, 0.5)   # rng is required
 
 
 def test_ci_width_shrinks_at_cube_root_rate():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.interpolate import PPoly
 
 from grenboot import (BIWEIGHT, DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
                       EPANECHNIKOV, DegenerateEstimateError, EnvelopeError,
@@ -38,6 +39,13 @@ def test_substream_path_reproducible():
 def test_substream_rejects_bad_indices():
     with pytest.raises(ValueError):
         RngStream(1).substream(-2)
+
+
+def test_stream_rejects_negative_seed():
+    # at construction, not at the first draw
+    with pytest.raises(ValueError, match="seed must be a nonnegative "
+                                         "integer, got -1"):
+        RngStream(-1)
 
 
 def test_sibling_substreams_uncorrelated():
@@ -111,21 +119,15 @@ def test_bootstrap_inclusion_frequency():
 
 
 class _FlatTarget:
-    """Stand-in smoothed density whose positive part is constant."""
+    """Stand-in smoothed density that is the constant c."""
 
     def __init__(self, c):
-        self.c = c
         self.quad_breakpoints = np.array([0.0, 1.0])
+        self.ppoly = PPoly([[c]], self.quad_breakpoints)
         # per-cell bounds of the target for the sampler's squeeze: c itself,
         # widened by a margin, on each of the 4096 cells
         self.squeeze = (np.full(4096, c * (1.0 - 1e-9)),
                         np.full(4096, c * (1.0 + 1e-9)))
-
-    def extended(self, t, order=0):
-        t = np.asarray(t, dtype=float)
-        if order == 0:
-            return np.full(t.shape, self.c)
-        return np.zeros(t.shape)
 
 
 def test_rejection_flat_target_tight_envelope():
@@ -157,12 +159,15 @@ def test_envelope_dominates_everywhere():
     sd = SmoothedDensity(s, EPANECHNIKOV, 0.15)
     m = envelope_bound(sd)
     t = RngStream(17).gen.uniform(size=100000)
-    assert np.all(np.maximum(sd.extended(t), 0.0) <= m)
+    assert np.all(sd.pdf(t) <= m)
 
 
 def test_envelope_single_point_peak():
+    # the kernel's support lies inside [h, 1 - h], so the mass is 1 and the
+    # peak is K(0) / h
     sd = SmoothedDensity(Sample([0.5]), EPANECHNIKOV, 0.2)
-    assert envelope_bound(sd) >= 3.75
+    assert abs(sd.pdf(0.5) - 3.75) < 1e-14
+    assert envelope_bound(sd) >= sd.pdf(0.5)
 
 
 def test_rejection_matches_smoothed_law():
@@ -251,14 +256,14 @@ def squeeze_smoothers(draw):
        st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
 @settings(max_examples=100, deadline=None)
 def test_property_squeeze_brackets_target(sd, extra):
-    # random points, every knot of the extension and the point just below
+    # random points, every knot of the smoother and the point just below
     # it, and every cell edge: the sampler draws t from [0, 1)
-    knots = sd._ext.x
+    knots = sd.ppoly.x
     t = np.concatenate([extra, RngStream(30).gen.uniform(size=5000), knots,
                         np.nextafter(knots[1:], 0.0), np.arange(4096) / 4096])
     t = t[t < 1.0]
     lo, hi = sd.squeeze
     k = (t * 4096).astype(int)
-    target = np.maximum(sd.extended(t), 0.0)
+    target = sd.pdf(t)
     assert np.all(lo[k] <= target)
     assert np.all(target <= hi[k])

@@ -13,7 +13,7 @@ from grenboot import (BIWEIGHT, DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
                       sample_from_analytic, triangular_density,
                       trunc_exp_density)
 from .oracles import (DirectSmoother, gauss_legendre, grid_kernel_conditions,
-                      kernel_sums, l1_to_step, shape_integral,
+                      kernel_sums, l1_exact, l1_to_step, shape_integral,
                       smoother_breakpoints)
 
 
@@ -124,40 +124,46 @@ def test_default_rules():
 # -- raw / extended / normalized evaluators --------------------------------------
 
 
+def _raw(sd, t, order=0):
+    """The truncated extended estimate before normalizing, and its
+    derivatives: ``ppoly`` times the normalizer."""
+    return sd.normalizer * sd.ppoly(t, order)
+
+
 def test_raw_single_point_center():
     sd = SmoothedDensity(Sample([0.5]), EPANECHNIKOV, 0.2)
-    assert abs(sd.extended(0.5) - 3.75) < 1e-14
+    assert abs(_raw(sd, 0.5) - 3.75) < 1e-14
 
 
 def test_raw_outside_kernel_support():
     sd = SmoothedDensity(Sample([0.5]), EPANECHNIKOV, 0.2)
-    assert sd.extended(0.8) == 0.0
+    assert sd.pdf(0.8) == 0.0
 
 
 def test_raw_symmetric_pair():
     sd = SmoothedDensity(Sample([0.4, 0.6]), EPANECHNIKOV, 0.2)
-    assert abs(sd.extended(0.5) - 2.8125) < 1e-12
-    assert sd.extended(0.5, order=1) == 0.0     # odd symmetry of the derivative
+    assert abs(_raw(sd, 0.5) - 2.8125) < 1e-12
+    assert sd.dpdf(0.5) == 0.0     # odd symmetry of the derivative
 
 
 def test_extended_left_slope_anchored():
     # single point near 0 forces a negative left-seam slope: value at 0 is
     # f(h) + h * |slope|
     sd = SmoothedDensity(Sample([0.15]), EPANECHNIKOV, 0.2)
-    f_h = sd.extended(0.2)
-    s_h = sd.extended(0.2, order=1)
+    f_h = _raw(sd, 0.2)
+    s_h = _raw(sd, 0.2, order=1)
     assert s_h < 0
-    assert abs(sd.extended(0.0) - (f_h + 0.2 * (-s_h))) < 1e-12
-    assert abs(sd.extended(0.0) - 5.390625) < 1e-12
+    assert abs(_raw(sd, 0.0) - (f_h + 0.2 * (-s_h))) < 1e-12
+    assert abs(_raw(sd, 0.0) - 5.390625) < 1e-12
 
 
 def test_extended_clamps_positive_slope():
     # mass concentrated right of the left seam gives a positive raw slope
     # there; the extension must stay constant
     sd = SmoothedDensity(Sample([0.35, 0.4, 0.45]), EPANECHNIKOV, 0.3)
-    assert sd.extended(0.3, order=1) > 0
-    assert abs(sd.extended(0.0) - sd.extended(0.3)) < 1e-12
-    assert abs(sd.extended(0.15) - sd.extended(0.3)) < 1e-12
+    assert sd.dpdf(0.3) > 0
+    assert abs(sd.pdf(0.0) - sd.pdf(0.3)) < 1e-12
+    assert abs(sd.pdf(0.15) - sd.pdf(0.3)) < 1e-12
 
 
 def test_extended_matches_interior_at_seams():
@@ -166,7 +172,7 @@ def test_extended_matches_interior_at_seams():
     sd = SmoothedDensity(s, BIWEIGHT, 0.25)
     for seam in (0.25, 0.75):
         interior = kernel_sums(s.values, seam, 0.25, BIWEIGHT)[0]
-        assert abs(sd.extended(seam) - interior) < 1e-14
+        assert abs(_raw(sd, seam) - interior) < 1e-14
 
 
 def test_normalized_mass_and_nonnegativity():
@@ -205,12 +211,11 @@ def test_degenerate_when_mass_is_rounding():
 
 
 def test_pdf_scales_as_positive_part():
-    sd = SmoothedDensity(Sample([0.5]), EPANECHNIKOV, 0.2)
-    grid = np.linspace(0, 1, 501)
-    base = np.maximum(sd.extended(grid), 0.0)
-    z = gauss_legendre(lambda t: np.maximum(sd.extended(t), 0.0),
-                       smoother_breakpoints(sd))
-    assert np.allclose(sd.pdf(grid), base / z, atol=1e-12)
+    for values, h in (([0.5], 0.2), ([0.05, 0.1, 0.7], 0.2)):
+        sd = SmoothedDensity(Sample(values), EPANECHNIKOV, h)
+        oracle = DirectSmoother(values, EPANECHNIKOV, h)
+        grid = np.linspace(0, 1, 501)
+        assert np.allclose(sd.pdf(grid), oracle.pdf(grid), rtol=0, atol=1e-12)
 
 
 # -- derivatives -----------------------------------------------------------------
@@ -219,9 +224,9 @@ def test_pdf_scales_as_positive_part():
 def test_derivative_on_extension_regions():
     sd = SmoothedDensity(Sample([0.15]), EPANECHNIKOV, 0.2)
     # order 1 on [0, h): the clamped constant slope over the normalizer
-    s_h = sd.extended(0.2, order=1)
-    z = sd.normalizer
-    assert abs(sd.dpdf(0.1) - s_h / z) < 1e-12
+    oracle = DirectSmoother([0.15], EPANECHNIKOV, 0.2)
+    assert oracle.s_lo < 0
+    assert abs(sd.dpdf(0.1) - oracle.s_lo / sd.normalizer) < 1e-12
     # order 2 on the linear extension is identically 0
     sd2 = SmoothedDensity(Sample([0.15, 0.5, 0.52]), BIWEIGHT, 0.2)
     assert sd2.d2pdf(0.1) == 0.0
@@ -327,6 +332,35 @@ def _fit_both(values, h, kernel):
         return None, oracle
 
 
+def _check_against_direct_sums(sd, oracle, t):
+    """``normalizer * pdf`` against the oracle's positive part at ``t``, and
+    ``normalizer * ppoly``'s derivatives against the oracle's where its value
+    is positive beyond the tolerance, so that truncation is decided the same
+    way, and more than 1e-9 from its knots, where one-sided derivatives
+    follow different conventions. The tolerance is 1e-9 of the estimate's
+    size, or of one observation's largest contribution where the estimate is
+    nearly zero."""
+    kernel, n, h = sd.kernel, sd.sample.n, sd.h
+    v = np.linspace(-1.0, 1.0, 201)
+
+    def tol(direct, order):
+        one = np.max(np.abs(kernel.deriv(v, order)))
+        return 1e-9 * max(np.max(np.abs(direct), initial=0.0),
+                          one / (n * h ** (order + 1)))
+
+    direct = oracle.extended(t, 0)
+    fast = sd.normalizer * sd.pdf(t)
+    assert np.max(np.abs(fast - np.maximum(direct, 0.0))) <= tol(direct, 0)
+    i = np.clip(np.searchsorted(oracle.knots, t), 1, oracle.knots.size - 1)
+    gap = np.minimum(t - oracle.knots[i - 1], oracle.knots[i] - t)
+    t = t[(direct > tol(direct, 0)) & (gap > 1e-9)]
+    for order in (1, 2):
+        direct = oracle.extended(t, order)
+        fast = sd.normalizer * sd.ppoly(t, order)
+        err = np.max(np.abs(fast - direct), initial=0.0)
+        assert err <= tol(direct, order), order
+
+
 @given(smoother_inputs(), st.lists(st.floats(0.0, 1.0), max_size=20))
 @settings(max_examples=150, deadline=None)
 def test_property_ppoly_matches_direct_sums(inputs, extra):
@@ -335,19 +369,7 @@ def test_property_ppoly_matches_direct_sums(inputs, extra):
     if sd is None:
         return
     t = np.concatenate([np.linspace(0.0, 1.0, 401), extra, oracle.knots])
-    for order in (0, 1, 2):
-        if order:
-            # one-sided derivatives at knots follow different conventions
-            gap = np.min(np.abs(t[:, None] - oracle.knots[None, :]), axis=1)
-            t = t[gap > 1e-9]
-        direct = oracle.extended(t, order)
-        # relative to the estimate's size, or to one observation's largest
-        # contribution where the estimate is nearly zero
-        one = np.max(np.abs(kernel.deriv(np.linspace(-1.0, 1.0, 201), order)))
-        scale = max(np.max(np.abs(direct), initial=0.0),
-                    one / (values.size * h ** (order + 1)))
-        fast = sd.extended(t, order)
-        assert np.max(np.abs(fast - direct), initial=0.0) <= 1e-9 * scale, order
+    _check_against_direct_sums(sd, oracle, t)
 
 
 TRIWEIGHT = Kernel("triweight", [35 / 32, 0, -105 / 32, 0, 105 / 32, 0, -35 / 32])
@@ -364,15 +386,7 @@ def test_ppoly_matches_direct_sums_at_real_size(kernel):
     sd, oracle = SmoothedDensity(s, kernel, h), DirectSmoother(s.values, kernel, h)
     knots = oracle.knots
     t = np.concatenate([np.linspace(0.0, 1.0, 1001), knots[::4]])
-    for order in (0, 1, 2):
-        if order:
-            i = np.clip(np.searchsorted(knots, t), 1, knots.size - 1)
-            gap = np.minimum(t - knots[i - 1], knots[i] - t)
-            t = t[gap > 1e-9]
-        direct = oracle.extended(t, order)
-        one = np.max(np.abs(kernel.deriv(np.linspace(-1.0, 1.0, 201), order)))
-        scale = max(np.max(np.abs(direct)), one / (n * h ** (order + 1)))
-        assert np.max(np.abs(sd.extended(t, order) - direct)) <= 1e-9 * scale, order
+    _check_against_direct_sums(sd, oracle, t)
 
 
 @given(smoother_inputs())
@@ -385,7 +399,6 @@ def test_property_exact_l1_matches_quadrature(inputs):
     step = grenander_fit(Sample(values))
     want = l1_to_step(oracle.pdf, step, oracle.knots)
     assert abs(l1_distance(step, sd) - want) <= _normalized_tol(sd)
-    assert l1_distance(sd, sd) == 0.0
 
 
 @given(smoother_inputs(), st.integers(0, 2 ** 16))
@@ -401,7 +414,7 @@ def test_property_batched_l1_matches_single_and_merged(inputs, seed):
     batched = density._l1_steps(refits, sd.ppoly)
     for step, value in zip(refits, batched):
         assert abs(value - l1_distance(step, sd)) <= 1e-14
-        assert abs(value - density._l1_exact(step.ppoly, sd.ppoly)) <= 1e-14
+        assert abs(value - l1_exact(step.ppoly, sd.ppoly)) <= 1e-14
         want = l1_to_step(oracle.pdf, step, oracle.knots)
         assert abs(value - want) <= _normalized_tol(sd)
 
@@ -427,7 +440,7 @@ def test_batched_l1_pinned_steps_match_merged_and_oracle():
     oracle = DirectSmoother(sd.sample.values, sd.kernel, sd.h)
     batched = density._l1_steps(steps, sd.ppoly)
     for step, value in zip(steps, batched):
-        assert abs(value - density._l1_exact(step.ppoly, sd.ppoly)) <= 1e-14
+        assert abs(value - l1_exact(step.ppoly, sd.ppoly)) <= 1e-14
         assert abs(value - l1_to_step(oracle.pdf, step, oracle.knots)) <= 1e-10
         assert abs(value - l1_distance(sd, step)) <= 1e-14
     # a step against its own ppoly: every piece is identically zero
@@ -453,7 +466,7 @@ def test_batched_l1_non_unit_mass():
     assert abs(density._l1_steps([refit], lifted)[0] - 0.3) <= 1e-15
     doubled = PPoly(2.0 * sd.ppoly.c, sd.ppoly.x)
     for step, value in zip(steps, density._l1_steps(steps, doubled)):
-        assert abs(value - density._l1_exact(step.ppoly, doubled)) <= 1e-14
+        assert abs(value - l1_exact(step.ppoly, doubled)) <= 1e-14
 
 
 @given(smoother_inputs(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
@@ -474,11 +487,18 @@ def test_signed_kernel_truncated_at_interior_sign_breaks():
     # the raw estimate goes negative between two separated clusters
     k4 = Kernel("fourth_order", [45 / 32, 0.0, -150 / 32, 0.0, 105 / 32])
     sd = SmoothedDensity(Sample([0.3, 0.31, 0.7]), k4, 0.15)
+    oracle = DirectSmoother(sd.sample.values, k4, 0.15)
     qb = sd.quad_breakpoints
     breaks = qb[(qb > sd.h) & (qb < 1 - sd.h)]
     assert breaks.size >= 2
-    assert np.allclose(sd.extended(breaks), 0.0, rtol=0, atol=1e-12)
-    assert np.all(sd.pdf(np.linspace(0, 1, 20001)) >= 0)
+    # the breaks are zeros of the raw estimate, and the pdf is its positive
+    # part
+    assert np.allclose(oracle.extended(breaks), 0.0, rtol=0, atol=1e-12)
+    assert np.allclose(sd.pdf(breaks), 0.0, rtol=0, atol=1e-12)
+    grid = np.linspace(0, 1, 20001)
+    assert np.all(sd.pdf(grid) >= 0)
+    assert np.allclose(sd.normalizer * sd.pdf(grid), oracle.positive(grid),
+                       rtol=0, atol=1e-12)
     assert abs(gauss_legendre(sd.pdf, smoother_breakpoints(sd)) - 1.0) < 1e-10
     assert sd.cdf(1.0) == 1.0
 
