@@ -6,8 +6,6 @@ built on. The Grenander fit is one antitonic regression of the empirical
 CDF's slopes; it builds no ECDF or majorant object.
 """
 
-from math import factorial
-
 import numpy as np
 from scipy.interpolate import PPoly
 from scipy.optimize import brentq, isotonic_regression
@@ -291,40 +289,43 @@ def trunc_exp_density(rate=1.0):
     """Exponential(rate) truncated to [0, 1] and renormalized: its slope is
     bounded away from 0 and its curvature is bounded."""
     rate = float(rate)
-    if not rate > 0.0:
-        raise ValueError("rate must be positive")
-    z = 1.0 - np.exp(-rate)
+    if not 0.0 < rate < np.inf:
+        raise ValueError("rate must be positive and finite")
+    # expm1, not 1 - exp: at small rates the difference cancels
+    z = -np.expm1(-rate)
     return AnalyticDensity(
         "trunc_exp(%g)" % rate,
         pdf=lambda t: rate * np.exp(-rate * t) / z,
         dpdf=lambda t: -(rate ** 2) * np.exp(-rate * t) / z,
-        cdf=lambda t: (1.0 - np.exp(-rate * t)) / z,
+        cdf=lambda t: -np.expm1(-rate * t) / z,
         ppf=lambda u: -np.log1p(-u * z) / rate,
         nonincreasing=True,
     )
 
 
-def _reexpand(pp, left, degree):
-    """Coefficients of ``pp`` about each point of ``left``, padded to
-    ``degree``: the column of the piece that starts there once ``pp`` is
-    split at those points."""
-    c = np.empty((degree + 1, left.size))
-    for q in range(degree + 1):
-        c[degree - q] = pp(left, nu=q) / factorial(q)
+def _shift(c, s):
+    """Taylor shift by synthetic division: ``c`` holds ascending
+    coefficients in t - a, one column per polynomial, and is overwritten
+    with those in t - (a + s); ``s`` is a scalar or one shift per column.
+    Returns ``c``."""
+    k = c.shape[0] - 1
+    for i in range(k):
+        for j in range(k - 1, i - 1, -1):
+            c[j] += s * c[j + 1]
     return c
 
 
 def _split(pp, at):
     """``pp``'s breakpoints joined with the points of the sorted, distinct
     ``at`` inside its pieces, and its coefficients on them. Only the pieces
-    that start at a new point are re-expanded; the others keep their
-    columns."""
+    that start at a new point are re-expanded, by a Taylor shift of the
+    piece they cut; the others keep their columns."""
     at = at[(at > pp.x[0]) & (at < pp.x[-1])]
     j = np.searchsorted(pp.x, at)
     new = pp.x[j] != at
     at, j = at[new], j[new]
-    return (np.insert(pp.x, j, at),
-            np.insert(pp.c, j, _reexpand(pp, at, pp.c.shape[0] - 1), axis=1))
+    cut = _shift(pp.c[::-1, j - 1], at - pp.x[j - 1])[::-1]
+    return np.insert(pp.x, j, at), np.insert(pp.c, j, cut, axis=1)
 
 
 def _spread_and_integral(coef, width):
@@ -388,15 +389,10 @@ def _l1_steps(steps, pp):
                                       height[order], key[order])
     last = np.diff(key, append=-1) != 0
     end = np.where(last, x[piece + 1], np.roll(start, -1))
-    shift = start - x[piece]
     width = end - start
 
-    # Taylor shift of each cut's coefficients to its left end, then the
-    # difference against the step
-    c = coef[:, piece]
-    for i in range(k):
-        for j in range(k - 1, i - 1, -1):
-            c[j] += shift * c[j + 1]
+    # each cut's coefficients about its left end, less the step
+    c = _shift(coef[:, piece], start - x[piece])
     c[0] -= height
     rest, part = _spread_and_integral(c, width)
     one_sign = np.abs(c[0]) > rest

@@ -22,10 +22,9 @@ argmaxes are those of that path.
 ``doubled_scaling_check`` scans whole symmetric walks about their centers.
 One random walk (``_walk``) draws every path and one window scan
 (``_window_scan``) takes every argmax that the majorant does not read, on
-offsets built once per (step, width).
+offsets built once per run.
 """
 
-import functools
 import math
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -64,15 +63,11 @@ def _grid_points(step, half_width):
     return m
 
 
-@functools.lru_cache(maxsize=8, typed=True)
 def _offsets(step, w):
-    """Read-only ``(offsets, squares)`` of k * step for k in [-w, w], built
-    once per grid: every path of a run shares them."""
+    """``(offsets, squares)`` of k * step for k in [-w, w]; a run builds
+    them once, and every one of its paths shares them."""
     offsets = np.arange(-w, w + 1) * step
-    squares = offsets ** 2
-    offsets.flags.writeable = False
-    squares.flags.writeable = False
-    return offsets, squares
+    return offsets, offsets ** 2
 
 
 def _walk(step, left, right, rng):

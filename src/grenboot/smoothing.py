@@ -10,7 +10,7 @@ exactly at two levels: "pointwise" suffices for pointwise bootstrap limits,
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 
 import numpy as np
@@ -41,9 +41,9 @@ class Kernel:
     """Polynomial smoothing kernel K(v) = sum_p coefficients[p] v^p on
     [-1, 1], and exactly 0 outside.
 
-    The ascending coefficient vector is the whole kernel: its derivatives,
-    extremes and moments are computed exactly from it, and
-    :class:`SmoothedDensity` builds the smoother from it.
+    A kernel holds its ``name`` and its read-only ascending ``coefficients``,
+    nothing else: its extremes and moments are computed exactly from them,
+    and :class:`SmoothedDensity` builds the smoother from them.
     """
 
     def __init__(self, name, coefficients):
@@ -54,19 +54,6 @@ class Kernel:
         coef.flags.writeable = False
         self.name = name
         self.coefficients = coef
-        self._poly = Polynomial(coef)
-        self._condition_cache = {}
-
-    def deriv(self, v, order):
-        """Kernel derivative of the given order, zero outside the support."""
-        if not 0 <= order <= 3:
-            raise ValueError("order must be 0, 1, 2 or 3")
-        arr, scalar = _as_array(v)
-        out = np.where(np.abs(arr) <= 1.0, self._poly.deriv(order)(arr), 0.0)
-        return _ret(out, scalar)
-
-    def __call__(self, v):
-        return self.deriv(v, 0)
 
     def __repr__(self):
         return "Kernel(%r)" % self.name
@@ -136,7 +123,7 @@ def check_kernel_conditions(kernel, level="pointwise"):
     """
     if level not in ("pointwise", "l1"):
         raise ValueError("level must be 'pointwise' or 'l1'")
-    poly = kernel._poly
+    poly = Polynomial(kernel.coefficients)
     slope = Polynomial([0.0, 1.0]) * poly.deriv()
     residuals = [
         ("nonnegative", max(0.0, -float(np.min(_extreme_values(poly))))),
@@ -156,13 +143,10 @@ def check_kernel_conditions(kernel, level="pointwise"):
             for name, r in residuals]
 
 
+@cache
 def kernel_satisfies(kernel, level="pointwise"):
     """True when every condition at ``level`` passes (result cached)."""
-    cached = kernel._condition_cache.get(level)
-    if cached is None:
-        cached = all(r.passed for r in check_kernel_conditions(kernel, level))
-        kernel._condition_cache[level] = cached
-    return cached
+    return all(r.passed for r in check_kernel_conditions(kernel, level))
 
 
 _REGIMES = {"pointwise": (0.0, 1.0 / 3.0), "l1": (1.0 / 6.0, 0.2)}
@@ -279,6 +263,8 @@ class SmoothedDensity:
     the result is one ``scipy.interpolate.PPoly``, ``ppoly``, that values,
     derivatives, the CDF, the rejection sampler and the exact L1 distances
     all read. At a knot, derivatives are those of the piece to its right.
+    It holds the attributes below and no other polynomial: the CDF is the
+    antiderivative of ``ppoly``, built on each call.
 
     Attributes
     ----------
@@ -288,6 +274,9 @@ class SmoothedDensity:
         Bandwidth in (0, 1/2].
     normalizer : float
         Mass of the truncated extended estimate (the rescaling divisor).
+    quad_breakpoints : ndarray
+        0, h, 1 - h and 1, with the sign breaks of the extended estimate
+        that construction splits ``ppoly`` at.
     ppoly : scipy.interpolate.PPoly
         The normalized density on [0, 1].
     envelope : float
@@ -326,7 +315,7 @@ class SmoothedDensity:
         pieces = [0.0, lo, hi, 1.0]
         if f_hi + h * s_hi < 0.0 and s_hi < 0.0:
             pieces.append(max(hi - f_hi / s_hi, hi))
-        extremes = _extreme_values(kernel._poly)
+        extremes = _extreme_values(Polynomial(kernel.coefficients))
         if np.min(extremes) < -1e-12 * np.max(np.abs(extremes)):
             roots = ext.roots(discontinuity=False, extrapolate=False)
             pieces.extend(roots[(roots > lo) & (roots < hi)])
@@ -335,8 +324,7 @@ class SmoothedDensity:
         # positive part: split at the sign breaks, zero the negative pieces
         x, coef = _split(ext, self.quad_breakpoints)
         coef[:, ext(0.5 * (x[:-1] + x[1:])) < 0.0] = 0.0
-        self._cdf = PPoly(coef, x).antiderivative()
-        self.normalizer = float(self._cdf(1.0))
+        self.normalizer = float(PPoly(coef, x).antiderivative()(1.0))
         # the coefficients carry rounding relative to one observation's peak;
         # normalizing divides it by the mass, so a mass of rounding size is
         # no estimate
@@ -384,11 +372,14 @@ class SmoothedDensity:
         return self._eval(t, 2)
 
     def cdf(self, t):
-        """Distribution function of the normalized density; cdf(1) == 1."""
+        """Distribution function of the normalized density: the
+        antiderivative of ``ppoly``, built on each call, divided by its own
+        value at 1, so that cdf(0) == 0 and cdf(1) == 1 exactly."""
         arr, scalar = _as_array(t)
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise ValueError("evaluation point outside [0, 1]")
-        return _ret(self._cdf(arr) / self.normalizer, scalar)
+        prim = self.ppoly.antiderivative()
+        return _ret(prim(arr) / prim(1.0), scalar)
 
     def __repr__(self):
         return "SmoothedDensity(n=%d, kernel=%s, h=%g)" % (

@@ -17,16 +17,19 @@ seams h and 1 - h, and the truncation crossing. Between those points the
 estimate is a polynomial of degree at most 4, so eight nodes per panel
 integrate it exactly up to rounding.
 
-The kernel-condition oracle checks admissibility the way the package did
+The kernel evaluator reads a kernel's coefficients with numpy's polynomial
+functions, so no oracle runs package code to evaluate a kernel. The
+kernel-condition oracle checks admissibility the way the package did
 before its checks became exact: signs and bounds on a grid of 100001 points,
 moments by Gauss-Legendre quadrature, exact for these polynomial integrands.
 
-The exact two-polynomial L1 oracle re-expands both piecewise polynomials
-on their merged breakpoints, each coefficient from a derivative, and
-integrates the absolute difference between the roots of the difference
-that ``PPoly.roots`` finds: one pair at a time, with none of the Taylor
-shifts or batching over steps of the package's step-against-polynomial
-distance.
+The re-expansion oracle takes each coefficient of a piecewise polynomial
+about a new point from its derivative there, where the package uses a
+Taylor shift. The exact two-polynomial L1 oracle re-expands both piecewise
+polynomials that way on their merged breakpoints and integrates the absolute
+difference between the roots of the difference that ``PPoly.roots`` finds:
+one pair at a time, with none of the Taylor shifts or batching over steps
+of the package's step-against-polynomial distance.
 
 The L1 and shape-integral oracles split their quadrature at every sign
 change of the functions involved, found by a fine scan refined with brentq
@@ -169,12 +172,21 @@ def hull_majorant(values):
     return xs[idx], ys[idx]
 
 
-# -- kernel conditions -------------------------------------------------------
+# -- kernels -----------------------------------------------------------------
+
+
+def kernel_deriv(kernel, v, order):
+    """Derivative of the given order of ``kernel`` at ``v``, from its
+    ascending coefficients, and exactly 0 outside [-1, 1]."""
+    v = np.asarray(v, dtype=float)
+    coef = np.polynomial.polynomial.polyder(kernel.coefficients, order)
+    return np.where(np.abs(v) <= 1.0,
+                    np.polynomial.polynomial.polyval(v, coef), 0.0)
 
 
 def grid_kernel_conditions(kernel, level="pointwise"):
     """Residual of each admissibility condition by name, from grids and
-    quadrature; ``kernel.deriv`` is the only view of the kernel it takes.
+    quadrature; :func:`kernel_deriv` is the only view of the kernel it takes.
     Its moments are Gauss-Legendre with 16 nodes on [-1, 1], exact for
     kernels up to degree 29."""
     closed = np.linspace(-1.0, 1.0, 100001)
@@ -183,13 +195,15 @@ def grid_kernel_conditions(kernel, level="pointwise"):
                               1.0 + np.geomspace(1e-9, 1.0, 1000)])
 
     def moment(order, power):
-        return gauss_legendre(lambda v: kernel.deriv(v, order) * v ** power,
-                              [-1.0, 1.0], nodes=16)
+        return gauss_legendre(
+            lambda v: kernel_deriv(kernel, v, order) * v ** power,
+            [-1.0, 1.0], nodes=16)
 
-    k0 = kernel.deriv(closed, 0)
-    k1 = kernel.deriv(closed, 1)
+    k0 = kernel_deriv(kernel, closed, 0)
+    k1 = kernel_deriv(kernel, closed, 1)
     out = {
-        "compact_support": float(np.max(np.abs(kernel.deriv(outside, 0)))),
+        "compact_support": float(
+            np.max(np.abs(kernel_deriv(kernel, outside, 0)))),
         "nonnegative": max(0.0, -float(np.min(k0))),
         "bounded": float(np.max(np.abs(k0))),
         "unit_mass": abs(moment(0, 0) - 1.0),
@@ -203,7 +217,7 @@ def grid_kernel_conditions(kernel, level="pointwise"):
         out["dderiv_mass_zero"] = abs(moment(2, 0))
         out["dderiv_first_moment_zero"] = abs(moment(2, 1))
         out["dderiv_slope_bounded"] = float(
-            np.max(np.abs(kernel.deriv(interior, 3))))
+            np.max(np.abs(kernel_deriv(kernel, interior, 3))))
     return out
 
 
@@ -217,7 +231,7 @@ def kernel_sums(x, t, h, kernel, order=0):
     out = np.empty(t.size)
     for i in range(0, t.size, 1024):
         v = (t[i:i + 1024, None] - x[None, :]) / h
-        out[i:i + 1024] = kernel.deriv(v, order).sum(axis=1)
+        out[i:i + 1024] = kernel_deriv(kernel, v, order).sum(axis=1)
     return out / (x.size * h ** (order + 1))
 
 
@@ -237,7 +251,8 @@ def _seam_sums(x, t, h, kernel, order, side):
     else:
         keep = (x - h < t) & (t <= x + h)
     v = np.clip((t - x[keep]) / h, -1.0, 1.0)
-    return float(np.sum(kernel.deriv(v, order))) / (x.size * h ** (order + 1))
+    return (float(np.sum(kernel_deriv(kernel, v, order)))
+            / (x.size * h ** (order + 1)))
 
 
 def gauss_legendre(f, breakpoints, nodes=8):
@@ -359,6 +374,15 @@ def l1_to_step(pdf, step, knots=(0.0, 1.0)):
     return gauss_legendre(lambda t: np.abs(diff(t)), cuts, nodes=20)
 
 
+def reexpand(pp, left, degree):
+    """Coefficients of ``pp`` about each point of ``left``, padded to
+    ``degree``, in ``PPoly`` order: the q-th derivative there over q!."""
+    c = np.empty((degree + 1, left.size))
+    for q in range(degree + 1):
+        c[degree - q] = pp(left, nu=q) / factorial(q)
+    return c
+
+
 def l1_exact(pa, pb):
     """Exact integral of |pa - pb| for two piecewise polynomials on [0, 1].
 
@@ -368,14 +392,7 @@ def l1_exact(pa, pb):
     """
     x = np.union1d(pa.x, pb.x)
     k = max(pa.c.shape[0], pb.c.shape[0]) - 1
-
-    def reexpand(pp):
-        c = np.empty((k + 1, x.size - 1))
-        for q in range(k + 1):
-            c[k - q] = pp(x[:-1], nu=q) / factorial(q)
-        return c
-
-    diff = PPoly(reexpand(pa) - reexpand(pb), x)
+    diff = PPoly(reexpand(pa, x[:-1], k) - reexpand(pb, x[:-1], k), x)
     # a piece whose constant term exceeds the rest of its Taylor bound keeps
     # one sign; hand the root finder a constant there instead
     c = diff.c

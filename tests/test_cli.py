@@ -526,7 +526,7 @@ def test_negative_seed_is_usage_error(command, data_file, tmp_path, capsys):
     assert not list(tmp_path.glob("o*"))
 
 
-@pytest.mark.parametrize("rate", ["-1", "nan", "0"])
+@pytest.mark.parametrize("rate", ["-1", "nan", "0", "inf"])
 @pytest.mark.parametrize("command", [
     ["gen", "--n", 5],
     ["experiment", "coverage", "--n", 60, "--replicates", 2, "--boot", 20],
@@ -535,5 +535,16 @@ def test_bad_trunc_exp_rate_is_usage_error(command, rate, tmp_path, capsys):
     assert run_cli(command + ["--density", "trunc-exp", "--rate", rate,
                               "--seed", 1, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage error:") and "rate must be positive" in err
+    assert err.startswith("usage error:")
+    assert "rate must be positive and finite" in err
     assert not list(tmp_path.glob("o*"))
+
+
+def test_gen_trunc_exp_tiny_rate_is_uniform_to_rounding(tmp_path):
+    # 1 - exp(-1e-17) is 0 in doubles, and the density is flat to rounding
+    tiny, flat = tmp_path / "tiny.txt", tmp_path / "flat.txt"
+    assert run_cli(["gen", "--density", "trunc-exp", "--rate", "1e-17",
+                    "--n", 50, "--seed", 7, "--out", tiny]) == 0
+    assert run_cli(["gen", "--density", "uniform", "--n", 50, "--seed", 7,
+                    "--out", flat]) == 0
+    assert np.allclose(np.loadtxt(tiny), np.loadtxt(flat), rtol=0, atol=1e-15)

@@ -1,15 +1,19 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PPoly
 
 from grenboot import (AnalyticDensity, DegenerateEstimateError, RngStream,
-                      Sample, StepDensity, fit_smoothed, grenander_fit,
-                      l1_distance, l1_shape_integral, multinomial_bootstrap,
-                      rate_constant, sample_from_analytic, sup_distance,
-                      triangular_density, trunc_exp_density, uniform_density)
+                      Sample, StepDensity, density, fit_smoothed,
+                      grenander_fit, l1_distance, l1_shape_integral,
+                      multinomial_bootstrap, rate_constant,
+                      sample_from_analytic, sup_distance, triangular_density,
+                      trunc_exp_density, uniform_density)
 from .oracles import (brute_force_grenander_heights, hull_majorant,
-                      l1_to_step, unique_grenander)
+                      l1_to_step, reexpand, unique_grenander)
 
 unit_floats = st.floats(0.001, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -211,6 +215,19 @@ def test_triangular_values():
     assert abs(tri.cdf(0.5) - 0.75) < 1e-15
 
 
+@pytest.mark.parametrize("rate", [1e-17, 1e-9])
+def test_trunc_exp_small_rate_matches_closed_form(rate):
+    # 1 - exp(-rate) cancels at these rates; the closed form in 50 digits
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r = Decimal(rate)
+        want = (1 - (-r / 2).exp()) / (1 - (-r).exp())
+    d = trunc_exp_density(rate)
+    assert abs(d.cdf(0.5) - float(want)) <= 1e-15
+    t = np.linspace(0.0, 1.0, 101)
+    assert np.allclose(d.ppf(d.cdf(t)), t, rtol=0, atol=1e-15)
+
+
 # -- distances -------------------------------------------------------------------
 
 
@@ -288,6 +305,31 @@ def test_sup_uniform_vs_triangular():
 def test_sup_identity():
     tri = triangular_density()
     assert sup_distance(tri, tri) == 0.0
+
+
+def test_split_matches_derivative_reexpansion():
+    # random piecewise polynomials of degree 0 to 4, split at points inside
+    # their pieces, at their breakpoints (skipped) and outside their range
+    # (dropped); each coefficient's error is measured against the size
+    # max_q |c_q| w^q of the piece it was cut from
+    for seed in range(200):
+        gen = np.random.default_rng(seed)
+        degree = seed % 5
+        x = np.unique(np.concatenate([[0.0, 1.0],
+                                      gen.uniform(size=gen.integers(0, 8))]))
+        scale = 10.0 ** gen.uniform(-3.0, 3.0, size=(degree + 1, 1))
+        pp = PPoly(gen.normal(size=(degree + 1, x.size - 1)) * scale, x)
+        at = np.unique(np.concatenate([gen.uniform(size=gen.integers(0, 12)),
+                                       gen.choice(x, size=3), [-0.5, 1.5]]))
+        xs, cs = density._split(pp, at)
+        assert np.array_equal(xs, np.union1d(x, at[(at >= 0.0) & (at <= 1.0)]))
+        piece = np.searchsorted(x, xs[:-1], side="right") - 1
+        kept = xs[:-1] == x[piece]
+        assert np.array_equal(cs[:, kept], pp.c), seed
+        wq = np.diff(x)[piece] ** np.arange(degree, -1, -1)[:, None]
+        size = np.max(np.abs(pp.c[:, piece]) * wq, axis=0)
+        err = np.max(np.abs(cs - reexpand(pp, xs[:-1], degree)) * wq, axis=0)
+        assert np.all(err <= 1e-13 * size), seed
 
 
 # -- rate constant and shape integral ---------------------------------------------

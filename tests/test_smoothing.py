@@ -13,8 +13,8 @@ from grenboot import (BIWEIGHT, DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
                       sample_from_analytic, triangular_density,
                       trunc_exp_density)
 from .oracles import (DirectSmoother, gauss_legendre, grid_kernel_conditions,
-                      kernel_sums, l1_exact, l1_to_step, shape_integral,
-                      smoother_breakpoints)
+                      kernel_deriv, kernel_sums, l1_exact, l1_to_step,
+                      shape_integral, smoother_breakpoints)
 
 
 # -- kernel conditions ---------------------------------------------------------
@@ -40,7 +40,7 @@ def test_epanechnikov_fails_l1_on_second_derivative_mass():
 def test_kernel_basic_shape():
     v = np.linspace(-1.5, 1.5, 101)
     for k in (EPANECHNIKOV, BIWEIGHT):
-        vals = k(v)
+        vals = kernel_deriv(k, v, 0)
         assert np.all(vals >= 0)
         assert np.all(vals[np.abs(v) > 1] == 0)
 
@@ -317,7 +317,8 @@ def smoother_inputs(draw):
 def _normalized_tol(sd):
     """1e-10, widened where the mass is small against one observation's
     peak: normalizing divides the raw estimate's rounding by the mass."""
-    peak = np.max(sd.kernel(np.linspace(-1.0, 1.0, 201))) / (sd.sample.n * sd.h)
+    peak = (np.max(kernel_deriv(sd.kernel, np.linspace(-1.0, 1.0, 201), 0))
+            / (sd.sample.n * sd.h))
     return 1e-10 + 1e-13 * peak / sd.normalizer
 
 
@@ -327,7 +328,8 @@ def _fit_both(values, h, kernel):
         return SmoothedDensity(Sample(values), kernel, h), oracle
     except DegenerateEstimateError:
         # rejected below 1e-6 of one observation's peak, plus rounding
-        peak = np.max(kernel(np.linspace(-1.0, 1.0, 201))) / (values.size * h)
+        peak = (np.max(kernel_deriv(kernel, np.linspace(-1.0, 1.0, 201), 0))
+                / (values.size * h))
         assert oracle.mass < (1e-6 + 1e-12) * peak
         return None, oracle
 
@@ -344,7 +346,7 @@ def _check_against_direct_sums(sd, oracle, t):
     v = np.linspace(-1.0, 1.0, 201)
 
     def tol(direct, order):
-        one = np.max(np.abs(kernel.deriv(v, order)))
+        one = np.max(np.abs(kernel_deriv(kernel, v, order)))
         return 1e-9 * max(np.max(np.abs(direct), initial=0.0),
                           one / (n * h ** (order + 1)))
 
@@ -505,6 +507,9 @@ def test_signed_kernel_truncated_at_interior_sign_breaks():
 
 def test_shipped_kernels_derive_from_coefficients():
     v = np.linspace(-1.0, 1.0, 101)
-    assert np.allclose(EPANECHNIKOV(v), 0.75 * (1 - v * v), rtol=0, atol=1e-15)
-    assert np.allclose(BIWEIGHT(v), 15 / 16 * (1 - v * v) ** 2, rtol=0, atol=1e-15)
-    assert np.allclose(BIWEIGHT.deriv(v, 3), 22.5 * v, rtol=0, atol=1e-13)
+    assert np.allclose(kernel_deriv(EPANECHNIKOV, v, 0), 0.75 * (1 - v * v),
+                       rtol=0, atol=1e-15)
+    assert np.allclose(kernel_deriv(BIWEIGHT, v, 0), 15 / 16 * (1 - v * v) ** 2,
+                       rtol=0, atol=1e-15)
+    assert np.allclose(kernel_deriv(BIWEIGHT, v, 3), 22.5 * v, rtol=0,
+                       atol=1e-13)
