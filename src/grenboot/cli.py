@@ -29,7 +29,6 @@ from .experiments import (run_band_coverage, run_inconsistency, run_l1_clt,
 from .inference import l1_band, smoothed_pointwise_ci
 from .limits import (LimitConstants, LimitSimConfig, doubled_scaling_check,
                      estimate_constants)
-from .parallel import default_threads
 from .resampling import RngStream, sample_from_analytic
 from .smoothing import (BIWEIGHT, DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
                         EPANECHNIKOV, BandwidthRule, SmoothedDensity,
@@ -164,16 +163,6 @@ def _root_stream(args):
     return _usage_guard(RngStream, args.seed)
 
 
-def _resolve_threads(args):
-    """The worker count from --threads or GRENBOOT_THREADS, stored back on
-    ``args`` so that the manifest records the count that ran."""
-    if args.threads is None:
-        args.threads = _usage_guard(default_threads)
-    elif args.threads < 1:
-        raise UsageError("--threads must be at least 1, got %d" % args.threads)
-    return args.threads
-
-
 def _load_constants(path):
     with open(path, "r", encoding="utf-8") as fh:
         return LimitConstants.from_dict(json.load(fh))
@@ -266,12 +255,11 @@ def cmd_fit(args):
 @_writes_outputs
 def cmd_ci(args):
     kernel, rule = _smoother_flags(args, "pointwise")
-    threads = _resolve_threads(args)
     sample = read_observations(args.data, args.rescale)
     result = _usage_guard(
         smoothed_pointwise_ci,
         sample, args.t0, level=args.level, n_boot=args.boot, kernel=kernel,
-        rule=rule, rng=_root_stream(args), threads=threads)
+        rule=rule, rng=_root_stream(args), threads=args.threads)
     return [args.data], result.summary_dict(), [
         (".csv", ["replicate", "deviation"],
          [{"replicate": b, "deviation": d}
@@ -281,11 +269,11 @@ def cmd_ci(args):
 @_writes_outputs
 def cmd_band(args):
     kernel, rule = _smoother_flags(args, "l1")
-    threads = _resolve_threads(args)
     sample = read_observations(args.data, args.rescale)
     result = _usage_guard(
         l1_band, sample, level=args.level, n_boot=args.boot, m=args.m,
-        kernel=kernel, rule=rule, rng=_root_stream(args), threads=threads)
+        kernel=kernel, rule=rule, rng=_root_stream(args),
+        threads=args.threads)
     return [args.data], result.summary_dict(), [
         (".csv", ["replicate", "l1_value", "standardized"],
          [{"replicate": b, "l1_value": l, "standardized": s}
@@ -299,7 +287,6 @@ def cmd_limits(args):
         LimitSimConfig, step=args.delta, window=args.window,
         n_paths=args.paths, lag_max=args.lag_max, lag_step=args.lag_step,
         n_batches=args.batches)
-    threads = _resolve_threads(args)
     rng = _root_stream(args)
     # the scaling check runs first, so a bad scaling flag is a usage error
     # before the long constants run; its stream is independent of theirs
@@ -307,8 +294,8 @@ def cmd_limits(args):
     if args.check_scaling:
         scaling = _usage_guard(
             doubled_scaling_check, args.scaling_paths, args.delta,
-            args.scaling_width, rng.substream(1), threads)
-    constants = estimate_constants(config, rng.substream(0), threads)
+            args.scaling_width, rng.substream(1), args.threads)
+    constants = estimate_constants(config, rng.substream(0), args.threads)
     payload = constants.to_dict()
     if scaling is not None:
         payload["scaling"] = scaling
@@ -317,7 +304,6 @@ def cmd_limits(args):
 
 @_writes_outputs
 def cmd_experiment(args):
-    threads = _resolve_threads(args)
     rng = _root_stream(args)
     truth = make_density(args.density, args.rate)
     inputs = []
@@ -333,17 +319,19 @@ def cmd_experiment(args):
             summary, rows = _usage_guard(
                 run_band_coverage, truth, n=args.n, replicates=args.replicates,
                 n_boot=args.boot, m=args.m, level=args.level, kernel=kernel,
-                rule=rule, rng=rng, threads=threads)
+                rule=rule, rng=rng, threads=args.threads)
         else:
             kernel, rule = _smoother_flags(args, "pointwise")
             summary, rows = _usage_guard(
                 run_pointwise_coverage, truth, n=args.n,
                 replicates=args.replicates, n_boot=args.boot, level=args.level,
-                t0=args.t0, kernel=kernel, rule=rule, rng=rng, threads=threads)
+                t0=args.t0, kernel=kernel, rule=rule, rng=rng,
+                threads=args.threads)
     elif args.name == "inconsistency":
         summary, rows = _usage_guard(
             run_inconsistency, truth, constants, n=args.n,
-            replicates=args.replicates, t0=args.t0, rng=rng, threads=threads)
+            replicates=args.replicates, t0=args.t0, rng=rng,
+            threads=args.threads)
     elif args.name == "rate":
         kernel, rule = _smoother_flags(args, "l1")
         n_grid = _usage_guard(
@@ -351,11 +339,11 @@ def cmd_experiment(args):
         summary, rows = _usage_guard(
             run_rate, truth, n_grid=n_grid, replicates=args.replicates,
             kernel=kernel, rule=rule, t0=args.t0, grid_size=args.grid_size,
-            rng=rng, threads=threads)
+            rng=rng, threads=args.threads)
     elif args.name == "l1clt":
         summary, rows = _usage_guard(
             run_l1_clt, truth, constants, n=args.n,
-            replicates=args.replicates, rng=rng, threads=threads)
+            replicates=args.replicates, rng=rng, threads=args.threads)
     else:
         raise UsageError("unknown experiment %r (choose coverage, "
                          "inconsistency, rate, l1clt)" % args.name)
@@ -377,9 +365,9 @@ def build_parser():
             p.add_argument("--seed", type=int, required=True,
                            help="master seed; all randomness derives from it")
         if threads:
-            p.add_argument("--threads", type=int, default=None,
-                           help="worker processes; 1 runs in-process "
-                                "(default: GRENBOOT_THREADS or 1)")
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker processes; 1 (the default) runs "
+                                "in-process")
 
     p = sub.add_parser("gen", help="generate synthetic data from a known density")
     p.add_argument("--density", required=True,
@@ -491,6 +479,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise UsageError("--threads must be at least 1, got %d"
+                             % args.threads)
         return args.func(args)
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)

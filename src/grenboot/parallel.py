@@ -1,20 +1,20 @@
 """Deterministic fan-out of independent replicates over worker processes.
 
 ``map_indexed`` runs in-process for one worker. For more, it forks a pool
-of worker processes and hands each a few contiguous chunks of indices.
-Forking passes the mapped function to the children as it stands, closures
-included, so nothing but the results (and any exception) is pickled. A
-``map_indexed`` called inside a worker runs serially there. Where ``fork``
-is not available the map runs serially. A fork copies only the calling
-thread, so the caller's other threads must hold no lock that the mapped
-function takes; the package itself starts no threads.
+of worker processes, and ``Pool.map`` hands each a few contiguous chunks of
+indices. Forking passes the mapped function to the children as it stands,
+closures included, so only the indices, the results and any exception
+are pickled. A ``map_indexed`` called inside a worker runs serially
+there. Where ``fork`` is not available the map runs serially. A fork
+copies only the calling thread, so the caller's other threads must hold no
+lock that the mapped function takes; the package itself starts no threads.
 """
 
+import math
 import operator
-import os
 import threading
 
-__all__ = ["default_threads", "map_indexed"]
+__all__ = ["map_indexed"]
 
 # contiguous chunks per worker: several, so a worker that finishes early
 # takes another; few, so each hand-off carries many replicates
@@ -27,25 +27,8 @@ _busy = threading.Lock()
 _fn = None
 
 
-def _run_chunk(bounds):
-    lo, hi = bounds
-    return [_fn(i) for i in range(lo, hi)]
-
-
-def default_threads():
-    """Worker count from the GRENBOOT_THREADS environment variable: 1 when it
-    is unset or empty, else it must be a positive integer (ValueError)."""
-    raw = os.environ.get("GRENBOOT_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError("GRENBOOT_THREADS must be a positive integer, got %r"
-                         % raw)
-    return threads
+def _call(i):
+    return _fn(i)
 
 
 def map_indexed(fn, count, threads=1):
@@ -76,13 +59,10 @@ def map_indexed(fn, count, threads=1):
     global _fn
     _fn = fn
     try:
-        n_chunks = min(count, _CHUNKS_PER_WORKER * workers)
-        cuts = [count * k // n_chunks for k in range(n_chunks + 1)]
+        chunksize = math.ceil(count / (_CHUNKS_PER_WORKER * workers))
         context = multiprocessing.get_context("fork")
         with context.Pool(min(workers, count)) as pool:
-            chunks = pool.map(_run_chunk, zip(cuts[:-1], cuts[1:]),
-                              chunksize=1)
+            return pool.map(_call, range(count), chunksize=chunksize)
     finally:
         _fn = None
         _busy.release()
-    return [result for chunk in chunks for result in chunk]

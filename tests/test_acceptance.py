@@ -204,13 +204,12 @@ def test_criterion_09_l1_band_sanity(capsys, acceptance_constants):
 
 def test_criterion_10_cli_determinism(capsys, tmp_path):
     def run(args, threads=None):
-        import os
-        env = dict(os.environ)
-        if threads is not None:
-            env["GRENBOOT_THREADS"] = str(threads)
+        # fit has no --threads flag, so its runs are reruns only
+        if threads is not None and args[0] != "fit":
+            args = args + ["--threads", threads]
         r = subprocess.run([sys.executable, "-m", "grenboot.cli"]
                            + [str(a) for a in args],
-                           capture_output=True, text=True, env=env)
+                           capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
         return r
 

@@ -7,22 +7,11 @@ import pytest
 from scipy import stats
 
 from grenboot.cli import main, read_observations
-from grenboot.parallel import default_threads
 
 
 def run_cli(args):
     """Invoke the CLI in-process; returns the exit code."""
     return main([str(a) for a in args])
-
-
-def run_cli_subprocess(args, extra_env=None):
-    import os
-    env = dict(os.environ)
-    if extra_env:
-        env.update(extra_env)
-    return subprocess.run([sys.executable, "-m", "grenboot.cli"]
-                          + [str(a) for a in args],
-                          capture_output=True, text=True, env=env)
 
 
 def test_import_skips_scipy_stats_and_integrate():
@@ -430,33 +419,16 @@ def test_manifest_stable_minus_wall_clock(data_file, tmp_path):
 
 
 def test_thread_count_does_not_change_output(data_file, tmp_path):
-    r1 = run_cli_subprocess(
-        ["ci", "--data", data_file, "--t0", 0.5, "--boot", 40, "--seed", 2,
-         "--out", tmp_path / "t1"], extra_env={"GRENBOOT_THREADS": "1"})
-    r2 = run_cli_subprocess(
-        ["ci", "--data", data_file, "--t0", 0.5, "--boot", 40, "--seed", 2,
-         "--out", tmp_path / "t8"], extra_env={"GRENBOOT_THREADS": "8"})
-    assert r1.returncode == 0 and r2.returncode == 0
+    for threads in (1, 8):
+        assert run_cli(["ci", "--data", data_file, "--t0", 0.5, "--boot", 40,
+                        "--seed", 2, "--threads", threads,
+                        "--out", tmp_path / ("t%d" % threads)]) == 0
     assert ((tmp_path / "t1.json").read_bytes()
             == (tmp_path / "t8.json").read_bytes())
     assert ((tmp_path / "t1.csv").read_bytes()
             == (tmp_path / "t8.csv").read_bytes())
     manifest = json.loads((tmp_path / "t8.manifest.json").read_text())
     assert manifest["parameters"]["threads"] == 8
-
-
-def test_threads_flag_overrides_env(data_file, tmp_path):
-    r = run_cli_subprocess(
-        ["band", "--data", data_file, "--boot", 50, "--m", 3000, "--seed", 4,
-         "--threads", 2, "--out", tmp_path / "bt"],
-        extra_env={"GRENBOOT_THREADS": "16"})
-    assert r.returncode == 0
-    s = json.loads((tmp_path / "bt.json").read_text())
-    assert s["radius"] == pytest.approx(
-        s["mu_hat"] / s["n"] ** (1 / 3) + s["c_critical"] / np.sqrt(s["n"]),
-        abs=1e-15)
-    manifest = json.loads((tmp_path / "bt.manifest.json").read_text())
-    assert manifest["parameters"]["threads"] == 2
 
 
 # -- degenerate data and thread counts ------------------------------------------
@@ -485,28 +457,28 @@ def test_degenerate_data_exit_codes(case, command, tmp_path, capsys):
         assert err.startswith("error: ") and message in err
 
 
-@pytest.mark.parametrize("raw", ["abc", "0", "-2"])
-def test_invalid_thread_env_is_usage_error(raw, data_file, tmp_path,
-                                           monkeypatch, capsys):
-    monkeypatch.setenv("GRENBOOT_THREADS", raw)
-    assert run_cli(["ci", "--data", data_file, "--t0", 0.5, "--boot", 40,
-                    "--seed", 2, "--out", tmp_path / "t"]) == 2
-    assert "GRENBOOT_THREADS" in capsys.readouterr().err
-
-
 def test_nonpositive_threads_flag_is_usage_error(data_file, tmp_path, capsys):
     assert run_cli(["band", "--data", data_file, "--boot", 60, "--m", 3000,
                     "--seed", 4, "--threads", -4, "--out", tmp_path / "t"]) == 2
     assert "--threads" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("raw", [None, ""], ids=["unset", "empty"])
-def test_unset_or_empty_thread_env_means_one(raw, monkeypatch):
-    if raw is None:
-        monkeypatch.delenv("GRENBOOT_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("GRENBOOT_THREADS", raw)
-    assert default_threads() == 1
+@pytest.mark.parametrize("command", [
+    ["ci", "--t0", 0.5, "--boot", 40],
+    ["band", "--boot", 60, "--m", 3000],
+    ["limits", "--paths", 300, "--lag-max", 5.0, "--lag-step", 0.5],
+    ["experiment", "coverage", "--n", 60, "--replicates", 2, "--boot", 20],
+], ids=["ci", "band", "limits", "experiment"])
+def test_zero_threads_is_usage_error(command, data_file, tmp_path, capsys):
+    # limits runs its constants outside the usage guard, so main checks
+    # the flag before any subcommand starts
+    data = [] if command[0] in ("limits", "experiment") else [
+        "--data", data_file]
+    assert run_cli(command + data + ["--seed", 1, "--threads", 0,
+                                     "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--threads" in err
+    assert not list(tmp_path.glob("o*"))
 
 
 @pytest.mark.parametrize("command", [
@@ -548,3 +520,12 @@ def test_gen_trunc_exp_tiny_rate_is_uniform_to_rounding(tmp_path):
     assert run_cli(["gen", "--density", "uniform", "--n", 50, "--seed", 7,
                     "--out", flat]) == 0
     assert np.allclose(np.loadtxt(tiny), np.loadtxt(flat), rtol=0, atol=1e-15)
+
+
+def test_gen_trunc_exp_large_rate(tmp_path):
+    # the density's mass check resolves exp(-1e4 t) near 0
+    out = tmp_path / "steep.txt"
+    assert run_cli(["gen", "--density", "trunc-exp", "--rate", "1e4",
+                    "--n", 50, "--seed", 7, "--out", out]) == 0
+    values = np.loadtxt(out)
+    assert values.size == 50 and 0.0 <= values.min() <= values.max() < 1e-2

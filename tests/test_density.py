@@ -228,6 +228,31 @@ def test_trunc_exp_small_rate_matches_closed_form(rate):
     assert np.allclose(d.ppf(d.cdf(t)), t, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("rate", [1e4, 1e8, 1e15])
+def test_trunc_exp_large_rate_passes_mass_check(rate):
+    # nearly all of the mass lies within a few multiples of 1/rate of 0,
+    # far inside the first of 64 equal panels
+    d = trunc_exp_density(rate)
+    assert d(0.0) == rate and d.cdf(1.0) == 1.0
+
+
+@pytest.mark.parametrize("pdf", [
+    lambda t: 2.0 * (1.0 - t),
+    lambda t: 1e4 * np.exp(-1e4 * t) / -np.expm1(-1e4),
+    lambda t: 1e15 * np.exp(-1e15 * t),
+], ids=["triangular", "trunc_exp_1e4", "trunc_exp_1e15"])
+def test_mass_check_rejects_scaled_pdf(pdf):
+    with pytest.raises(ValueError, match=r"integrates to 1\.0(1|09)"):
+        AnalyticDensity("scaled", lambda t: 1.01 * pdf(t))
+
+
+@pytest.mark.parametrize("rate", [20.0, 36.0, 50.0, 1e4])
+def test_trunc_exp_ppf_stays_in_unit_interval(rate):
+    # z = 1 - exp(-rate) rounds within an ulp of 1, or to 1 at rate 50
+    d = trunc_exp_density(rate)
+    assert d.ppf(1.0) == 1.0 and d.ppf(0.0) == 0.0
+
+
 # -- distances -------------------------------------------------------------------
 
 
