@@ -360,7 +360,26 @@ def build_parser():
                     "inference and limit-law Monte Carlo.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, seed=True, threads=True):
+    def add_flags(p, data=False, smoother=False, seed=True, threads=True,
+                  out="output prefix"):
+        """Declare on ``p`` the flag families it takes: --data/--rescale,
+        --kernel/--alpha/--scale, and --out with --seed and --threads."""
+        if data:
+            p.add_argument("--data", required=True,
+                           help="data file, one decimal per line")
+            p.add_argument("--rescale", nargs=2, type=float,
+                           metavar=("LO", "HI"),
+                           help="affinely map [LO, HI] onto [0, 1]")
+        if smoother:
+            p.add_argument("--kernel",
+                           help="kernel name (default: the regime's)")
+            p.add_argument("--alpha", type=float,
+                           help="bandwidth exponent, in (0, 1/3) for the "
+                                "pointwise regime and (1/6, 1/5) for l1 "
+                                "(default: the regime's)")
+            p.add_argument("--scale", type=float, default=1.0,
+                           help="bandwidth scale (default 1)")
+        p.add_argument("--out", required=True, help=out)
         if seed:
             p.add_argument("--seed", type=int, required=True,
                            help="master seed; all randomness derives from it")
@@ -375,59 +394,34 @@ def build_parser():
     p.add_argument("--rate", type=float, default=1.0,
                    help="rate for trunc-exp (default 1)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", required=True, help="output data file")
-    add_common(p, threads=False)
+    add_flags(p, threads=False, out="output data file")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("fit", help="Grenander fit of a data file")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True, help="output prefix")
-    p.add_argument("--rescale", nargs=2, type=float, metavar=("LO", "HI"),
-                   default=None, help="affinely map [LO, HI] onto [0, 1]")
     p.add_argument("--smooth-grid", type=int, default=0,
                    help="also dump the kernel smooth on a uniform grid of "
                         "this many points, 0 (no dump) or at least 2")
-    p.add_argument("--kernel", default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--regime", default="l1", choices=["pointwise", "l1"],
                    help="smoother regime; sets the default kernel and alpha")
+    add_flags(p, data=True, smoother=True, seed=False, threads=False)
     p.set_defaults(func=cmd_fit, seed=None)
 
     p = sub.add_parser("ci", help="smoothed-bootstrap pointwise confidence interval")
-    p.add_argument("--data", required=True)
-    p.add_argument("--rescale", nargs=2, type=float, metavar=("LO", "HI"),
-                   default=None)
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--level", type=float, default=0.90,
                    help="confidence level (default 0.90)")
     p.add_argument("--boot", type=int, default=500, help="bootstrap replicates")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="bandwidth exponent, in (0, 1/3)")
-    p.add_argument("--scale", type=float, default=1.0, help="bandwidth scale")
-    p.add_argument("--kernel", default=None,
-                   choices=["epanechnikov", "biweight"])
-    p.add_argument("--out", required=True, help="output prefix")
-    add_common(p)
+    add_flags(p, data=True, smoother=True)
     p.set_defaults(func=cmd_ci)
 
     p = sub.add_parser("band", help="supersample-calibrated L1 confidence band")
-    p.add_argument("--data", required=True)
-    p.add_argument("--rescale", nargs=2, type=float, metavar=("LO", "HI"),
-                   default=None)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--boot", type=int, default=300)
     p.add_argument("--m", type=int, default=None,
                    help="supersample size (default "
                         "max(10n, min(ceil(n^1.5), 200000)); an explicit "
                         "value may exceed the 200000 cap)")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="bandwidth exponent, in (1/6, 1/5)")
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--kernel", default=None,
-                   choices=["epanechnikov", "biweight"])
-    p.add_argument("--out", required=True, help="output prefix")
-    add_common(p)
+    add_flags(p, data=True, smoother=True)
     p.set_defaults(func=cmd_band)
 
     p = sub.add_parser("limits", help="Monte Carlo limit constants")
@@ -443,8 +437,7 @@ def build_parser():
                    help="also run the doubled-noise variance-ratio check")
     p.add_argument("--scaling-paths", type=int, default=20000)
     p.add_argument("--scaling-width", type=float, default=3.0)
-    p.add_argument("--out", required=True, help="output prefix")
-    add_common(p)
+    add_flags(p)
     p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("experiment", help="run a named simulation experiment")
@@ -459,9 +452,6 @@ def build_parser():
     p.add_argument("--t0", type=float, default=0.5)
     p.add_argument("--band", action="store_true",
                    help="coverage: build L1 bands instead of pointwise CIs")
-    p.add_argument("--kernel", default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--n-grid", default="1000,3162,10000,31623",
                    help="rate: comma-separated sample sizes")
     p.add_argument("--grid-size", type=int, default=2001,
@@ -469,8 +459,7 @@ def build_parser():
     p.add_argument("--limits", default=None,
                    help="constants JSON from `grenboot limits` "
                         "(required for inconsistency and l1clt)")
-    p.add_argument("--out", required=True, help="output prefix")
-    add_common(p)
+    add_flags(p, smoother=True)
     p.set_defaults(func=cmd_experiment)
     return parser
 

@@ -33,14 +33,16 @@ class DegenerateEstimateError(RuntimeError):
     max|K| / (n h))."""
 
 
-def _as_array(t):
+def _at(t, f, what="evaluation point"):
+    """``f`` at the points ``t`` of [0, 1], passed as an array of at least
+    one dimension; a float for a scalar ``t``. A point outside [0, 1], NaN
+    included, raises ValueError naming ``what``."""
     arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    return np.atleast_1d(arr), scalar
-
-
-def _ret(values, scalar):
-    return float(values[0]) if scalar else values
+    x = np.atleast_1d(arr)
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise ValueError("%s outside [0, 1]" % what)
+    values = np.asarray(f(x), dtype=float)
+    return float(values[0]) if arr.ndim == 0 else values
 
 
 # Gauss-Legendre with 32 nodes after the substitution t = a + (b - a) p(s),
@@ -51,8 +53,9 @@ _S = 0.5 * (_GL_X + 1.0)
 _NODES = _S ** 3 * (10.0 - 15.0 * _S + 6.0 * _S ** 2)
 _WEIGHTS = 15.0 * _S ** 2 * (1.0 - _S) ** 2 * _GL_W   # p'(s) ds on [0, 1]
 _PANELS = np.linspace(0.0, 1.0, 65)
-# the mass check adds panels graded toward 0, where a steep density sits
-_MASS_PANELS = np.union1d(_PANELS, np.geomspace(2.0 ** -60, 1.0, 65))
+# the mass check adds panels graded toward 0, where a steep density sits,
+# each about 4 times the last, down from the smallest normal double
+_MASS_PANELS = np.union1d(_PANELS, np.geomspace(2.0 ** -1022, 1.0, 513))
 
 
 def _fixed_rule(f, breakpoints):
@@ -149,13 +152,9 @@ class StepDensity:
         """Value just left (the function value) or just right of ``t``."""
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        arr, scalar = _as_array(t)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("evaluation point outside [0, 1]")
-        mode = "left" if side == "left" else "right"
-        idx = np.searchsorted(self.breakpoints, arr, side=mode)
-        idx = np.minimum(idx, self.heights.size - 1)
-        return _ret(self.heights[idx], scalar)
+        last = self.heights.size - 1
+        return _at(t, lambda x: self.heights[np.minimum(
+            np.searchsorted(self.breakpoints, x, side=side), last)])
 
     def __repr__(self):
         return "StepDensity(steps=%d, f(0)=%g)" % (self.heights.size, self.heights[0])
@@ -173,8 +172,11 @@ def grenander_fit(sample):
     points at the ends of the pooled blocks, and equal adjacent slopes pool
     into one block. An observation at exactly 0 makes the monotone MLE
     degenerate (unbounded first slope) and raises
-    :class:`DegenerateEstimateError`.
+    :class:`DegenerateEstimateError`. ``sample`` is a :class:`Sample` or
+    any 1-d array-like of values in [0, 1].
     """
+    if not isinstance(sample, Sample):
+        sample = Sample(sample)
     v = sample.values
     if v[0] <= 0.0:
         raise DegenerateEstimateError(
@@ -203,7 +205,8 @@ class AnalyticDensity:
 
     The constructor checks that ``pdf`` has unit mass, to 1e-10, by the
     fixed rule of :func:`l1_shape_integral` on 64 equal panels joined with
-    64 geometric ones from 2^-60 to 1; non-finite values raise ValueError.
+    512 geometric ones from 2^-1022 to 1; non-finite values raise
+    ValueError.
 
     Parameters
     ----------
@@ -232,30 +235,22 @@ class AnalyticDensity:
             raise ValueError("density %s integrates to %r, not 1" % (name, mass))
 
     def __call__(self, t):
-        arr, scalar = _as_array(t)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("evaluation point outside [0, 1]")
-        return _ret(np.asarray(self._pdf(arr), dtype=float), scalar)
+        return _at(t, self._pdf)
 
     def dpdf(self, t):
         if self._dpdf is None:
             raise ValueError("density %s has no derivative evaluator" % self.name)
-        arr, scalar = _as_array(t)
-        return _ret(np.asarray(self._dpdf(arr), dtype=float), scalar)
+        return _at(t, self._dpdf)
 
     def cdf(self, t):
         if self._cdf is None:
             raise ValueError("density %s has no closed-form CDF" % self.name)
-        arr, scalar = _as_array(t)
-        return _ret(np.asarray(self._cdf(arr), dtype=float), scalar)
+        return _at(t, self._cdf)
 
     def ppf(self, u):
         if self._ppf is None:
             raise ValueError("density %s has no inverse CDF" % self.name)
-        arr, scalar = _as_array(u)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("probabilities must lie in [0, 1]")
-        return _ret(np.asarray(self._ppf(arr), dtype=float), scalar)
+        return _at(u, self._ppf, "probability")
 
     def __repr__(self):
         return "AnalyticDensity(%r)" % self.name

@@ -55,12 +55,7 @@ def run_pointwise_coverage(truth, n=500, replicates=200, n_boot=200,
         ci = smoothed_pointwise_ci(data, t0, level=level, n_boot=n_boot,
                                    kernel=kernel, rule=rule,
                                    rng=rng.substream(r, 1))
-        return ci
-
-    results = map_indexed(one, int(replicates), threads)
-    rows = []
-    for r, ci in enumerate(results):
-        rows.append({
+        return {
             "replicate": r,
             "lower": ci.lower,
             "upper": ci.upper,
@@ -68,7 +63,9 @@ def run_pointwise_coverage(truth, n=500, replicates=200, n_boot=200,
             "grenander_value": ci.grenander_value,
             "smoothed_value": ci.smoothed_value,
             "covered": int(ci.lower <= target <= ci.upper),
-        })
+        }
+
+    rows = map_indexed(one, int(replicates), threads)
     coverage = float(np.mean([row["covered"] for row in rows]))
     summary = {
         "experiment": "coverage_pointwise",
@@ -104,14 +101,7 @@ def run_band_coverage(truth, n=1000, replicates=100, n_boot=300, m=20000,
         data = sample_from_analytic(truth, n, rng.substream(r, 0))
         band = l1_band(data, level=level, n_boot=n_boot, m=m, kernel=kernel,
                        rule=rule, rng=rng.substream(r, 1))
-        return band, band_contains(band, truth)
-
-    results = map_indexed(one, int(replicates), threads)
-    rows = []
-    pooled = []
-    for r, (band, hit) in enumerate(results):
-        pooled.append(band.standardized)
-        rows.append({
+        return {
             "replicate": r,
             "radius": band.radius,
             "mu_hat": band.mu_hat,
@@ -119,8 +109,11 @@ def run_band_coverage(truth, n=1000, replicates=100, n_boot=300, m=20000,
             "mean_standardized": float(np.mean(band.standardized)),
             "sd_standardized": float(np.std(band.standardized, ddof=1)),
             "empty": int(band.empty),
-            "covered": int(hit),
-        })
+            "covered": int(band_contains(band, truth)),
+        }, band.standardized
+
+    rows, pooled = zip(*map_indexed(one, int(replicates), threads))
+    rows = list(rows)
     pooled = np.concatenate(pooled)
     coverage = float(np.mean([row["covered"] for row in rows]))
     summary = {
@@ -252,32 +245,25 @@ def run_rate(truth, n_grid=(1000, 3162, 10000, 31623), replicates=50,
 
     def one(r):
         u = rng.substream(r).gen.uniform(size=n_max)
-        out = []
+        rows = []
         for n in n_grid:
             data = Sample(truth.ppf(u[:n]))
             smoothed = fit_smoothed(data, kernel, rule)
-            h = smoothed.h
-            sup_err = sup_distance(smoothed, truth, grid_size)
-            interior = np.linspace(h, 1.0 - h, 1025)
-            deriv_err = float(np.max(np.abs(smoothed.dpdf(interior)
-                                            - truth.dpdf(interior))))
-            d2_max = float(np.max(np.abs(smoothed.d2pdf(interior))))
-            gren_err = abs(float(grenander_fit(data)(t0)) - target0)
-            out.append((sup_err, deriv_err, d2_max, gren_err))
-        return out
-
-    results = map_indexed(one, int(replicates), threads)
-    rows = []
-    for r, per_n in enumerate(results):
-        for n, (sup_err, deriv_err, d2_max, gren_err) in zip(n_grid, per_n):
+            interior = np.linspace(smoothed.h, 1.0 - smoothed.h, 1025)
             rows.append({
                 "replicate": r,
                 "n": n,
-                "sup_error": sup_err,
-                "deriv_error": deriv_err,
-                "d2_max": d2_max,
-                "grenander_error_t0": gren_err,
+                "sup_error": sup_distance(smoothed, truth, grid_size),
+                "deriv_error": float(np.max(np.abs(
+                    smoothed.dpdf(interior) - truth.dpdf(interior)))),
+                "d2_max": float(np.max(np.abs(smoothed.d2pdf(interior)))),
+                "grenander_error_t0": abs(float(grenander_fit(data)(t0))
+                                          - target0),
             })
+        return rows
+
+    rows = [row for rows_r in map_indexed(one, int(replicates), threads)
+            for row in rows_r]
 
     logn = np.log10(np.asarray(n_grid, dtype=float))
 

@@ -10,15 +10,10 @@ copies only the calling thread, so the caller's other threads must hold no
 lock that the mapped function takes; the package itself starts no threads.
 """
 
-import math
 import operator
 import threading
 
 __all__ = ["map_indexed"]
-
-# contiguous chunks per worker: several, so a worker that finishes early
-# takes another; few, so each hand-off carries many replicates
-_CHUNKS_PER_WORKER = 4
 
 # held while a pool runs; a forked child inherits it held, so a nested
 # map_indexed (or one from another thread of the caller) runs serially
@@ -59,10 +54,13 @@ def map_indexed(fn, count, threads=1):
     global _fn
     _fn = fn
     try:
-        chunksize = math.ceil(count / (_CHUNKS_PER_WORKER * workers))
         context = multiprocessing.get_context("fork")
         with context.Pool(min(workers, count)) as pool:
-            return pool.map(_call, range(count), chunksize=chunksize)
+            # the default chunk size, ceil(count / (4 * workers)), makes
+            # about 4 contiguous chunks per worker: several, so one that
+            # finishes early takes another; few, so each hand-off carries
+            # many replicates
+            return pool.map(_call, range(count))
     finally:
         _fn = None
         _busy.release()

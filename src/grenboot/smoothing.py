@@ -17,8 +17,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.interpolate import PPoly
 
-from .density import (DegenerateEstimateError, Sample, _as_array, _ret,
-                      _split)
+from .density import DegenerateEstimateError, Sample, _at, _split
 from .resampling import _squeeze_table, envelope_bound
 
 __all__ = [
@@ -342,25 +341,17 @@ class SmoothedDensity:
         # built on first draw, not here: fit never samples
         return _squeeze_table(self.ppoly, self.envelope)
 
-    def _eval(self, t, nu):
-        """``ppoly`` or its derivative of order ``nu`` at points of [0, 1];
-        values are clamped at 0 against rounding next to a sign break."""
-        arr, scalar = _as_array(t)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("evaluation point outside [0, 1]")
-        vals = self.ppoly(arr, nu)
-        return _ret(np.maximum(vals, 0.0) if nu == 0 else vals, scalar)
-
     def pdf(self, t):
-        """Normalized density."""
-        return self._eval(t, 0)
+        """Normalized density; clamped at 0 against rounding next to a sign
+        break."""
+        return _at(t, lambda x: np.maximum(self.ppoly(x), 0.0))
 
     def __call__(self, t):
         return self.pdf(t)
 
     def dpdf(self, t):
         """Derivative of the normalized density; 0 where truncation is active."""
-        return self._eval(t, 1)
+        return _at(t, lambda x: self.ppoly(x, 1))
 
     def d2pdf(self, t):
         """Second derivative; requires a kernel passing the l1-level checks."""
@@ -369,17 +360,14 @@ class SmoothedDensity:
                 "kernel %s fails the l1-level smoothness conditions; "
                 "second derivatives are not trustworthy" % self.kernel.name
             )
-        return self._eval(t, 2)
+        return _at(t, lambda x: self.ppoly(x, 2))
 
     def cdf(self, t):
         """Distribution function of the normalized density: the
         antiderivative of ``ppoly``, built on each call, divided by its own
         value at 1, so that cdf(0) == 0 and cdf(1) == 1 exactly."""
-        arr, scalar = _as_array(t)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("evaluation point outside [0, 1]")
         prim = self.ppoly.antiderivative()
-        return _ret(prim(arr) / prim(1.0), scalar)
+        return _at(t, lambda x: prim(x) / prim(1.0))
 
     def __repr__(self):
         return "SmoothedDensity(n=%d, kernel=%s, h=%g)" % (

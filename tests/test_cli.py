@@ -232,6 +232,21 @@ def test_band_kernel_gate(data_file, tmp_path):
                     "--out", tmp_path / "b"]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["fit"], ["ci", "--t0", 0.5], ["band"], ["experiment", "coverage"],
+], ids=["fit", "ci", "band", "experiment"])
+def test_unknown_kernel_is_usage_error(command, data_file, tmp_path, capsys):
+    # the kernel registry is the one check of a kernel name
+    data = [] if command[0] == "experiment" else ["--data", data_file]
+    seed = [] if command[0] == "fit" else ["--seed", 1]
+    assert run_cli(command + data + seed + [
+        "--kernel", "nosuch", "--out", tmp_path / "k"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: unknown kernel 'nosuch'")
+    assert "biweight" in err and "epanechnikov" in err
+    assert not list(tmp_path.glob("k*"))
+
+
 # -- limits ---------------------------------------------------------------------
 
 
@@ -523,9 +538,10 @@ def test_gen_trunc_exp_tiny_rate_is_uniform_to_rounding(tmp_path):
 
 
 def test_gen_trunc_exp_large_rate(tmp_path):
-    # the density's mass check resolves exp(-1e4 t) near 0
-    out = tmp_path / "steep.txt"
-    assert run_cli(["gen", "--density", "trunc-exp", "--rate", "1e4",
-                    "--n", 50, "--seed", 7, "--out", out]) == 0
-    values = np.loadtxt(out)
-    assert values.size == 50 and 0.0 <= values.min() <= values.max() < 1e-2
+    # the density's mass check resolves exp(-rate t) near 0
+    for rate in ("1e4", "1e20"):
+        out = tmp_path / ("steep%s.txt" % rate)
+        assert run_cli(["gen", "--density", "trunc-exp", "--rate", rate,
+                        "--n", 50, "--seed", 7, "--out", out]) == 0
+        values = np.loadtxt(out)
+        assert values.size == 50 and 0.0 <= values.min() <= values.max() < 1e-2

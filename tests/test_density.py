@@ -61,6 +61,12 @@ def test_grenander_single_point(x):
         assert fit((1 + x) / 2) == 0.0
 
 
+def test_grenander_accepts_an_array_like():
+    fit, want = grenander_fit([0.2, 0.5]), grenander_fit(Sample([0.2, 0.5]))
+    assert np.array_equal(fit.breakpoints, want.breakpoints)
+    assert np.array_equal(fit.heights, want.heights)
+
+
 def test_grenander_rejects_observation_at_zero():
     with pytest.raises(DegenerateEstimateError, match="degenerate"):
         grenander_fit(Sample([0.0, 0.5]))
@@ -192,6 +198,34 @@ def test_step_density_eval_sided():
     assert d.eval_sided(0.5, "right") == 0.2
 
 
+# -- the evaluation guard ----------------------------------------------------------
+
+
+_STEP = StepDensity([0.5, 1.0], [1.8, 0.2])
+_EXP = trunc_exp_density(2.0)
+_SMOOTH = fit_smoothed(sample_from_analytic(triangular_density(), 200,
+                                            RngStream(3)))
+
+
+@pytest.mark.parametrize("evaluate", [
+    _STEP, lambda t: _STEP.eval_sided(t, "left"),
+    lambda t: _STEP.eval_sided(t, "right"),
+    _EXP, _EXP.dpdf, _EXP.cdf, _EXP.ppf,
+    _SMOOTH, _SMOOTH.pdf, _SMOOTH.dpdf, _SMOOTH.d2pdf, _SMOOTH.cdf,
+], ids=["step", "step.eval_sided-left", "step.eval_sided-right",
+        "analytic", "analytic.dpdf", "analytic.cdf", "analytic.ppf",
+        "smoothed", "smoothed.pdf", "smoothed.dpdf", "smoothed.d2pdf",
+        "smoothed.cdf"])
+def test_evaluators_reject_points_outside_unit_interval(evaluate):
+    for bad in (-0.5, 1.5, np.nan):
+        for t in (bad, np.array([0.25, bad])):
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                evaluate(t)
+    assert type(evaluate(0.25)) is float
+    values = evaluate(np.array([0.25, 0.75]))
+    assert isinstance(values, np.ndarray) and values.shape == (2,)
+
+
 # -- analytic zoo ----------------------------------------------------------------
 
 
@@ -228,10 +262,11 @@ def test_trunc_exp_small_rate_matches_closed_form(rate):
     assert np.allclose(d.ppf(d.cdf(t)), t, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("rate", [1e4, 1e8, 1e15])
+@pytest.mark.parametrize("rate", [1e4, 1e8, 1e15, 1e20, 1e100, 1.7e308])
 def test_trunc_exp_large_rate_passes_mass_check(rate):
     # nearly all of the mass lies within a few multiples of 1/rate of 0,
-    # far inside the first of 64 equal panels
+    # far inside the first of 64 equal panels; at the largest rate, within
+    # a few multiples of the smallest normal double
     d = trunc_exp_density(rate)
     assert d(0.0) == rate and d.cdf(1.0) == 1.0
 
@@ -240,7 +275,8 @@ def test_trunc_exp_large_rate_passes_mass_check(rate):
     lambda t: 2.0 * (1.0 - t),
     lambda t: 1e4 * np.exp(-1e4 * t) / -np.expm1(-1e4),
     lambda t: 1e15 * np.exp(-1e15 * t),
-], ids=["triangular", "trunc_exp_1e4", "trunc_exp_1e15"])
+    lambda t: 1e100 * np.exp(-1e100 * t),
+], ids=["triangular", "trunc_exp_1e4", "trunc_exp_1e15", "trunc_exp_1e100"])
 def test_mass_check_rejects_scaled_pdf(pdf):
     with pytest.raises(ValueError, match=r"integrates to 1\.0(1|09)"):
         AnalyticDensity("scaled", lambda t: 1.01 * pdf(t))
