@@ -29,6 +29,7 @@ from .experiments import (run_band_coverage, run_inconsistency, run_l1_clt,
 from .inference import l1_band, smoothed_pointwise_ci
 from .limits import (LimitConstants, LimitSimConfig, doubled_scaling_check,
                      estimate_constants)
+from .parallel import _count
 from .resampling import RngStream, sample_from_analytic
 from .smoothing import (BIWEIGHT, DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
                         EPANECHNIKOV, BandwidthRule, SmoothedDensity,
@@ -80,23 +81,13 @@ def _write_manifest(path, subcommand, args, inputs, outputs, elapsed):
         "tool": "grenboot",
         "version": __version__,
         "subcommand": subcommand,
-        "parameters": {k: _json_safe(v) for k, v in params.items()},
+        "parameters": params,
         "seed": getattr(args, "seed", None),
         "input_digests": {p: _digest(p) for p in inputs},
         "outputs": sorted(outputs),
         "wall_clock_seconds": elapsed,
     }
     _write_json(path, manifest)
-
-
-def _json_safe(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (list, tuple)):
-        return [_json_safe(x) for x in v]
-    return v
 
 
 def read_observations(path, rescale=None):
@@ -180,7 +171,7 @@ def _writes_outputs(cmd):
         t_start = time.monotonic()
         inputs, payload, tables = cmd(args)
         outputs = [args.out + ".json"]
-        _write_json(outputs[0], {k: _json_safe(v) for k, v in payload.items()})
+        _write_json(outputs[0], payload)
         for suffix, header, rows in tables:
             outputs.append(args.out + suffix)
             _write_csv(outputs[-1], header, rows)
@@ -211,11 +202,9 @@ def _smoother_flags(args, regime):
 
 def cmd_gen(args):
     density = make_density(args.density, args.rate)
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
     rng = _root_stream(args)
     t0 = time.monotonic()
-    sample = sample_from_analytic(density, args.n, rng)
+    sample = _usage_guard(sample_from_analytic, density, args.n, rng)
     with open(args.out, "w", encoding="utf-8") as fh:
         for v in sample.values:
             fh.write(repr(float(v)) + "\n")
@@ -226,9 +215,8 @@ def cmd_gen(args):
 
 @_writes_outputs
 def cmd_fit(args):
-    if args.smooth_grid < 0 or args.smooth_grid == 1:
-        raise UsageError("--smooth-grid must be 0 or at least 2, got %d"
-                         % args.smooth_grid)
+    if args.smooth_grid:
+        _usage_guard(_count, args.smooth_grid, "a nonzero --smooth-grid", 2)
     kernel, rule = _smoother_flags(args, args.regime)
     sample = read_observations(args.data, args.rescale)
     fit = grenander_fit(sample)
@@ -468,9 +456,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise UsageError("--threads must be at least 1, got %d"
-                             % args.threads)
+        _usage_guard(_count, getattr(args, "threads", 1), "--threads", 1)
         return args.func(args)
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)

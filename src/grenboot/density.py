@@ -10,6 +10,8 @@ import numpy as np
 from scipy.interpolate import PPoly
 from scipy.optimize import brentq, isotonic_regression
 
+from .parallel import _count
+
 __all__ = [
     "DegenerateEstimateError",
     "Sample",
@@ -487,10 +489,8 @@ def sup_distance(a, b, grid_size=10001):
 
     Step discontinuities are probed from both sides at every grid point.
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
     pts = np.unique(np.concatenate([
-        np.linspace(0.0, 1.0, int(grid_size)),
+        np.linspace(0.0, 1.0, _count(grid_size, "grid_size", 2)),
         getattr(a, "quad_breakpoints", []),
         getattr(b, "quad_breakpoints", []),
     ]))

@@ -13,7 +13,7 @@ from .density import (Sample, grenander_fit, l1_distance, rate_constant,
                       sup_distance)
 from .inference import l1_band, band_contains, smoothed_pointwise_ci
 from .limits import _var_of_var, l1_centering_constant
-from .parallel import map_indexed
+from .parallel import _count, map_indexed
 from .resampling import multinomial_bootstrap, sample_from_analytic
 from .smoothing import (BIWEIGHT, EPANECHNIKOV, DEFAULT_L1_RULE,
                         DEFAULT_POINTWISE_RULE, fit_smoothed, kernel_satisfies)
@@ -31,14 +31,6 @@ def _binomial_se(p, n):
     return float(np.sqrt(max(p * (1.0 - p), 1.0 / n) / n))
 
 
-def _check_replicates(replicates, least):
-    """The summaries need ``least`` replicates: a rate needs one, a sample
-    variance two."""
-    if replicates < least:
-        raise ValueError("replicates must be at least %d, got %d"
-                         % (least, replicates))
-
-
 def run_pointwise_coverage(truth, n=500, replicates=200, n_boot=200,
                            level=0.90, t0=0.5, kernel=EPANECHNIKOV,
                            rule=DEFAULT_POINTWISE_RULE, *, rng, threads=1):
@@ -47,7 +39,7 @@ def run_pointwise_coverage(truth, n=500, replicates=200, n_boot=200,
     Each replicate draws fresh data from ``truth``, builds the interval at
     ``t0``, and records whether the true density value is covered.
     """
-    _check_replicates(replicates, 1)
+    replicates = _count(replicates, "replicates", 1)
     target = float(truth(t0))
 
     def one(r):
@@ -65,13 +57,13 @@ def run_pointwise_coverage(truth, n=500, replicates=200, n_boot=200,
             "covered": int(ci.lower <= target <= ci.upper),
         }
 
-    rows = map_indexed(one, int(replicates), threads)
+    rows = map_indexed(one, replicates, threads)
     coverage = float(np.mean([row["covered"] for row in rows]))
     summary = {
         "experiment": "coverage_pointwise",
         "truth": truth.name,
         "n": int(n),
-        "replicates": int(replicates),
+        "replicates": replicates,
         "n_boot": int(n_boot),
         "level": float(level),
         "t0": float(t0),
@@ -95,7 +87,7 @@ def run_band_coverage(truth, n=1000, replicates=100, n_boot=300, m=20000,
     values across all data replicates is reported: by the limit law it is
     centered at 0 up to the supersample centering noise.
     """
-    _check_replicates(replicates, 1)
+    replicates = _count(replicates, "replicates", 1)
 
     def one(r):
         data = sample_from_analytic(truth, n, rng.substream(r, 0))
@@ -112,7 +104,7 @@ def run_band_coverage(truth, n=1000, replicates=100, n_boot=300, m=20000,
             "covered": int(band_contains(band, truth)),
         }, band.standardized
 
-    rows, pooled = zip(*map_indexed(one, int(replicates), threads))
+    rows, pooled = zip(*map_indexed(one, replicates, threads))
     rows = list(rows)
     pooled = np.concatenate(pooled)
     coverage = float(np.mean([row["covered"] for row in rows]))
@@ -120,7 +112,7 @@ def run_band_coverage(truth, n=1000, replicates=100, n_boot=300, m=20000,
         "experiment": "coverage_band",
         "truth": truth.name,
         "n": int(n),
-        "replicates": int(replicates),
+        "replicates": replicates,
         "n_boot": int(n_boot),
         "m": int(m),
         "level": float(level),
@@ -148,10 +140,9 @@ def run_inconsistency(truth, constants, n=2000, replicates=2000, t0=0.5,
     The correlation between the bootstrap deviation (about the fit) and the
     sampling deviation (about the truth) is reported alongside.
     """
-    _check_replicates(replicates, 2)
-    if n < 2:
-        # the only resample of one point is the point: no bootstrap spread
-        raise ValueError("n must be at least 2, got %d" % n)
+    replicates = _count(replicates, "replicates", 2)
+    # the only resample of one point is the point: no bootstrap spread
+    n = _count(n, "n", 2)
     c0 = rate_constant(truth, t0)
     if c0 == 0.0:
         raise ValueError("the truth is flat at t0=%r: its rate constant is 0, "
@@ -161,19 +152,21 @@ def run_inconsistency(truth, constants, n=2000, replicates=2000, t0=0.5,
 
     def one(r):
         data = sample_from_analytic(truth, n, rng.substream(r, 0))
-        fit = grenander_fit(data)
+        fit_val = float(grenander_fit(data)(t0))
         star = multinomial_bootstrap(data, rng.substream(r, 1))
-        refit = grenander_fit(star)
-        fit_val = float(fit(t0))
-        refit_val = float(refit(t0))
-        return (cube * (fit_val - target),
-                cube * (refit_val - target),
-                cube * (refit_val - fit_val))
+        refit_val = float(grenander_fit(star)(t0))
+        return {
+            "replicate": r,
+            "sampling_deviation": cube * (fit_val - target),
+            "bootstrap_deviation_vs_truth": cube * (refit_val - target),
+            "bootstrap_deviation_vs_fit": cube * (refit_val - fit_val),
+        }
 
-    results = map_indexed(one, int(replicates), threads)
-    samp_dev = np.array([a for a, _, _ in results])
-    boot_dev_truth = np.array([b for _, b, _ in results])
-    boot_dev_fit = np.array([c for _, _, c in results])
+    rows = map_indexed(one, replicates, threads)
+    samp_dev, boot_dev_truth, boot_dev_fit = (
+        np.array([row[key] for row in rows])
+        for key in ("sampling_deviation", "bootstrap_deviation_vs_truth",
+                    "bootstrap_deviation_vs_fit"))
 
     for name, dev in (("bootstrap", boot_dev_fit), ("sampling", samp_dev)):
         if np.ptp(dev) == 0.0:
@@ -188,17 +181,11 @@ def run_inconsistency(truth, constants, n=2000, replicates=2000, t0=0.5,
     ratio_se = ratio * float(np.sqrt(_var_of_var(boot_dev_truth) / var_boot ** 2
                                      + (denom_se / denom) ** 2))
     corr = float(np.corrcoef(boot_dev_fit, samp_dev)[0, 1])
-    rows = [{
-        "replicate": r,
-        "sampling_deviation": float(samp_dev[r]),
-        "bootstrap_deviation_vs_truth": float(boot_dev_truth[r]),
-        "bootstrap_deviation_vs_fit": float(boot_dev_fit[r]),
-    } for r in range(int(replicates))]
     summary = {
         "experiment": "inconsistency",
         "truth": truth.name,
-        "n": int(n),
-        "replicates": int(replicates),
+        "n": n,
+        "replicates": replicates,
         "t0": float(t0),
         "rate_constant": c0,
         "argmax_var": constants.chernoff_var,
@@ -233,11 +220,10 @@ def run_rate(truth, n_grid=(1000, 3162, 10000, 31623), replicates=50,
     if not kernel_satisfies(kernel, "l1"):
         raise ValueError("the rate experiment evaluates second derivatives; "
                          "kernel %s fails the l1-level conditions" % kernel.name)
-    _check_replicates(replicates, 1)
-    n_grid = [int(n) for n in n_grid]
-    if len(n_grid) < 2 or min(n_grid) < 1:
-        raise ValueError("n_grid needs at least two sizes, each at least 1, "
-                         "got %r" % n_grid)
+    replicates = _count(replicates, "replicates", 1)
+    n_grid = [_count(n, "each n_grid size", 1) for n in n_grid]
+    if len(n_grid) < 2:
+        raise ValueError("n_grid needs at least two sizes, got %r" % n_grid)
     if sorted(n_grid) != n_grid or len(set(n_grid)) != len(n_grid):
         raise ValueError("n_grid must be strictly increasing")
     n_max = n_grid[-1]
@@ -262,7 +248,7 @@ def run_rate(truth, n_grid=(1000, 3162, 10000, 31623), replicates=50,
             })
         return rows
 
-    rows = [row for rows_r in map_indexed(one, int(replicates), threads)
+    rows = [row for rows_r in map_indexed(one, replicates, threads)
             for row in rows_r]
 
     logn = np.log10(np.asarray(n_grid, dtype=float))
@@ -282,7 +268,7 @@ def run_rate(truth, n_grid=(1000, 3162, 10000, 31623), replicates=50,
     summary = {
         "experiment": "rate",
         "truth": truth.name,
-        "replicates": int(replicates),
+        "replicates": replicates,
         "kernel": kernel.name,
         "alpha": rule.alpha,
         "scale": rule.scale,
@@ -310,7 +296,7 @@ def run_l1_clt(truth, constants, n=1000, replicates=200, *, rng, threads=1):
     Monte Carlo constants; the summary compares the empirical mean/variance
     against N(0, sigma^2) and reports a KS p-value.
     """
-    _check_replicates(replicates, 2)
+    replicates = _count(replicates, "replicates", 2)
     if not constants.l1_variance > 0.0:
         raise ValueError("the limit constants' l1_variance must be positive, "
                          "got %r" % constants.l1_variance)
@@ -320,21 +306,21 @@ def run_l1_clt(truth, constants, n=1000, replicates=200, *, rng, threads=1):
 
     def one(r):
         data = sample_from_analytic(truth, n, rng.substream(r))
-        return sixth * (cube * l1_distance(grenander_fit(data), truth) - mu)
+        l1 = l1_distance(grenander_fit(data), truth)
+        return {"replicate": r, "standardized_l1": sixth * (cube * l1 - mu)}
 
     # imported here, not at module level: it slows the CLI start-up
     from scipy import stats
 
-    t_vals = np.array(map_indexed(one, int(replicates), threads))
+    rows = map_indexed(one, replicates, threads)
+    t_vals = np.array([row["standardized_l1"] for row in rows])
     sigma = float(np.sqrt(constants.l1_variance))
     ks = stats.kstest(t_vals, "norm", args=(0.0, sigma))
-    rows = [{"replicate": r, "standardized_l1": float(t_vals[r])}
-            for r in range(int(replicates))]
     summary = {
         "experiment": "l1clt",
         "truth": truth.name,
         "n": int(n),
-        "replicates": int(replicates),
+        "replicates": replicates,
         "mu": float(mu),
         "sigma2_reference": constants.l1_variance,
         "sigma2_reference_se": constants.l1_variance_se,

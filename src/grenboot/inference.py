@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import Sample, _l1_steps, grenander_fit, l1_distance
-from .parallel import map_indexed
+from .parallel import _count, map_indexed
 from .resampling import rejection_sample
 from .smoothing import (BIWEIGHT, EPANECHNIKOV, DEFAULT_L1_RULE,
                         DEFAULT_POINTWISE_RULE, fit_smoothed,
@@ -38,8 +38,9 @@ def empirical_quantile(values, p):
     when it is within float slop of one, so p=0.95, B=100 gives k=95.
     """
     v = np.sort(np.asarray(values, dtype=float))
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("values must be a nonempty 1-d array")
+    if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
+        raise ValueError("values must be a nonempty 1-d array of finite "
+                         "values")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     pb = p * v.size
@@ -99,8 +100,7 @@ def smoothed_pointwise_ci(sample, t0, level=0.95, n_boot=500,
     if not 0.0 < t0 < 1.0:
         raise ValueError("t0 must be interior to (0, 1)")
     _check_level(level)
-    if n_boot < 20:
-        raise ValueError("need at least 20 bootstrap replicates")
+    n_boot = _count(n_boot, "n_boot", 20)
     if rule.regime != "pointwise":
         raise ValueError("pointwise intervals need a pointwise-regime bandwidth rule")
     if not kernel_satisfies(kernel, "pointwise"):
@@ -117,7 +117,7 @@ def smoothed_pointwise_ci(sample, t0, level=0.95, n_boot=500,
         refit = grenander_fit(star)
         return cube * (refit(t0) - center)
 
-    deviations = np.array(map_indexed(one, int(n_boot), threads))
+    deviations = np.array(map_indexed(one, n_boot, threads))
     alpha = 1.0 - level
     q_hi = empirical_quantile(deviations, 1.0 - alpha / 2.0)
     q_lo = empirical_quantile(deviations, alpha / 2.0)
@@ -130,7 +130,7 @@ def smoothed_pointwise_ci(sample, t0, level=0.95, n_boot=500,
         grenander_value=point,
         smoothed_value=center,
         n=n,
-        n_boot=int(n_boot),
+        n_boot=n_boot,
         kernel=kernel.name,
         alpha=rule.alpha,
         scale=rule.scale,
@@ -146,9 +146,7 @@ def supersample_centering(smoothed, m, rng):
     and returns m^(1/3) times the L1 distance between the refit and the
     smooth. Requires m strictly greater than the fitted sample size.
     """
-    m = int(m)
-    if m <= smoothed.sample.n:
-        raise ValueError("supersample size m must exceed n")
+    m = _count(m, "supersample size m", smoothed.sample.n + 1)
     star = rejection_sample(smoothed, m, rng)
     refit = grenander_fit(star)
     return float(m) ** (1.0 / 3.0) * l1_distance(refit, smoothed)
@@ -205,8 +203,7 @@ def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
     if not isinstance(sample, Sample):
         sample = Sample(sample)
     _check_level(level)
-    if n_boot < 50:
-        raise ValueError("need at least 50 bootstrap replicates")
+    n_boot = _count(n_boot, "n_boot", 50)
     if rule.regime != "l1":
         raise ValueError("L1 bands need an l1-regime bandwidth rule")
     if not kernel_satisfies(kernel, "l1"):
@@ -214,9 +211,7 @@ def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
     n = sample.n
     if m is None:
         m = max(10 * n, min(math.ceil(n ** 1.5), _SUPERSAMPLE_CAP))
-    m = int(m)
-    if m < 10 * n:
-        raise ValueError("supersample size m must be at least 10n")
+    m = _count(m, "supersample size m", 10 * n)
 
     smoothed = fit_smoothed(sample, kernel, rule)
     center = grenander_fit(sample)
@@ -228,7 +223,7 @@ def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
         star = rejection_sample(smoothed, n, rng.substream(1 + b))
         return grenander_fit(star)
 
-    refits = map_indexed(one, int(n_boot), threads)
+    refits = map_indexed(one, n_boot, threads)
     l1_values = _l1_steps(refits, smoothed.ppoly)
     standardized = sixth * (cube * l1_values - mu_hat)
     c_crit = empirical_quantile(standardized, level)
@@ -244,7 +239,7 @@ def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
         c_critical=float(c_crit),
         m=m,
         n=n,
-        n_boot=int(n_boot),
+        n_boot=n_boot,
         kernel=kernel.name,
         alpha=rule.alpha,
         scale=rule.scale,

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import isotonic_regression
 
 from .density import l1_shape_integral
-from .parallel import map_indexed
+from .parallel import _count, map_indexed
 
 __all__ = [
     "WindowTooSmallError",
@@ -51,15 +51,17 @@ class WindowTooSmallError(RuntimeError):
     """Too many argmax draws hit the simulation window boundary."""
 
 
-def _grid_points(step, half_width):
-    """Grid points on one arm: half_width / step, a positive integer."""
+def _grid_points(step, length, name):
+    """Grid steps in ``length``: length / step, a positive integer. A
+    ``length`` that is no positive multiple of ``step`` (to 1e-9) raises
+    ValueError naming it; a ``step`` that is not positive and finite
+    raises too."""
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError("step must be positive and finite, got %r" % step)
-    if not math.isfinite(half_width):
-        raise ValueError("half_width must be finite, got %r" % half_width)
-    m = int(round(half_width / step))
-    if m < 1 or abs(m * step - half_width) > 1e-9:
-        raise ValueError("half_width must be a positive multiple of step")
+    m = int(round(length / step)) if math.isfinite(length) else 0
+    if m < 1 or abs(m * step - length) > 1e-9:
+        raise ValueError("%s must be a positive multiple of step %r, got %r"
+                         % (name, step, length))
     return m
 
 
@@ -106,8 +108,8 @@ class _MajorantLags:
 
     def __init__(self, config):
         self.step = step = config.step
-        self.w = w = _grid_points(step, config.window)
-        self.m = _grid_points(step, config.half_width)
+        self.w = w = _grid_points(step, config.window, "window")
+        self.m = _grid_points(step, config.half_width, "half_width")
         self.centers = w + np.round(config.lags / step).astype(int)
         self.two_t = 2.0 * config.lags
         # squares of k * step for k in [-w, m]
@@ -162,7 +164,7 @@ def _scaling_draws(n_paths, step, m, rng, threads, doubled):
         vals, hits = _window_scan(z, (m,), m, offsets, squares)
         return vals[0], hits[0]
 
-    out = map_indexed(one, int(n_paths), threads)
+    out = map_indexed(one, n_paths, threads)
     draws = np.array([v for v, _ in out])
     _guard_hits(sum(bool(hit) for _, hit in out), draws.size)
     return draws
@@ -183,11 +185,10 @@ def doubled_scaling_check(n_paths, step, half_width, rng, threads=1):
     delta-method standard error for the ratio, and a two-sample KS test of
     the rescaled doubled draws against the single draws.
     """
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2, got %d" % n_paths)
+    n_paths = _count(n_paths, "n_paths", 2)
     from scipy import stats
 
-    m = _grid_points(step, half_width)
+    m = _grid_points(step, half_width, "half_width")
     singles = _scaling_draws(n_paths, step, m, rng.substream(0), threads, False)
     doubles = _scaling_draws(n_paths, step, m, rng.substream(1), threads, True)
     var_s = float(np.var(singles, ddof=1))
@@ -197,7 +198,7 @@ def doubled_scaling_check(n_paths, step, half_width, rng, threads=1):
                                + _var_of_var(singles) / var_s ** 2))
     ks = stats.ks_2samp(doubles / 2.0 ** (1.0 / 3.0), singles)
     return {
-        "n_paths": int(n_paths),
+        "n_paths": n_paths,
         "step": float(step),
         "half_width": float(half_width),
         "var_single": var_s,
@@ -215,9 +216,10 @@ class LimitSimConfig:
     """Grid and replication settings for the constants estimator.
 
     The path half-width is derived as window + lag_max so every lag in
-    [0, lag_max] keeps its window inside the simulated extent. All four
-    lengths must be positive and finite, and lag_max >= lag_step, so the
-    covariance integral spans at least two lags.
+    [0, lag_max] keeps its window inside the simulated extent. The step
+    must be positive and finite, window, lag_step and lag_max positive
+    multiples of it with lag_max >= lag_step, so the covariance integral
+    spans at least two lags, and n_paths >= n_batches >= 2 integers.
     """
 
     step: float = 0.002
@@ -228,22 +230,13 @@ class LimitSimConfig:
     n_batches: int = 20
 
     def __post_init__(self):
-        for name in ("step", "window", "lag_step", "lag_max"):
-            x = getattr(self, name)
-            if not (math.isfinite(x) and x > 0.0):
-                raise ValueError("%s must be positive and finite, got %r"
-                                 % (name, x))
+        for name in ("window", "lag_step", "lag_max"):
+            _grid_points(self.step, getattr(self, name), name)
         if self.lag_max < self.lag_step:
             # one lag would make the covariance integral 0
             raise ValueError("lag_max must be at least lag_step, got %r < %r"
                              % (self.lag_max, self.lag_step))
-        if self.n_paths < 2 or self.n_batches < 2 or self.n_batches > self.n_paths:
-            raise ValueError("need n_paths >= n_batches >= 2")
-        for name, x in (("window", self.window), ("lag_max", self.lag_max),
-                        ("lag_step", self.lag_step)):
-            k = round(x / self.step)
-            if abs(k * self.step - x) > 1e-9:
-                raise ValueError("%s must be a multiple of step" % name)
+        _count(self.n_paths, "n_paths", _count(self.n_batches, "n_batches", 2))
 
     @property
     def half_width(self):

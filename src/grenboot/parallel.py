@@ -26,25 +26,33 @@ def _call(i):
     return _fn(i)
 
 
+def _count(value, name, least):
+    """``value`` as an int, when it is an integer (not a bool) >= ``least``;
+    ValueError naming ``name`` otherwise. Every count of replicates,
+    samples, paths or workers that the package takes passes through it."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if isinstance(value, bool) or count is None or count < least:
+        raise ValueError("%s must be an integer >= %d, got %r"
+                         % (name, least, value))
+    return count
+
+
 def map_indexed(fn, count, threads=1):
     """Evaluate ``fn(i)`` for i in range(count), results in index order.
 
-    ``threads`` is the number of worker processes, an integer >= 1
-    (ValueError otherwise); with one, ``fn`` runs in the calling process.
+    ``count`` is an integer >= 0 and ``threads``, the number of worker
+    processes, an integer >= 1 (ValueError otherwise); with one worker,
+    ``fn`` runs in the calling process.
     Each unit of work must derive all of its randomness from its own index
     (via a substream keyed by i), so the result list is identical for every
     worker count. An exception raised by ``fn`` in a worker reaches the
     caller with its type and message.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    try:
-        workers = operator.index(threads)
-    except TypeError:
-        workers = 0
-    if isinstance(threads, bool) or workers < 1:
-        raise ValueError("the worker count must be an integer >= 1, got %r"
-                         % (threads,))
+    count = _count(count, "count", 0)
+    workers = _count(threads, "the worker count", 1)
     if workers == 1 or count <= 1:
         return [fn(i) for i in range(count)]
     import multiprocessing

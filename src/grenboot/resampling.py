@@ -9,6 +9,7 @@ what makes runs over several worker processes byte-identical to serial ones.
 import numpy as np
 
 from .density import Sample, _spread_and_integral, _split
+from .parallel import _count
 
 __all__ = [
     "RngStream",
@@ -59,9 +60,7 @@ class RngStream:
 
 def sample_from_analytic(density, n, rng):
     """Draw n observations by inverse-CDF sampling from a closed-form density."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    u = rng.gen.uniform(size=int(n))
+    u = rng.gen.uniform(size=_count(n, "n", 1))
     return Sample(density.ppf(u))
 
 
@@ -135,9 +134,7 @@ def rejection_sample(smoothed, n, rng):
     once 50000 or more proposals have been made raises
     :class:`EnvelopeError`.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _count(n, "n", 1)
     bound = smoothed.envelope
     lo, hi = smoothed.squeeze
     gen = rng.gen

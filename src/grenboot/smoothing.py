@@ -18,6 +18,7 @@ from numpy.polynomial import Polynomial
 from scipy.interpolate import PPoly
 
 from .density import DegenerateEstimateError, Sample, _at, _split
+from .parallel import _count
 from .resampling import _squeeze_table, envelope_bound
 
 __all__ = [
@@ -172,13 +173,12 @@ class BandwidthRule:
                 "alpha=%r outside the open interval (%g, %g) for the %s regime"
                 % (self.alpha, lo, hi, self.regime)
             )
-        if not self.scale > 0.0:
-            raise ValueError("scale must be positive")
+        if not 0.0 < self.scale < np.inf:
+            raise ValueError("scale must be positive and finite, got %r"
+                             % (self.scale,))
 
     def bandwidth(self, n):
-        if n < 1:
-            raise ValueError("n must be at least 1")
-        return float(min(self.scale * n ** (-self.alpha), 0.5))
+        return float(min(self.scale * _count(n, "n", 1) ** (-self.alpha), 0.5))
 
 
 DEFAULT_POINTWISE_RULE = BandwidthRule(alpha=0.30, scale=1.0, regime="pointwise")

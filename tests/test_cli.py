@@ -56,6 +56,14 @@ def test_gen_uniform_ks(tmp_path):
     assert stats.kstest(vals, "uniform").pvalue > 0.01
 
 
+def test_gen_needs_one_point(tmp_path, capsys):
+    assert run_cli(["gen", "--density", "triangular", "--n", 0, "--seed", 1,
+                    "--out", tmp_path / "x.txt"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "n must be" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_gen_unknown_density(tmp_path):
     code = run_cli(["gen", "--density", "cauchy", "--n", 5, "--seed", 1,
                     "--out", tmp_path / "x.txt"])
@@ -283,6 +291,9 @@ def test_limits_check_scaling(tmp_path):
     (["--check-scaling", "--scaling-paths", 1], "n_paths"),
     (["--check-scaling", "--scaling-paths", 0], "n_paths"),
     (["--check-scaling", "--scaling-width", 2.005], "half_width"),
+    (["--window", "1e-10"], "window"),
+    (["--lag-step", "1e-10", "--lag-max", "1e-10"], "lag_step"),
+    (["--paths", "300", "--batches", "400"], "n_paths"),
 ])
 def test_limits_bad_flags_are_usage_errors(flags, message, tmp_path, capsys):
     assert run_cli(["limits", "--delta", 0.01, "--window", 2.0, "--paths",
@@ -378,6 +389,17 @@ def test_fit_smooth_grid_needs_two_points(argv, data_file, tmp_path, capsys):
     assert run_cli(["fit", "--data", data_file, "--out", tmp_path / "f"]
                    + argv) == 2
     assert capsys.readouterr().err.startswith("usage error:")
+    assert not list(tmp_path.glob("f.*"))
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "0"])
+def test_fit_bad_scale_is_usage_error(scale, data_file, tmp_path, capsys):
+    # an infinite scale used to clamp every bandwidth to 1/2 and exit 0
+    assert run_cli(["fit", "--data", data_file, "--smooth-grid", 11,
+                    "--scale", scale, "--out", tmp_path / "f"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert "scale must be positive and finite" in err
     assert not list(tmp_path.glob("f.*"))
 
 

@@ -38,6 +38,13 @@ def test_quantile_validation():
         empirical_quantile([1.0], 1.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantile_rejects_non_finite_values(bad):
+    # sorting puts NaN last, so the median of [1, nan] used to read 1.0
+    with pytest.raises(ValueError, match="finite"):
+        empirical_quantile([1.0, bad], 0.5)
+
+
 # -- pointwise CI ------------------------------------------------------------------
 
 

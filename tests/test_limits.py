@@ -92,7 +92,7 @@ def test_xi_at_zero_is_chernoff_when_window_is_full(monkeypatch):
     monkeypatch.setattr(limits, "_guard_hits",
                         lambda n_hits, n_draws: counted.append(n_hits))
     for step, half_width in ((0.01, 2.0), (0.002, 3.0), (0.05, 0.2)):
-        m = _grid_points(step, half_width)
+        m = _grid_points(step, half_width, "half_width")
         root = RngStream(10)
         single = np.stack([_walk(step, m, m, root.substream(i))
                            for i in range(100)])
@@ -240,7 +240,7 @@ def test_abs_mean_stable_under_grid_halving():
 def test_chernoff_var_refinement_sequence():
     vars_, ses = [], []
     for k, step in enumerate((0.008, 0.004, 0.002)):
-        draws = _scaling_draws(3000, step, _grid_points(step, 3.0),
+        draws = _scaling_draws(3000, step, _grid_points(step, 3.0, "width"),
                                RngStream(17 + k), 4, False)
         vars_.append(draws.var())
         ses.append(np.sqrt((draws ** 4).mean() - draws.var() ** 2) / np.sqrt(3000))
@@ -257,6 +257,10 @@ def test_chernoff_var_refinement_sequence():
     ("lag_max", dict(lag_max=-1.0)),
     ("lag_max", dict(lag_max=0.0)),
     ("lag_max", dict(lag_max=float("inf"))),
+    # rounds to 0 grid steps, within 1e-9 of a multiple of the step
+    ("window", dict(window=1e-10)),
+    ("lag_step", dict(lag_step=1e-10, lag_max=1e-10)),
+    ("window", dict(window=3.0001)),
 ])
 def test_config_names_the_bad_field(field, kwargs):
     with pytest.raises(ValueError, match=field):

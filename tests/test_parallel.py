@@ -1,13 +1,18 @@
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from grenboot import (DegenerateEstimateError, EnvelopeError, LimitSimConfig,
-                      RngStream, WindowTooSmallError, doubled_scaling_check,
-                      estimate_constants, triangular_density,
+from grenboot import (BIWEIGHT, DEFAULT_L1_RULE, DegenerateEstimateError,
+                      EnvelopeError, LimitSimConfig, RngStream,
+                      WindowTooSmallError, doubled_scaling_check,
+                      estimate_constants, fit_smoothed, l1_band,
+                      rejection_sample, sample_from_analytic,
+                      smoothed_pointwise_ci, sup_distance,
+                      supersample_centering, triangular_density,
                       trunc_exp_density)
 from grenboot.experiments import (run_band_coverage, run_inconsistency,
                                   run_l1_clt, run_pointwise_coverage, run_rate)
@@ -62,6 +67,77 @@ def test_runs_serially_without_fork(monkeypatch):
 def test_worker_count_must_be_an_integer_at_least_one(bad):
     with pytest.raises(ValueError, match="worker count"):
         map_indexed(lambda i: i, 4, bad)
+
+
+_TRI = triangular_density()
+_DATA = sample_from_analytic(_TRI, 60, RngStream(38))
+_SMOOTH = fit_smoothed(_DATA, BIWEIGHT, DEFAULT_L1_RULE)
+
+# (name, least, ok, run): run(v, constants) calls an entry point with the
+# count v and returns the count as the result records it, or the result
+# where it records none; ok is a cheap accepted value
+_COUNTS = {
+    "sample_from_analytic": ("n", 1, 5, lambda v, c: sample_from_analytic(
+        _TRI, v, RngStream(1)).n),
+    "rejection_sample": ("n", 1, 5, lambda v, c: rejection_sample(
+        _SMOOTH, v, RngStream(1)).n),
+    "bandwidth": ("n", 1, 5, lambda v, c: DEFAULT_L1_RULE.bandwidth(v)),
+    "pointwise_ci": ("n_boot", 20, 20, lambda v, c: smoothed_pointwise_ci(
+        _DATA, 0.5, n_boot=v, rng=RngStream(1)).n_boot),
+    "l1_band-n_boot": ("n_boot", 50, 50, lambda v, c: l1_band(
+        _DATA, n_boot=v, m=600, rng=RngStream(1)).n_boot),
+    "l1_band-m": ("supersample size m", 600, 600, lambda v, c: l1_band(
+        _DATA, n_boot=50, m=v, rng=RngStream(1)).m),
+    "supersample_centering": ("supersample size m", 61, 61,
+                              lambda v, c: supersample_centering(
+                                  _SMOOTH, v, RngStream(1))),
+    "sup_distance": ("grid_size", 2, 2, lambda v, c: sup_distance(
+        _SMOOTH, _TRI, v)),
+    "run_pointwise_coverage": ("replicates", 1, 1, lambda v, c:
+                               run_pointwise_coverage(
+                                   _TRI, n=60, replicates=v, n_boot=20,
+                                   rng=RngStream(1))[0]["replicates"]),
+    "run_band_coverage": ("replicates", 1, 1, lambda v, c: run_band_coverage(
+        _TRI, n=60, replicates=v, n_boot=50, m=600,
+        rng=RngStream(1))[0]["replicates"]),
+    "run_inconsistency-replicates": ("replicates", 2, 2, lambda v, c:
+                                     run_inconsistency(
+                                         _TRI, c, n=60, replicates=v,
+                                         rng=RngStream(1))[0]["replicates"]),
+    "run_inconsistency-n": ("n", 2, 20, lambda v, c: run_inconsistency(
+        _TRI, c, n=v, replicates=20, rng=RngStream(1))[0]["n"]),
+    "run_rate-replicates": ("replicates", 1, 1, lambda v, c: run_rate(
+        _TRI, n_grid=(30, 60), replicates=v, grid_size=101,
+        rng=RngStream(1))[0]["replicates"]),
+    "run_rate-n_grid": ("each n_grid size", 1, 30, lambda v, c: run_rate(
+        _TRI, n_grid=(v, 60), replicates=1, grid_size=101,
+        rng=RngStream(1))[0]["n_grid"][0]),
+    "run_l1_clt": ("replicates", 2, 2, lambda v, c: run_l1_clt(
+        _TRI, c, n=60, replicates=v, rng=RngStream(1))[0]["replicates"]),
+    "doubled_scaling_check": ("n_paths", 2, 2, lambda v, c:
+                              doubled_scaling_check(
+                                  v, 0.05, 2.0, RngStream(1))["n_paths"]),
+    "LimitSimConfig-n_paths": ("n_paths", 2, 2, lambda v, c: LimitSimConfig(
+        n_paths=v, n_batches=2)),
+    "LimitSimConfig-n_batches": ("n_batches", 2, 2, lambda v, c:
+                                 LimitSimConfig(n_batches=v)),
+    "map_indexed-count": ("count", 0, 3, lambda v, c: len(map_indexed(
+        lambda i: i, v, 2))),
+    "map_indexed-workers": ("the worker count", 1, 1, lambda v, c: map_indexed(
+        lambda i: i, 3, v)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_COUNTS))
+def test_every_count_is_an_integer_at_least_its_minimum(site, limit_constants):
+    name, least, ok, run = _COUNTS[site]
+    message = r"^%s must be an integer >= %d, got " % (re.escape(name), least)
+    for bad in (2.5, True, least - 1):
+        with pytest.raises(ValueError, match=message + re.escape(repr(bad))):
+            run(bad, limit_constants)
+    recorded = run(np.int64(ok), limit_constants)
+    if isinstance(recorded, (int, np.integer)):
+        assert type(recorded) is int and recorded == ok
 
 
 def _constants(threads, limit_constants):

@@ -116,6 +116,13 @@ def test_bandwidth_regime_validation():
         BandwidthRule(0.3, scale=0.0)
 
 
+@pytest.mark.parametrize("scale", [np.inf, np.nan, -1.0])
+def test_bandwidth_scale_must_be_positive_and_finite(scale):
+    # an infinite scale clamped every bandwidth to 1/2
+    with pytest.raises(ValueError, match="scale must be positive and finite"):
+        BandwidthRule(0.3, scale=scale)
+
+
 def test_default_rules():
     assert DEFAULT_POINTWISE_RULE.alpha == 0.30
     assert DEFAULT_L1_RULE.alpha == 0.18
