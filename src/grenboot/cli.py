@@ -16,6 +16,7 @@ run and writes nothing until the run has succeeded; one helper resolves
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 
@@ -98,8 +99,8 @@ def read_observations(path, rescale=None):
     """
     if rescale is not None:
         lo, hi = float(rescale[0]), float(rescale[1])
-        if not hi > lo:
-            raise UsageError("--rescale needs LO < HI")
+        if not -np.inf < lo < hi < np.inf:
+            raise UsageError("--rescale needs finite LO < HI")
     with open(path, "r", encoding="utf-8") as fh:
         lines = list(map(str.strip, fh))
     texts = [text for text in lines if text and text[0] != "#"]
@@ -134,24 +135,50 @@ def make_density(name, rate):
     if name == "triangular":
         return triangular_density()
     if name == "trunc-exp":
-        return _usage_guard(trunc_exp_density, rate)
+        return _usage_guard({"rate": "--rate"}, trunc_exp_density, rate)
     raise UsageError("unknown density %r (choose uniform, triangular, trunc-exp)"
                      % name)
 
 
-def _usage_guard(fn, *a, **kw):
-    """Re-raise validation ValueErrors from flag semantics as usage errors."""
+def _usage_guard(flags, fn, *a, **kw):
+    """``fn(*a, **kw)``, its validation ValueErrors re-raised as usage
+    errors. ``flags`` maps the library's parameter names to the flags that
+    set them: a name at the head of the message is replaced by its flag, so
+    that the message names what the user typed."""
     try:
         return fn(*a, **kw)
     except UsageError:
         raise
     except ValueError as e:
-        raise UsageError(str(e)) from None
+        message = str(e)
+        for name, flag in flags.items():
+            if re.match(re.escape(name) + r"\b", message):
+                message = flag + message[len(name):]
+                break
+        raise UsageError(message) from None
+
+
+# the flags of the library parameters that head validation messages;
+# limits has two maps, for --paths and --scaling-paths both set an n_paths
+_LIMITS_FLAGS = {"step": "--delta", "window": "--window", "n_paths": "--paths",
+                 "lag_max": "--lag-max", "lag_step": "--lag-step",
+                 "n_batches": "--batches"}
+_SCALING_FLAGS = {"step": "--delta", "n_paths": "--scaling-paths",
+                  "half_width": "--scaling-width"}
+_BOOTSTRAP_FLAGS = {"t0": "--t0", "level": "--level", "n_boot": "--boot",
+                    "supersample size m": "--m"}
+# the truth is evaluated at --t0 as an "evaluation point", and its rate
+# constant there as at "t"
+_EXPERIMENT_FLAGS = {**_BOOTSTRAP_FLAGS, "n": "--n",
+                     "replicates": "--replicates", "t": "--t0",
+                     "evaluation point": "--t0", "grid_size": "--grid-size",
+                     "n_grid": "--n-grid",
+                     "each n_grid size": "each --n-grid size"}
 
 
 def _root_stream(args):
     """The stream that --seed names; a bad seed is a usage error."""
-    return _usage_guard(RngStream, args.seed)
+    return _usage_guard({"seed": "--seed"}, RngStream, args.seed)
 
 
 def _load_constants(path):
@@ -196,15 +223,17 @@ def _smoother_flags(args, regime):
         args.kernel = kernel.name
     if args.alpha is None:
         args.alpha = rule.alpha
-    return (_usage_guard(kernel_by_name, args.kernel),
-            _usage_guard(BandwidthRule, args.alpha, args.scale, regime))
+    return (_usage_guard({}, kernel_by_name, args.kernel),
+            _usage_guard({"alpha": "--alpha", "scale": "--scale"},
+                         BandwidthRule, args.alpha, args.scale, regime))
 
 
 def cmd_gen(args):
     density = make_density(args.density, args.rate)
     rng = _root_stream(args)
     t0 = time.monotonic()
-    sample = _usage_guard(sample_from_analytic, density, args.n, rng)
+    sample = _usage_guard({"n": "--n"}, sample_from_analytic, density, args.n,
+                          rng)
     with open(args.out, "w", encoding="utf-8") as fh:
         for v in sample.values:
             fh.write(repr(float(v)) + "\n")
@@ -216,7 +245,8 @@ def cmd_gen(args):
 @_writes_outputs
 def cmd_fit(args):
     if args.smooth_grid:
-        _usage_guard(_count, args.smooth_grid, "a nonzero --smooth-grid", 2)
+        _usage_guard({}, _count, args.smooth_grid, "a nonzero --smooth-grid",
+                     2)
     kernel, rule = _smoother_flags(args, args.regime)
     sample = read_observations(args.data, args.rescale)
     fit = grenander_fit(sample)
@@ -245,7 +275,7 @@ def cmd_ci(args):
     kernel, rule = _smoother_flags(args, "pointwise")
     sample = read_observations(args.data, args.rescale)
     result = _usage_guard(
-        smoothed_pointwise_ci,
+        _BOOTSTRAP_FLAGS, smoothed_pointwise_ci,
         sample, args.t0, level=args.level, n_boot=args.boot, kernel=kernel,
         rule=rule, rng=_root_stream(args), threads=args.threads)
     return [args.data], result.summary_dict(), [
@@ -259,9 +289,9 @@ def cmd_band(args):
     kernel, rule = _smoother_flags(args, "l1")
     sample = read_observations(args.data, args.rescale)
     result = _usage_guard(
-        l1_band, sample, level=args.level, n_boot=args.boot, m=args.m,
-        kernel=kernel, rule=rule, rng=_root_stream(args),
-        threads=args.threads)
+        _BOOTSTRAP_FLAGS, l1_band, sample, level=args.level,
+        n_boot=args.boot, m=args.m, kernel=kernel, rule=rule,
+        rng=_root_stream(args), threads=args.threads)
     return [args.data], result.summary_dict(), [
         (".csv", ["replicate", "l1_value", "standardized"],
          [{"replicate": b, "l1_value": l, "standardized": s}
@@ -272,7 +302,7 @@ def cmd_band(args):
 @_writes_outputs
 def cmd_limits(args):
     config = _usage_guard(
-        LimitSimConfig, step=args.delta, window=args.window,
+        _LIMITS_FLAGS, LimitSimConfig, step=args.delta, window=args.window,
         n_paths=args.paths, lag_max=args.lag_max, lag_step=args.lag_step,
         n_batches=args.batches)
     rng = _root_stream(args)
@@ -281,8 +311,8 @@ def cmd_limits(args):
     scaling = None
     if args.check_scaling:
         scaling = _usage_guard(
-            doubled_scaling_check, args.scaling_paths, args.delta,
-            args.scaling_width, rng.substream(1), args.threads)
+            _SCALING_FLAGS, doubled_scaling_check, args.scaling_paths,
+            args.delta, args.scaling_width, rng.substream(1), args.threads)
     constants = estimate_constants(config, rng.substream(0), args.threads)
     payload = constants.to_dict()
     if scaling is not None:
@@ -305,32 +335,36 @@ def cmd_experiment(args):
         if args.band:
             kernel, rule = _smoother_flags(args, "l1")
             summary, rows = _usage_guard(
-                run_band_coverage, truth, n=args.n, replicates=args.replicates,
-                n_boot=args.boot, m=args.m, level=args.level, kernel=kernel,
-                rule=rule, rng=rng, threads=args.threads)
+                _EXPERIMENT_FLAGS, run_band_coverage, truth, n=args.n,
+                replicates=args.replicates, n_boot=args.boot, m=args.m,
+                level=args.level, kernel=kernel, rule=rule, rng=rng,
+                threads=args.threads)
         else:
             kernel, rule = _smoother_flags(args, "pointwise")
             summary, rows = _usage_guard(
-                run_pointwise_coverage, truth, n=args.n,
+                _EXPERIMENT_FLAGS, run_pointwise_coverage, truth, n=args.n,
                 replicates=args.replicates, n_boot=args.boot, level=args.level,
                 t0=args.t0, kernel=kernel, rule=rule, rng=rng,
                 threads=args.threads)
     elif args.name == "inconsistency":
         summary, rows = _usage_guard(
-            run_inconsistency, truth, constants, n=args.n,
+            _EXPERIMENT_FLAGS, run_inconsistency, truth, constants, n=args.n,
             replicates=args.replicates, t0=args.t0, rng=rng,
             threads=args.threads)
     elif args.name == "rate":
         kernel, rule = _smoother_flags(args, "l1")
-        n_grid = _usage_guard(
-            lambda: [int(x) for x in args.n_grid.split(",") if x.strip()])
+        try:
+            n_grid = [int(x) for x in args.n_grid.split(",") if x.strip()]
+        except ValueError:
+            raise UsageError("--n-grid takes comma-separated integers, got %r"
+                             % args.n_grid) from None
         summary, rows = _usage_guard(
-            run_rate, truth, n_grid=n_grid, replicates=args.replicates,
-            kernel=kernel, rule=rule, t0=args.t0, grid_size=args.grid_size,
-            rng=rng, threads=args.threads)
+            _EXPERIMENT_FLAGS, run_rate, truth, n_grid=n_grid,
+            replicates=args.replicates, kernel=kernel, rule=rule, t0=args.t0,
+            grid_size=args.grid_size, rng=rng, threads=args.threads)
     elif args.name == "l1clt":
         summary, rows = _usage_guard(
-            run_l1_clt, truth, constants, n=args.n,
+            _EXPERIMENT_FLAGS, run_l1_clt, truth, constants, n=args.n,
             replicates=args.replicates, rng=rng, threads=args.threads)
     else:
         raise UsageError("unknown experiment %r (choose coverage, "
@@ -456,7 +490,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _usage_guard(_count, getattr(args, "threads", 1), "--threads", 1)
+        _usage_guard({}, _count, getattr(args, "threads", 1), "--threads", 1)
         return args.func(args)
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)

@@ -115,21 +115,23 @@ class StepDensity:
         hv = np.asarray(heights, dtype=float)
         if bp.ndim != 1 or bp.shape != hv.shape or bp.size == 0:
             raise ValueError("breakpoints and heights must be matching 1-d arrays")
-        if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(hv))):
+        if not (np.isfinite(bp).all() and np.isfinite(hv).all()):
             raise ValueError("breakpoints and heights must be finite")
-        if bp[0] <= 0.0 or np.any(np.diff(bp) <= 0):
+        if bp[0] <= 0.0 or (bp[1:] <= bp[:-1]).any():
             raise ValueError("breakpoints must be strictly increasing within (0, 1]")
         if abs(bp[-1] - 1.0) > 1e-12:
             raise ValueError("last breakpoint must be 1")
         bp = bp.copy()
         bp[-1] = 1.0
-        if np.any(hv < -1e-15):
+        if hv.min() < -1e-15:
             raise ValueError("heights must be nonnegative")
         hv = np.maximum(hv, 0.0)
-        if np.any(np.diff(hv) > 1e-12):
+        if (hv[1:] - hv[:-1] > 1e-12).any():
             raise ValueError("heights must be non-increasing")
-        widths = np.diff(np.concatenate([[0.0], bp]))
-        mass = float(np.sum(hv * widths))
+        widths = bp.copy()
+        widths[1:] -= bp[:-1]
+        # the pairwise sum of np.sum, whose bits fit's output records
+        mass = float((hv * widths).sum())
         if abs(mass - 1.0) > 1e-12:
             raise ValueError("step density must integrate to 1, got %r" % mass)
         bp.flags.writeable = False
@@ -185,14 +187,16 @@ def grenander_fit(sample):
             "observation at exactly 0 gives a degenerate monotone MLE; "
             "shift or rescale the data away from 0"
         )
-    # the values are sorted, so each run of ties ends where its neighbour
-    # differs
-    last = np.append(np.flatnonzero(v[1:] != v[:-1]), v.size - 1)
-    xs = np.concatenate([[0.0], v[last]])
-    ys = np.concatenate([[0.0], (last + 1) / sample.n])
-    if xs[-1] < 1.0:
-        xs = np.append(xs, 1.0)
-        ys = np.append(ys, 1.0)
+    # the values are sorted, so each run of ties but the last ends where its
+    # neighbour differs; the points run from (0, 0) to (1, 1)
+    ends = np.flatnonzero(v[1:] != v[:-1])
+    size = ends.size + 2 + int(v[-1] < 1.0)
+    xs = np.ones(size)
+    ys = np.ones(size)
+    xs[0] = ys[0] = 0.0
+    xs[1:ends.size + 1] = v[ends]
+    xs[ends.size + 1] = v[-1]
+    ys[1:ends.size + 1] = (ends + 1) / sample.n
     gap = np.diff(xs)
     # blocks holds each block's first slope index and, last, the slope count:
     # exactly the vertex indices

@@ -112,10 +112,15 @@ def smoothed_pointwise_ci(sample, t0, level=0.95, n_boot=500,
     cube = float(n) ** (1.0 / 3.0)
     center = float(smoothed.pdf(t0))
 
+    # cached on the smoother: built once here, the forked workers share it
+    smoothed.squeeze
+
     def one(b):
         star = rejection_sample(smoothed, n, rng.substream(b))
         refit = grenander_fit(star)
-        return cube * (refit(t0) - center)
+        # refit(t0) by StepDensity.__call__'s left-side rule; t0 is checked
+        j = np.searchsorted(refit.breakpoints, t0)
+        return cube * (refit.heights[min(j, refit.heights.size - 1)] - center)
 
     deviations = np.array(map_indexed(one, n_boot, threads))
     alpha = 1.0 - level

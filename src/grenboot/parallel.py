@@ -1,29 +1,32 @@
 """Deterministic fan-out of independent replicates over worker processes.
 
-``map_indexed`` runs in-process for one worker. For more, it forks a pool
-of worker processes, and ``Pool.map`` hands each a few contiguous chunks of
-indices. Forking passes the mapped function to the children as it stands,
-closures included, so only the indices, the results and any exception
-are pickled. A ``map_indexed`` called inside a worker runs serially
-there. Where ``fork`` is not available the map runs serially. A fork
-copies only the calling thread, so the caller's other threads must hold no
-lock that the mapped function takes; the package itself starts no threads.
+``map_indexed`` runs in-process for one worker. For more, it cuts the
+indices into one contiguous range per worker, forks a child for every range
+but the first, and runs the first itself. Forking hands the mapped function
+to the children as it stands, closures included. Each child pickles its
+results, or its exception's type and message, into a pipe of its own and
+exits; the parent reads the pipes in order. A child that dies without
+writing leaves its pipe empty, and the parent raises. When the parent's own
+range raises, Ctrl-C included, every child is killed and reaped first. A
+``map_indexed`` called inside a worker, the parent's range included, runs
+serially there. Where ``fork`` is not available the map runs serially. A
+fork copies only the calling thread, so the caller's other threads must
+hold no lock that the mapped function takes; the package itself starts no
+threads.
 """
 
 import operator
+import os
+import pickle
+import signal
+import sys
 import threading
 
 __all__ = ["map_indexed"]
 
-# held while a pool runs; a forked child inherits it held, so a nested
+# held while a fan-out runs; a forked child inherits it held, so a nested
 # map_indexed (or one from another thread of the caller) runs serially
 _busy = threading.Lock()
-# the mapped function, set before the pool forks so the children inherit it
-_fn = None
-
-
-def _call(i):
-    return _fn(i)
 
 
 def _count(value, name, least):
@@ -40,35 +43,96 @@ def _count(value, name, least):
     return count
 
 
+def _child(fn, indices, fd):
+    """In a forked child: write ``fn``'s results over ``indices``, or the
+    type and message of what it raised, to the pipe ``fd``; never returns."""
+    try:
+        try:
+            payload = (True, [fn(i) for i in indices])
+        except BaseException as e:   # Ctrl-C too: the parent raises it
+            payload = (False, (type(e), str(e)))
+        sys.stdout.flush()
+        sys.stderr.flush()
+        try:
+            data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        except Exception as e:   # a result or an exception type pickle refuses
+            data = pickle.dumps((False, (RuntimeError, "%s: %s"
+                                         % (type(e).__name__, e))))
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
+
+
+def _receive(pid, pipe):
+    """The results the child ``pid`` wrote to ``pipe``, read to its end; the
+    child's exception is raised again with its type and message."""
+    try:
+        ok, value = pickle.loads(pipe.read())
+    except Exception:   # an empty pipe, or one cut off by the child's death
+        raise RuntimeError("worker process %d exited without a result"
+                           % pid) from None
+    if ok:
+        return value
+    error, message = value
+    try:
+        exc = error(message)
+    except Exception:   # a constructor that takes more than a message
+        exc = RuntimeError("%s: %s" % (error.__name__, message))
+    raise exc
+
+
+def _fan_out(fn, count, workers):
+    bounds = [count * w // workers for w in range(workers + 1)]
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = {}   # pid -> read end of its pipe, until the child is reaped
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _child(fn, range(bounds[w], bounds[w + 1]), write)
+            # closed before the next fork, so that only this child holds it
+            # and its death ends the pipe
+            os.close(write)
+            children[pid] = os.fdopen(read, "rb")
+        results = [fn(i) for i in range(bounds[1])]
+        for pid in list(children):
+            results += _receive(pid, children[pid])
+            children.pop(pid).close()
+            os.waitpid(pid, 0)
+        return results
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+
+
 def map_indexed(fn, count, threads=1):
     """Evaluate ``fn(i)`` for i in range(count), results in index order.
 
     ``count`` is an integer >= 0 and ``threads``, the number of worker
     processes, an integer >= 1 (ValueError otherwise); with one worker,
-    ``fn`` runs in the calling process.
+    ``fn`` runs in the calling process, and with more, the calling process
+    is the first of them.
     Each unit of work must derive all of its randomness from its own index
     (via a substream keyed by i), so the result list is identical for every
     worker count. An exception raised by ``fn`` in a worker reaches the
-    caller with its type and message.
+    caller with its type and message; a worker that dies without a result
+    raises RuntimeError.
     """
     count = _count(count, "count", 0)
-    workers = _count(threads, "the worker count", 1)
-    if workers == 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    import multiprocessing
-    if ("fork" not in multiprocessing.get_all_start_methods()
+    workers = min(_count(threads, "the worker count", 1), count)
+    if (workers <= 1 or not hasattr(os, "fork")
             or not _busy.acquire(blocking=False)):
         return [fn(i) for i in range(count)]
-    global _fn
-    _fn = fn
     try:
-        context = multiprocessing.get_context("fork")
-        with context.Pool(min(workers, count)) as pool:
-            # the default chunk size, ceil(count / (4 * workers)), makes
-            # about 4 contiguous chunks per worker: several, so one that
-            # finishes early takes another; few, so each hand-off carries
-            # many replicates
-            return pool.map(_call, range(count))
+        return _fan_out(fn, count, workers)
     finally:
-        _fn = None
         _busy.release()

@@ -147,8 +147,10 @@ def rejection_sample(smoothed, n, rng):
         else:
             rate = max(got, 1) / proposed
             batch = int(min(65536, max(256, 1.25 * (n - got) / rate)))
-        t = gen.uniform(size=batch)
-        u = gen.uniform(0.0, bound, size=batch)
+        # the draws of gen.uniform(size=batch) and
+        # gen.uniform(0.0, bound, size=batch), without their overhead
+        t = gen.random(batch)
+        u = bound * gen.random(batch)
         k = (t * _CELLS).astype(np.intp)
         keep = u <= lo[k]
         near = np.flatnonzero(~keep & (u <= hi[k]))

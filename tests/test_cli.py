@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -283,24 +284,28 @@ def test_limits_check_scaling(tmp_path):
     assert s["scaling"]["ratio_theory"] == 2 ** (2 / 3)
 
 
+# each message names the flag in place of the library parameter that the
+# case's id names
 @pytest.mark.parametrize("flags,message", [
-    (["--window", "inf"], "window"),
-    (["--delta", "nan"], "step"),
-    (["--lag-max", -1], "lag_max"),
-    (["--lag-max", 0], "lag_max"),
-    (["--check-scaling", "--scaling-paths", 1], "n_paths"),
-    (["--check-scaling", "--scaling-paths", 0], "n_paths"),
-    (["--check-scaling", "--scaling-width", 2.005], "half_width"),
-    (["--window", "1e-10"], "window"),
-    (["--lag-step", "1e-10", "--lag-max", "1e-10"], "lag_step"),
-    (["--paths", "300", "--batches", "400"], "n_paths"),
-])
+    (["--window", "inf"], "--window must"),
+    (["--delta", "nan"], "--delta must"),
+    (["--lag-max", -1], "--lag-max must"),
+    (["--lag-max", 0], "--lag-max must"),
+    (["--check-scaling", "--scaling-paths", 1], "--scaling-paths must"),
+    (["--check-scaling", "--scaling-paths", 0], "--scaling-paths must"),
+    (["--check-scaling", "--scaling-width", 2.005], "--scaling-width must"),
+    (["--window", "1e-10"], "--window must"),
+    (["--lag-step", "1e-10", "--lag-max", "1e-10"], "--lag-step must"),
+    (["--paths", "300", "--batches", "400"], "--paths must"),
+], ids=["flags0-window", "flags1-step", "flags2-lag_max", "flags3-lag_max",
+        "flags4-n_paths", "flags5-n_paths", "flags6-half_width",
+        "flags7-window", "flags8-lag_step", "flags9-n_paths"])
 def test_limits_bad_flags_are_usage_errors(flags, message, tmp_path, capsys):
     assert run_cli(["limits", "--delta", 0.01, "--window", 2.0, "--paths",
                     300, "--lag-max", 5.0, "--lag-step", 0.5, "--batches",
                     10, "--seed", 6] + flags + ["--out", tmp_path / "l"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage error:") and message in err
+    assert err.startswith("usage error: " + message)
     assert not (tmp_path / "l.json").exists()
 
 
@@ -567,3 +572,84 @@ def test_gen_trunc_exp_large_rate(tmp_path):
                         "--n", 50, "--seed", 7, "--out", out]) == 0
         values = np.loadtxt(out)
         assert values.size == 50 and 0.0 <= values.min() <= values.max() < 1e-2
+
+
+# -- every numeric flag -------------------------------------------------------
+
+# a cheap run of each subcommand; the flag under test follows it, so its
+# value wins over the base's
+_BASES = {
+    "gen": "gen --density trunc-exp --n 5 --seed 1",
+    "fit": "fit --data {data} --smooth-grid 3",
+    "ci": "ci --data {data} --t0 0.5 --boot 20 --seed 1",
+    "band": "band --data {data} --boot 50 --m 500 --seed 1",
+    "limits": "limits --delta 0.05 --window 2 --paths 20 --lag-max 0.5 "
+              "--lag-step 0.25 --batches 2 --check-scaling --scaling-paths 20 "
+              "--scaling-width 2 --seed 1",
+    "coverage": "experiment coverage --density trunc-exp --n 30 "
+                "--replicates 1 --boot 20 --seed 1",
+    "coverage-band": "experiment coverage --band --n 30 --replicates 1 "
+                     "--boot 50 --m 300 --seed 1",
+    "rate": "experiment rate --n-grid 30,60 --replicates 1 --grid-size 11 "
+            "--seed 1",
+    "inconsistency": "experiment inconsistency --n 20 --replicates 2 "
+                     "--limits {limits} --seed 1",
+    "l1clt": "experiment l1clt --n 20 --replicates 2 --limits {limits} "
+             "--seed 1",
+}
+_SMOOTHER = ["--alpha", "--scale"]
+_RUN = ["--seed", "--threads"]
+# every numeric flag of each base; {} marks where the value goes when the
+# flag takes two
+_NUMERIC_FLAGS = {
+    "gen": ["--n", "--rate", "--seed"],
+    "fit": ["--smooth-grid", "--rescale {} 1", "--rescale 0 {}"] + _SMOOTHER,
+    "ci": ["--t0", "--level", "--boot"] + _SMOOTHER + _RUN,
+    "band": ["--level", "--boot", "--m"] + _SMOOTHER + _RUN,
+    "limits": ["--delta", "--window", "--paths", "--lag-max", "--lag-step",
+               "--batches", "--scaling-paths", "--scaling-width"] + _RUN,
+    "coverage": ["--rate", "--n", "--replicates", "--boot", "--level", "--t0"]
+                + _SMOOTHER + _RUN,
+    "coverage-band": ["--m", "--boot", "--level"] + _SMOOTHER,
+    "rate": ["--n-grid", "--replicates", "--grid-size", "--t0"] + _SMOOTHER,
+    "inconsistency": ["--n", "--replicates", "--t0"],
+    "l1clt": ["--n", "--replicates"],
+}
+# the values of nan, inf, -1 and 0 that a flag accepts; it rejects the rest
+_ACCEPTED = {"--seed": ["0"], "--smooth-grid": ["0"],
+             "--rescale {} 1": ["-1", "0"], ("rate", "--t0"): ["0"]}
+
+
+@pytest.fixture(scope="module")
+def small_data(tmp_path_factory):
+    d = tmp_path_factory.mktemp("small") / "tri.txt"
+    assert run_cli(["gen", "--density", "triangular", "--n", 50, "--seed", 1,
+                    "--out", d]) == 0
+    return d
+
+
+_SWEEP = [(base, flag) for base in _BASES for flag in _NUMERIC_FLAGS[base]]
+
+
+@pytest.mark.parametrize("base,flag", _SWEEP, ids=[
+    base + ":" + flag.replace(" {} 1", "-LO").replace(" 0 {}", "-HI")
+    for base, flag in _SWEEP])
+def test_every_rejected_flag_value_exits_2_naming_its_flag(
+        base, flag, small_data, limits_file, tmp_path, capsys):
+    name = flag.split()[0]
+    accepted = _ACCEPTED.get((base, flag), _ACCEPTED.get(flag, []))
+    for value in ("nan", "inf", "-1", "0"):
+        argv = (_BASES[base].format(data=small_data, limits=limits_file)
+                + " " + (flag if "{}" in flag else flag + " {}").format(value)
+                + " --out %s" % (tmp_path / value)).split()
+        try:
+            code = main(argv)
+        except SystemExit as e:   # argparse's own errors
+            code = e.code
+        err = capsys.readouterr().err
+        if value in accepted:
+            assert code == 0, (argv, err)
+        else:
+            assert code == 2, (argv, err)
+            assert re.search(re.escape(name) + r"(?![\w-])", err), (argv, err)
+            assert not list(tmp_path.glob(value + "*"))

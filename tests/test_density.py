@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -190,6 +191,60 @@ def test_step_density_validation():
         StepDensity([0.5, 1.0], [3.0, 0.0])       # mass 1.5
     with pytest.raises(ValueError):
         StepDensity([0.5, 0.9], [2.0, 0.0])       # does not end at 1
+
+
+_MATCHING = "breakpoints and heights must be matching 1-d arrays"
+_FINITE = "breakpoints and heights must be finite"
+_INCREASING = "breakpoints must be strictly increasing within (0, 1]"
+
+
+@pytest.mark.parametrize("breakpoints,heights,message", [
+    ([0.5, 1.0], [2.0], _MATCHING),
+    ([], [], _MATCHING),
+    ([[0.5, 1.0]], [[1.0, 1.0]], _MATCHING),
+    ([np.nan, 1.0], [1.0, 1.0], _FINITE),
+    ([0.5, 1.0], [1.0, np.inf], _FINITE),
+    ([0.5, 0.5, 1.0], [1.0, 1.0, 1.0], _INCREASING),
+    ([0.6, 0.5, 1.0], [1.0, 1.0, 1.0], _INCREASING),
+    ([0.0, 1.0], [1.0, 1.0], _INCREASING),
+    ([-0.5, 1.0], [1.0, 1.0], _INCREASING),
+    ([0.5, 0.9], [2.0, 0.0], "last breakpoint must be 1"),
+    ([0.5, 1.0 + 1e-11], [1.0, 1.0], "last breakpoint must be 1"),
+    ([0.5, 1.0], [2.0, -1e-3], "heights must be nonnegative"),
+    ([0.5, 1.0], [1.0, 1.0 + 1e-9], "heights must be non-increasing"),
+    ([0.5, 1.0], [3.0, 0.0], "step density must integrate to 1, got 1.5"),
+    # where several checks fail, the first in this order speaks
+    ([0.6, 0.5], [np.nan, 1.0], _FINITE),
+    ([0.6, 0.5], [1.0, 2.0], _INCREASING),
+    ([0.5, 2.0], [-1.0, 1.0], "last breakpoint must be 1"),
+    ([0.5, 1.0], [-1.0, 1.0], "heights must be nonnegative"),
+    ([0.5, 1.0], [1.0, 3.0], "heights must be non-increasing"),
+])
+def test_step_density_rejects_each_bad_input_with_its_message(
+        breakpoints, heights, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        StepDensity(breakpoints, heights)
+
+
+def test_step_density_snaps_within_its_tolerances():
+    bp, hv = np.array([0.5, 1.0 - 1e-13]), np.array([2.0, -1e-16])
+    d = StepDensity(bp, hv)
+    assert d.breakpoints[-1] == 1.0 and d.heights[-1] == 0.0
+    # the inputs are copied, the stored arrays frozen
+    assert bp[-1] < 1.0 and hv[-1] < 0.0
+    assert not (d.breakpoints.flags.writeable or d.heights.flags.writeable)
+    # heights may rise by rounding
+    assert StepDensity([0.5, 1.0], [1.0, 1.0 + 1e-13]).heights[1] > 1.0
+
+
+def test_step_density_mass_is_the_pairwise_sum_of_its_steps():
+    # the mass fit writes: np.sum's pairwise sum, not a dot product
+    for seed in range(20):
+        sample = sample_from_analytic(triangular_density(), 1000,
+                                      RngStream(seed))
+        d = grenander_fit(sample)
+        widths = np.diff(np.concatenate([[0.0], d.breakpoints]))
+        assert d.mass == float(np.sum(d.heights * widths))
 
 
 def test_step_density_eval_sided():

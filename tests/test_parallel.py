@@ -1,7 +1,9 @@
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +21,12 @@ from grenboot.experiments import (run_band_coverage, run_inconsistency,
 from grenboot.parallel import map_indexed
 
 
+def _assert_no_children():
+    # every forked worker has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("error", [DegenerateEstimateError, EnvelopeError,
                                    WindowTooSmallError])
 def test_worker_exception_reaches_caller(error):
@@ -34,6 +42,7 @@ def test_worker_exception_reaches_caller(error):
         map_indexed(fn, 8, 2)
     assert type(info.value) is error
     assert str(info.value) == "replicate 5 failed"
+    _assert_no_children()
 
 
 def test_nested_map_runs_in_the_calling_worker():
@@ -42,9 +51,58 @@ def test_nested_map_runs_in_the_calling_worker():
     def outer(i):
         return os.getpid(), map_indexed(lambda j: os.getpid(), 3, 2)
 
-    for pid, inner in map_indexed(outer, 4, 2):
-        assert pid != parent
+    results = map_indexed(outer, 4, 2)
+    # the parent runs the first contiguous range, one child the second
+    assert [pid == parent for pid, _ in results] == [True, True, False, False]
+    assert results[2][0] == results[3][0]
+    for pid, inner in results:
         assert inner == [pid] * 3
+    _assert_no_children()
+
+
+def test_killed_worker_raises_within_a_second():
+    parent = os.getpid()
+
+    def fn(i):
+        # the child holding indices 4 and 5 of 6 dies as the OOM killer
+        # would kill it, without raising; the one holding 2 and 3 succeeds
+        if i == 5 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i
+
+    def hung(signum, frame):
+        raise TimeoutError("map_indexed waited on a killed worker")
+
+    # a map that waits on the dead child fails here instead of hanging
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="exited without a result"):
+            map_indexed(fn, 6, 3)
+        assert time.monotonic() - start < 1.0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_parent_share_error_kills_and_reaps_every_child(error):
+    parent = os.getpid()
+
+    def fn(i):
+        if os.getpid() == parent:
+            raise error("parent share failed")
+        time.sleep(60)
+        return i
+
+    start = time.monotonic()
+    with pytest.raises(error, match="parent share failed"):
+        map_indexed(fn, 6, 3)
+    # the sleeping children were killed, not waited for
+    assert time.monotonic() - start < 10.0
+    _assert_no_children()
 
 
 @pytest.mark.parametrize("count, workers",
@@ -53,12 +111,11 @@ def test_nested_map_runs_in_the_calling_worker():
 def test_results_in_index_order(count, workers):
     assert map_indexed(lambda i: (i, i * i), count, workers) == [
         (i, i * i) for i in range(count)]
+    _assert_no_children()
 
 
 def test_runs_serially_without_fork(monkeypatch):
-    import multiprocessing
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                        lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     parent = os.getpid()
     assert map_indexed(lambda i: os.getpid(), 5, 3) == [parent] * 5
 
