@@ -11,6 +11,9 @@ error. Wall-clock time appears only in the manifest.
 Every subcommand but `gen` hands its results to one writer, which times the
 run and writes nothing until the run has succeeded; one helper resolves
 --kernel, --alpha and --scale, with the library's defaults for unset flags.
+A usage error is an :class:`~grenboot.parallel.InputError`, raised where
+the value is checked, in the library or here; ``main`` reports it with the
+flag in place of the parameter that heads its message.
 """
 
 import argparse
@@ -30,17 +33,13 @@ from .experiments import (run_band_coverage, run_inconsistency, run_l1_clt,
 from .inference import l1_band, smoothed_pointwise_ci
 from .limits import (LimitConstants, LimitSimConfig, doubled_scaling_check,
                      estimate_constants)
-from .parallel import _count
+from .parallel import InputError, _count
 from .resampling import RngStream, sample_from_analytic
 from .smoothing import (BIWEIGHT, DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
                         EPANECHNIKOV, BandwidthRule, SmoothedDensity,
                         kernel_by_name, kernel_satisfies)
 
 __all__ = ["main"]
-
-
-class UsageError(ValueError):
-    """Bad flag values or combinations; maps to exit code 2."""
 
 
 # -- small IO helpers --------------------------------------------------------
@@ -56,9 +55,11 @@ def _fmt(x):
 
 
 def _write_json(path, obj):
+    """``obj`` as strict JSON: a non-finite float raises ValueError before
+    the file is opened."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path, header, rows):
@@ -100,7 +101,7 @@ def read_observations(path, rescale=None):
     if rescale is not None:
         lo, hi = float(rescale[0]), float(rescale[1])
         if not -np.inf < lo < hi < np.inf:
-            raise UsageError("--rescale needs finite LO < HI")
+            raise InputError("--rescale needs finite LO < HI")
     with open(path, "r", encoding="utf-8") as fh:
         lines = list(map(str.strip, fh))
     texts = [text for text in lines if text and text[0] != "#"]
@@ -135,50 +136,32 @@ def make_density(name, rate):
     if name == "triangular":
         return triangular_density()
     if name == "trunc-exp":
-        return _usage_guard({"rate": "--rate"}, trunc_exp_density, rate)
-    raise UsageError("unknown density %r (choose uniform, triangular, trunc-exp)"
+        return trunc_exp_density(rate)
+    raise InputError("unknown density %r (choose uniform, triangular, trunc-exp)"
                      % name)
 
 
-def _usage_guard(flags, fn, *a, **kw):
-    """``fn(*a, **kw)``, its validation ValueErrors re-raised as usage
-    errors. ``flags`` maps the library's parameter names to the flags that
-    set them: a name at the head of the message is replaced by its flag, so
-    that the message names what the user typed."""
-    try:
-        return fn(*a, **kw)
-    except UsageError:
-        raise
-    except ValueError as e:
-        message = str(e)
-        for name, flag in flags.items():
-            if re.match(re.escape(name) + r"\b", message):
-                message = flag + message[len(name):]
-                break
-        raise UsageError(message) from None
+# the flag that sets each library parameter that can head an InputError's
+# message; --paths and --scaling-paths both set an n_paths, and the scaling
+# check names its own
+_FLAGS = {"n": "--n", "rate": "--rate", "seed": "--seed",
+          "alpha": "--alpha", "scale": "--scale", "t0": "--t0",
+          "level": "--level", "n_boot": "--boot", "supersample size m": "--m",
+          "step": "--delta", "window": "--window", "n_paths": "--paths",
+          "lag_max": "--lag-max", "lag_step": "--lag-step",
+          "n_batches": "--batches",
+          "the scaling check's n_paths": "--scaling-paths",
+          "half_width": "--scaling-width", "replicates": "--replicates",
+          "grid_size": "--grid-size", "n_grid": "--n-grid",
+          "each n_grid size": "each --n-grid size"}
 
 
-# the flags of the library parameters that head validation messages;
-# limits has two maps, for --paths and --scaling-paths both set an n_paths
-_LIMITS_FLAGS = {"step": "--delta", "window": "--window", "n_paths": "--paths",
-                 "lag_max": "--lag-max", "lag_step": "--lag-step",
-                 "n_batches": "--batches"}
-_SCALING_FLAGS = {"step": "--delta", "n_paths": "--scaling-paths",
-                  "half_width": "--scaling-width"}
-_BOOTSTRAP_FLAGS = {"t0": "--t0", "level": "--level", "n_boot": "--boot",
-                    "supersample size m": "--m"}
-# the truth is evaluated at --t0 as an "evaluation point", and its rate
-# constant there as at "t"
-_EXPERIMENT_FLAGS = {**_BOOTSTRAP_FLAGS, "n": "--n",
-                     "replicates": "--replicates", "t": "--t0",
-                     "evaluation point": "--t0", "grid_size": "--grid-size",
-                     "n_grid": "--n-grid",
-                     "each n_grid size": "each --n-grid size"}
-
-
-def _root_stream(args):
-    """The stream that --seed names; a bad seed is a usage error."""
-    return _usage_guard({"seed": "--seed"}, RngStream, args.seed)
+def _flagged(message):
+    """``message`` with the parameter at its head replaced by its flag."""
+    for name, flag in _FLAGS.items():
+        if re.match(re.escape(name) + r"\b", message):
+            return flag + message[len(name):]
+    return message
 
 
 def _load_constants(path):
@@ -223,17 +206,15 @@ def _smoother_flags(args, regime):
         args.kernel = kernel.name
     if args.alpha is None:
         args.alpha = rule.alpha
-    return (_usage_guard({}, kernel_by_name, args.kernel),
-            _usage_guard({"alpha": "--alpha", "scale": "--scale"},
-                         BandwidthRule, args.alpha, args.scale, regime))
+    return (kernel_by_name(args.kernel),
+            BandwidthRule(args.alpha, args.scale, regime))
 
 
 def cmd_gen(args):
     density = make_density(args.density, args.rate)
-    rng = _root_stream(args)
+    rng = RngStream(args.seed)
     t0 = time.monotonic()
-    sample = _usage_guard({"n": "--n"}, sample_from_analytic, density, args.n,
-                          rng)
+    sample = sample_from_analytic(density, args.n, rng)
     with open(args.out, "w", encoding="utf-8") as fh:
         for v in sample.values:
             fh.write(repr(float(v)) + "\n")
@@ -245,8 +226,7 @@ def cmd_gen(args):
 @_writes_outputs
 def cmd_fit(args):
     if args.smooth_grid:
-        _usage_guard({}, _count, args.smooth_grid, "a nonzero --smooth-grid",
-                     2)
+        _count(args.smooth_grid, "a nonzero --smooth-grid", 2)
     kernel, rule = _smoother_flags(args, args.regime)
     sample = read_observations(args.data, args.rescale)
     fit = grenander_fit(sample)
@@ -274,10 +254,9 @@ def cmd_fit(args):
 def cmd_ci(args):
     kernel, rule = _smoother_flags(args, "pointwise")
     sample = read_observations(args.data, args.rescale)
-    result = _usage_guard(
-        _BOOTSTRAP_FLAGS, smoothed_pointwise_ci,
+    result = smoothed_pointwise_ci(
         sample, args.t0, level=args.level, n_boot=args.boot, kernel=kernel,
-        rule=rule, rng=_root_stream(args), threads=args.threads)
+        rule=rule, rng=RngStream(args.seed), threads=args.threads)
     return [args.data], result.summary_dict(), [
         (".csv", ["replicate", "deviation"],
          [{"replicate": b, "deviation": d}
@@ -288,10 +267,9 @@ def cmd_ci(args):
 def cmd_band(args):
     kernel, rule = _smoother_flags(args, "l1")
     sample = read_observations(args.data, args.rescale)
-    result = _usage_guard(
-        _BOOTSTRAP_FLAGS, l1_band, sample, level=args.level,
-        n_boot=args.boot, m=args.m, kernel=kernel, rule=rule,
-        rng=_root_stream(args), threads=args.threads)
+    result = l1_band(
+        sample, level=args.level, n_boot=args.boot, m=args.m, kernel=kernel,
+        rule=rule, rng=RngStream(args.seed), threads=args.threads)
     return [args.data], result.summary_dict(), [
         (".csv", ["replicate", "l1_value", "standardized"],
          [{"replicate": b, "l1_value": l, "standardized": s}
@@ -301,18 +279,17 @@ def cmd_band(args):
 
 @_writes_outputs
 def cmd_limits(args):
-    config = _usage_guard(
-        _LIMITS_FLAGS, LimitSimConfig, step=args.delta, window=args.window,
-        n_paths=args.paths, lag_max=args.lag_max, lag_step=args.lag_step,
-        n_batches=args.batches)
-    rng = _root_stream(args)
+    config = LimitSimConfig(
+        step=args.delta, window=args.window, n_paths=args.paths,
+        lag_max=args.lag_max, lag_step=args.lag_step, n_batches=args.batches)
+    rng = RngStream(args.seed)
     # the scaling check runs first, so a bad scaling flag is a usage error
     # before the long constants run; its stream is independent of theirs
     scaling = None
     if args.check_scaling:
-        scaling = _usage_guard(
-            _SCALING_FLAGS, doubled_scaling_check, args.scaling_paths,
-            args.delta, args.scaling_width, rng.substream(1), args.threads)
+        scaling = doubled_scaling_check(
+            args.scaling_paths, args.delta, args.scaling_width,
+            rng.substream(1), args.threads)
     constants = estimate_constants(config, rng.substream(0), args.threads)
     payload = constants.to_dict()
     if scaling is not None:
@@ -322,52 +299,49 @@ def cmd_limits(args):
 
 @_writes_outputs
 def cmd_experiment(args):
-    rng = _root_stream(args)
+    rng = RngStream(args.seed)
     truth = make_density(args.density, args.rate)
     inputs = []
     if args.name in ("inconsistency", "l1clt"):
         if not args.limits:
-            raise UsageError("experiment %r needs --limits CONSTANTS.json "
+            raise InputError("experiment %r needs --limits CONSTANTS.json "
                              "from a previous `grenboot limits` run" % args.name)
         constants = _load_constants(args.limits)
         inputs.append(args.limits)
     if args.name == "coverage":
         if args.band:
             kernel, rule = _smoother_flags(args, "l1")
-            summary, rows = _usage_guard(
-                _EXPERIMENT_FLAGS, run_band_coverage, truth, n=args.n,
-                replicates=args.replicates, n_boot=args.boot, m=args.m,
-                level=args.level, kernel=kernel, rule=rule, rng=rng,
+            summary, rows = run_band_coverage(
+                truth, n=args.n, replicates=args.replicates, n_boot=args.boot,
+                m=args.m, level=args.level, kernel=kernel, rule=rule, rng=rng,
                 threads=args.threads)
         else:
             kernel, rule = _smoother_flags(args, "pointwise")
-            summary, rows = _usage_guard(
-                _EXPERIMENT_FLAGS, run_pointwise_coverage, truth, n=args.n,
-                replicates=args.replicates, n_boot=args.boot, level=args.level,
-                t0=args.t0, kernel=kernel, rule=rule, rng=rng,
-                threads=args.threads)
+            summary, rows = run_pointwise_coverage(
+                truth, n=args.n, replicates=args.replicates, n_boot=args.boot,
+                level=args.level, t0=args.t0, kernel=kernel, rule=rule,
+                rng=rng, threads=args.threads)
     elif args.name == "inconsistency":
-        summary, rows = _usage_guard(
-            _EXPERIMENT_FLAGS, run_inconsistency, truth, constants, n=args.n,
-            replicates=args.replicates, t0=args.t0, rng=rng,
-            threads=args.threads)
+        summary, rows = run_inconsistency(
+            truth, constants, n=args.n, replicates=args.replicates,
+            t0=args.t0, rng=rng, threads=args.threads)
     elif args.name == "rate":
         kernel, rule = _smoother_flags(args, "l1")
         try:
             n_grid = [int(x) for x in args.n_grid.split(",") if x.strip()]
         except ValueError:
-            raise UsageError("--n-grid takes comma-separated integers, got %r"
+            raise InputError("--n-grid takes comma-separated integers, got %r"
                              % args.n_grid) from None
-        summary, rows = _usage_guard(
-            _EXPERIMENT_FLAGS, run_rate, truth, n_grid=n_grid,
-            replicates=args.replicates, kernel=kernel, rule=rule, t0=args.t0,
-            grid_size=args.grid_size, rng=rng, threads=args.threads)
+        summary, rows = run_rate(
+            truth, n_grid=n_grid, replicates=args.replicates, kernel=kernel,
+            rule=rule, t0=args.t0, grid_size=args.grid_size, rng=rng,
+            threads=args.threads)
     elif args.name == "l1clt":
-        summary, rows = _usage_guard(
-            _EXPERIMENT_FLAGS, run_l1_clt, truth, constants, n=args.n,
-            replicates=args.replicates, rng=rng, threads=args.threads)
+        summary, rows = run_l1_clt(
+            truth, constants, n=args.n, replicates=args.replicates, rng=rng,
+            threads=args.threads)
     else:
-        raise UsageError("unknown experiment %r (choose coverage, "
+        raise InputError("unknown experiment %r (choose coverage, "
                          "inconsistency, rate, l1clt)" % args.name)
     return inputs, summary, [(".csv", list(rows[0].keys()), rows)]
 
@@ -490,10 +464,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _usage_guard({}, _count, getattr(args, "threads", 1), "--threads", 1)
+        _count(getattr(args, "threads", 1), "--threads", 1)
         return args.func(args)
-    except UsageError as e:
-        print("usage error: %s" % e, file=sys.stderr)
+    except InputError as e:
+        print("usage error: %s" % _flagged(str(e)), file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         raise

@@ -9,11 +9,11 @@ identical for any worker count.
 
 import numpy as np
 
-from .density import (Sample, grenander_fit, l1_distance, rate_constant,
-                      sup_distance)
+from .density import (Sample, _interior, grenander_fit, l1_distance,
+                      rate_constant, sup_distance)
 from .inference import l1_band, band_contains, smoothed_pointwise_ci
 from .limits import _var_of_var, l1_centering_constant
-from .parallel import _count, map_indexed
+from .parallel import InputError, _count, map_indexed
 from .resampling import multinomial_bootstrap, sample_from_analytic
 from .smoothing import (BIWEIGHT, EPANECHNIKOV, DEFAULT_L1_RULE,
                         DEFAULT_POINTWISE_RULE, fit_smoothed, kernel_satisfies)
@@ -39,6 +39,7 @@ def run_pointwise_coverage(truth, n=500, replicates=200, n_boot=200,
     Each replicate draws fresh data from ``truth``, builds the interval at
     ``t0``, and records whether the true density value is covered.
     """
+    t0 = _interior(t0, "t0")
     replicates = _count(replicates, "replicates", 1)
     target = float(truth(t0))
 
@@ -66,7 +67,7 @@ def run_pointwise_coverage(truth, n=500, replicates=200, n_boot=200,
         "replicates": replicates,
         "n_boot": int(n_boot),
         "level": float(level),
-        "t0": float(t0),
+        "t0": t0,
         "kernel": kernel.name,
         "alpha": rule.alpha,
         "scale": rule.scale,
@@ -140,12 +141,13 @@ def run_inconsistency(truth, constants, n=2000, replicates=2000, t0=0.5,
     The correlation between the bootstrap deviation (about the fit) and the
     sampling deviation (about the truth) is reported alongside.
     """
+    t0 = _interior(t0, "t0")
     replicates = _count(replicates, "replicates", 2)
     # the only resample of one point is the point: no bootstrap spread
     n = _count(n, "n", 2)
     c0 = rate_constant(truth, t0)
     if c0 == 0.0:
-        raise ValueError("the truth is flat at t0=%r: its rate constant is 0, "
+        raise InputError("the truth is flat at t0=%r: its rate constant is 0, "
                          "so the variance ratio is undefined" % t0)
     target = float(truth(t0))
     cube = float(n) ** (1.0 / 3.0)
@@ -170,7 +172,7 @@ def run_inconsistency(truth, constants, n=2000, replicates=2000, t0=0.5,
 
     for name, dev in (("bootstrap", boot_dev_fit), ("sampling", samp_dev)):
         if np.ptp(dev) == 0.0:
-            raise ValueError("every %s deviation is %r, so their correlation "
+            raise InputError("every %s deviation is %r, so their correlation "
                              "is undefined" % (name, float(dev[0])))
     denom = c0 ** 2 * constants.chernoff_var
     var_boot = float(np.var(boot_dev_truth, ddof=1))
@@ -186,7 +188,7 @@ def run_inconsistency(truth, constants, n=2000, replicates=2000, t0=0.5,
         "truth": truth.name,
         "n": n,
         "replicates": replicates,
-        "t0": float(t0),
+        "t0": t0,
         "rate_constant": c0,
         "argmax_var": constants.chernoff_var,
         "argmax_var_se": constants.chernoff_var_se,
@@ -217,15 +219,16 @@ def run_rate(truth, n_grid=(1000, 3162, 10000, 31623), replicates=50,
     Grenander fit at t0, and the cube-root-scaled sup-error medians whose
     decrease exhibits the o(n^(-1/3)) sup-norm behavior.
     """
+    t0 = _interior(t0, "t0")
     if not kernel_satisfies(kernel, "l1"):
-        raise ValueError("the rate experiment evaluates second derivatives; "
+        raise InputError("the rate experiment evaluates second derivatives; "
                          "kernel %s fails the l1-level conditions" % kernel.name)
     replicates = _count(replicates, "replicates", 1)
     n_grid = [_count(n, "each n_grid size", 1) for n in n_grid]
     if len(n_grid) < 2:
-        raise ValueError("n_grid needs at least two sizes, got %r" % n_grid)
+        raise InputError("n_grid needs at least two sizes, got %r" % n_grid)
     if sorted(n_grid) != n_grid or len(set(n_grid)) != len(n_grid):
-        raise ValueError("n_grid must be strictly increasing")
+        raise InputError("n_grid must be strictly increasing")
     n_max = n_grid[-1]
     target0 = float(truth(t0))
 
@@ -272,7 +275,7 @@ def run_rate(truth, n_grid=(1000, 3162, 10000, 31623), replicates=50,
         "kernel": kernel.name,
         "alpha": rule.alpha,
         "scale": rule.scale,
-        "t0": float(t0),
+        "t0": t0,
         "grid_size": int(grid_size),
         "n_grid": n_grid,
         "median_sup_error": [float(v) for v in med_sup],
@@ -298,7 +301,7 @@ def run_l1_clt(truth, constants, n=1000, replicates=200, *, rng, threads=1):
     """
     replicates = _count(replicates, "replicates", 2)
     if not constants.l1_variance > 0.0:
-        raise ValueError("the limit constants' l1_variance must be positive, "
+        raise InputError("the limit constants' l1_variance must be positive, "
                          "got %r" % constants.l1_variance)
     mu = l1_centering_constant(truth, constants)
     sixth = float(n) ** (1.0 / 6.0)

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import Sample, _l1_steps, grenander_fit, l1_distance
-from .parallel import _count, map_indexed
+from .density import (Sample, _interior, _l1_steps, grenander_fit,
+                      l1_distance)
+from .parallel import InputError, _count, map_indexed
 from .resampling import rejection_sample
 from .smoothing import (BIWEIGHT, EPANECHNIKOV, DEFAULT_L1_RULE,
                         DEFAULT_POINTWISE_RULE, fit_smoothed,
@@ -41,8 +42,7 @@ def empirical_quantile(values, p):
     if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
         raise ValueError("values must be a nonempty 1-d array of finite "
                          "values")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+    p = _interior(p, "p")
     pb = p * v.size
     nearest = round(pb)
     if abs(pb - nearest) < 1e-9:
@@ -79,11 +79,6 @@ class PointwiseCIResult:
         return out
 
 
-def _check_level(level):
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
-
-
 def smoothed_pointwise_ci(sample, t0, level=0.95, n_boot=500,
                           kernel=EPANECHNIKOV, rule=DEFAULT_POINTWISE_RULE,
                           *, rng, threads=1):
@@ -96,15 +91,15 @@ def smoothed_pointwise_ci(sample, t0, level=0.95, n_boot=500,
     """
     if not isinstance(sample, Sample):
         sample = Sample(sample)
-    t0 = float(t0)
-    if not 0.0 < t0 < 1.0:
-        raise ValueError("t0 must be interior to (0, 1)")
-    _check_level(level)
+    t0 = _interior(t0, "t0")
+    level = _interior(level, "level")
     n_boot = _count(n_boot, "n_boot", 20)
     if rule.regime != "pointwise":
-        raise ValueError("pointwise intervals need a pointwise-regime bandwidth rule")
+        raise InputError("pointwise intervals need a pointwise-regime "
+                         "bandwidth rule")
     if not kernel_satisfies(kernel, "pointwise"):
-        raise ValueError("kernel %s fails the pointwise-level conditions" % kernel.name)
+        raise InputError("kernel %s fails the pointwise-level conditions"
+                         % kernel.name)
 
     smoothed = fit_smoothed(sample, kernel, rule)
     gren = grenander_fit(sample)
@@ -129,7 +124,7 @@ def smoothed_pointwise_ci(sample, t0, level=0.95, n_boot=500,
     point = float(gren(t0))
     return PointwiseCIResult(
         t0=t0,
-        level=float(level),
+        level=level,
         lower=point - q_hi / cube,
         upper=point - q_lo / cube,
         grenander_value=point,
@@ -207,12 +202,13 @@ def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
     """
     if not isinstance(sample, Sample):
         sample = Sample(sample)
-    _check_level(level)
+    level = _interior(level, "level")
     n_boot = _count(n_boot, "n_boot", 50)
     if rule.regime != "l1":
-        raise ValueError("L1 bands need an l1-regime bandwidth rule")
+        raise InputError("L1 bands need an l1-regime bandwidth rule")
     if not kernel_satisfies(kernel, "l1"):
-        raise ValueError("kernel %s fails the l1-level conditions" % kernel.name)
+        raise InputError("kernel %s fails the l1-level conditions"
+                         % kernel.name)
     n = sample.n
     if m is None:
         m = max(10 * n, min(math.ceil(n ** 1.5), _SUPERSAMPLE_CAP))
@@ -238,7 +234,7 @@ def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
         warnings.warn("L1 band radius is negative; the band is empty",
                       RuntimeWarning, stacklevel=2)
     return L1BandResult(
-        level=float(level),
+        level=level,
         radius=float(radius),
         mu_hat=float(mu_hat),
         c_critical=float(c_crit),

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import isotonic_regression
 
 from .density import l1_shape_integral
-from .parallel import _count, map_indexed
+from .parallel import InputError, _count, map_indexed
 
 __all__ = [
     "WindowTooSmallError",
@@ -54,13 +54,13 @@ class WindowTooSmallError(RuntimeError):
 def _grid_points(step, length, name):
     """Grid steps in ``length``: length / step, a positive integer. A
     ``length`` that is no positive multiple of ``step`` (to 1e-9) raises
-    ValueError naming it; a ``step`` that is not positive and finite
+    InputError naming it; a ``step`` that is not positive and finite
     raises too."""
     if not (math.isfinite(step) and step > 0.0):
-        raise ValueError("step must be positive and finite, got %r" % step)
+        raise InputError("step must be positive and finite, got %r" % step)
     m = int(round(length / step)) if math.isfinite(length) else 0
     if m < 1 or abs(m * step - length) > 1e-9:
-        raise ValueError("%s must be a positive multiple of step %r, got %r"
+        raise InputError("%s must be a positive multiple of step %r, got %r"
                          % (name, step, length))
     return m
 
@@ -109,7 +109,9 @@ class _MajorantLags:
     def __init__(self, config):
         self.step = step = config.step
         self.w = w = _grid_points(step, config.window, "window")
-        self.m = _grid_points(step, config.half_width, "half_width")
+        # counted from the two checked lengths: each may miss a multiple of
+        # the step by 1e-9, so their sum may miss by more
+        self.m = w + _grid_points(step, config.lag_max, "lag_max")
         self.centers = w + np.round(config.lags / step).astype(int)
         self.two_t = 2.0 * config.lags
         # squares of k * step for k in [-w, m]
@@ -185,7 +187,7 @@ def doubled_scaling_check(n_paths, step, half_width, rng, threads=1):
     delta-method standard error for the ratio, and a two-sample KS test of
     the rescaled doubled draws against the single draws.
     """
-    n_paths = _count(n_paths, "n_paths", 2)
+    n_paths = _count(n_paths, "the scaling check's n_paths", 2)
     from scipy import stats
 
     m = _grid_points(step, half_width, "half_width")
@@ -219,7 +221,9 @@ class LimitSimConfig:
     [0, lag_max] keeps its window inside the simulated extent. The step
     must be positive and finite, window, lag_step and lag_max positive
     multiples of it with lag_max >= lag_step, so the covariance integral
-    spans at least two lags, and n_paths >= n_batches >= 2 integers.
+    spans at least two lags, and n_batches >= 2 and n_paths >=
+    2 * n_batches integers, so that every batch holds two paths: the
+    variance of a batch of one is NaN.
     """
 
     step: float = 0.002
@@ -234,9 +238,10 @@ class LimitSimConfig:
             _grid_points(self.step, getattr(self, name), name)
         if self.lag_max < self.lag_step:
             # one lag would make the covariance integral 0
-            raise ValueError("lag_max must be at least lag_step, got %r < %r"
+            raise InputError("lag_max must be at least lag_step, got %r < %r"
                              % (self.lag_max, self.lag_step))
-        _count(self.n_paths, "n_paths", _count(self.n_batches, "n_batches", 2))
+        _count(self.n_paths, "n_paths",
+               2 * _count(self.n_batches, "n_batches", 2))
 
     @property
     def half_width(self):

@@ -29,16 +29,25 @@ __all__ = ["map_indexed"]
 _busy = threading.Lock()
 
 
+class InputError(ValueError):
+    """A value that the caller passed is out of its domain. The message
+    starts with the parameter's name; the command line swaps that name for
+    its flag. It lives here, beside ``_count``, so that this module stays
+    stdlib-only, and it keeps a one-message constructor, with which
+    ``_receive`` rebuilds it from a forked worker."""
+
+
 def _count(value, name, least):
     """``value`` as an int, when it is an integer (not a bool) >= ``least``;
-    ValueError naming ``name`` otherwise. Every count of replicates,
-    samples, paths or workers that the package takes passes through it."""
+    InputError naming ``name`` otherwise. Every count of replicates,
+    samples, paths or workers, and every seed, that the package takes
+    passes through it."""
     try:
         count = operator.index(value)
     except TypeError:
         count = None
     if isinstance(value, bool) or count is None or count < least:
-        raise ValueError("%s must be an integer >= %d, got %r"
+        raise InputError("%s must be an integer >= %d, got %r"
                          % (name, least, value))
     return count
 

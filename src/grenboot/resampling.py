@@ -29,18 +29,14 @@ class RngStream:
     """Deterministic random stream addressed by (seed, path).
 
     Wraps numpy's SeedSequence spawning: the same (seed, path) pair always
-    yields the same generator state, and distinct paths never collide. The
+    yields the same generator state, and distinct paths never collide.
+    The seed and the path indices are integers >= 0, bools excluded. The
     underlying Generator is created lazily so substream handles are cheap.
     """
 
     def __init__(self, seed, path=()):
-        self.seed = int(seed)
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer, got %d"
-                             % self.seed)
-        self.path = tuple(int(p) for p in path)
-        if any(p < 0 for p in self.path):
-            raise ValueError("path indices must be nonnegative")
+        self.seed = _count(seed, "seed", 0)
+        self.path = tuple(_count(p, "path index", 0) for p in path)
         self._gen = None
 
     @property

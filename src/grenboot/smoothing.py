@@ -18,7 +18,7 @@ from numpy.polynomial import Polynomial
 from scipy.interpolate import PPoly
 
 from .density import DegenerateEstimateError, Sample, _at, _split
-from .parallel import _count
+from .parallel import InputError, _count
 from .resampling import _squeeze_table, envelope_bound
 
 __all__ = [
@@ -71,7 +71,7 @@ def kernel_by_name(name):
     try:
         return _KERNELS[name]
     except KeyError:
-        raise ValueError(
+        raise InputError(
             "unknown kernel %r (available: %s)" % (name, ", ".join(sorted(_KERNELS)))
         ) from None
 
@@ -166,15 +166,15 @@ class BandwidthRule:
 
     def __post_init__(self):
         if self.regime not in _REGIMES:
-            raise ValueError("regime must be one of %s" % sorted(_REGIMES))
+            raise InputError("regime must be one of %s" % sorted(_REGIMES))
         lo, hi = _REGIMES[self.regime]
         if not lo < self.alpha < hi:
-            raise ValueError(
+            raise InputError(
                 "alpha=%r outside the open interval (%g, %g) for the %s regime"
                 % (self.alpha, lo, hi, self.regime)
             )
         if not 0.0 < self.scale < np.inf:
-            raise ValueError("scale must be positive and finite, got %r"
+            raise InputError("scale must be positive and finite, got %r"
                              % (self.scale,))
 
     def bandwidth(self, n):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from grenboot.cli import main, read_observations
+from grenboot.cli import _write_json, main, read_observations
 
 
 def run_cli(args):
@@ -307,6 +307,38 @@ def test_limits_bad_flags_are_usage_errors(flags, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error: " + message)
     assert not (tmp_path / "l.json").exists()
+
+
+# each used to exit 0 with NaN in its JSON
+@pytest.mark.parametrize("argv,message", [
+    ("experiment rate --n-grid 100,200 --replicates 2 --t0 1 --seed 1",
+     "--t0 must lie in (0, 1), got 1.0"),
+    ("limits --paths 30 --batches 20 --delta 0.01 --window 2 --lag-max 1 "
+     "--lag-step 0.5 --seed 1", "--paths must be an integer >= 40, got 30"),
+], ids=["rate-t0", "limits-batches"])
+def test_inputs_that_gave_nan_are_usage_errors(argv, message, tmp_path,
+                                               capsys):
+    assert main(argv.split() + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "usage error: %s\n" % message
+    assert not list(tmp_path.iterdir())
+
+
+def test_usage_error_raised_inside_the_replicates(tmp_path, capsys):
+    # the coverage experiment checks the level inside each replicate, in
+    # the workers' map; the message still names the flag
+    assert run_cli(["experiment", "coverage", "--n", 30, "--replicates", 2,
+                    "--boot", 20, "--level", 1.5, "--seed", 1, "--threads", 2,
+                    "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: --level must lie in (0, 1), got 1.5\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_result_json_is_strict(tmp_path):
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _write_json(path, {"slope": float("nan")})
+    assert not path.exists()
 
 
 # -- experiments -------------------------------------------------------------------
@@ -617,7 +649,7 @@ _NUMERIC_FLAGS = {
 }
 # the values of nan, inf, -1 and 0 that a flag accepts; it rejects the rest
 _ACCEPTED = {"--seed": ["0"], "--smooth-grid": ["0"],
-             "--rescale {} 1": ["-1", "0"], ("rate", "--t0"): ["0"]}
+             "--rescale {} 1": ["-1", "0"]}
 
 
 @pytest.fixture(scope="module")

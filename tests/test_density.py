@@ -297,6 +297,27 @@ def test_zoo_flags():
         assert density.nonincreasing
 
 
+def test_monotonicity_is_measured():
+    uniform = StepDensity([1.0], [1.0])
+    falling = AnalyticDensity("falling", lambda t: 2.0 * (1.0 - t),
+                              cdf=lambda t: t * (2.0 - t))
+    assert falling.nonincreasing
+    assert abs(l1_distance(uniform, falling) - 0.5) < 1e-15
+    # 2t could once be declared non-increasing, and then its L1 distance to
+    # the uniform step read 0.0 where the exact value is 0.5
+    rising = AnalyticDensity("rising", lambda t: 2.0 * t, cdf=lambda t: t * t)
+    assert not rising.nonincreasing
+    with pytest.raises(ValueError, match="nonincreasing AnalyticDensity"):
+        l1_distance(uniform, rising)
+    # one step up of 1e-9 in a flat density is a rise, however small
+    step_up = AnalyticDensity(
+        "step up", lambda t: np.where(t < 0.5, 1.0 - 5e-10, 1.0 + 5e-10))
+    assert not step_up.nonincreasing
+    # flat to rounding, and steep near 0
+    assert trunc_exp_density(1e-17).nonincreasing
+    assert trunc_exp_density(1e20).nonincreasing
+
+
 def test_triangular_values():
     tri = triangular_density()
     assert tri(0.0) == 2.0 and tri(1.0) == 0.0
@@ -384,7 +405,7 @@ def test_l1_unsupported_pairs_raise():
     flat = lambda t: np.ones_like(t)
     increasing = AnalyticDensity("rising", lambda t: 2.0 * t,
                                  cdf=lambda t: t * t)
-    no_cdf = AnalyticDensity("flat", flat, nonincreasing=True)
+    no_cdf = AnalyticDensity("flat", flat)
     smoothed = fit_smoothed(Sample([0.2, 0.5]))
     pairs = [(trunc_exp_density(), triangular_density()),
              (fit, increasing), (no_cdf, fit), (fit, object()),

@@ -112,7 +112,7 @@ def test_xi_at_zero_is_chernoff_when_window_is_full(monkeypatch):
 
 
 def test_xi_stationarity():
-    config = LimitSimConfig(step=0.01, window=2.5, n_paths=2, lag_max=5.0,
+    config = LimitSimConfig(step=0.01, window=2.5, n_paths=4, lag_max=5.0,
                             lag_step=5.0, n_batches=2)
     reader = _MajorantLags(config)
     root = RngStream(11)
@@ -151,7 +151,7 @@ READOFF_GRIDS = [
 
 @pytest.mark.parametrize("step,window,lag_max,lag_step", READOFF_GRIDS)
 def test_majorant_readoff_equals_scan(step, window, lag_max, lag_step):
-    config = LimitSimConfig(step=step, window=window, n_paths=2,
+    config = LimitSimConfig(step=step, window=window, n_paths=4,
                             lag_max=lag_max, lag_step=lag_step, n_batches=2)
     reader = _MajorantLags(config)
     m, w = reader.m, reader.w
@@ -177,7 +177,7 @@ def test_majorant_readoff_equals_scan(step, window, lag_max, lag_step):
 def test_majorant_readoff_ties_take_leftmost():
     # dyadic values, so every sum is exact: for each lag t the tilted path
     # Z(s) - (s - t)^2 peaks at two grid points, and xi(t) is the left one
-    config = LimitSimConfig(step=0.5, window=2.0, n_paths=2, lag_max=1.0,
+    config = LimitSimConfig(step=0.5, window=2.0, n_paths=4, lag_max=1.0,
                             lag_step=0.5, n_batches=2)
     reader = _MajorantLags(config)
     # Z on s = -2, -1.5, ..., 3: ties at s = -0.5, 1 (t = 0), s = 1, 1.5
@@ -267,6 +267,15 @@ def test_config_names_the_bad_field(field, kwargs):
         LimitSimConfig(**kwargs)
 
 
+def test_reader_takes_lengths_within_the_tolerance():
+    # each length is within 1e-9 of a multiple of the step, their sum is not;
+    # the reader used to check the sum and raise
+    config = LimitSimConfig(step=0.01, window=2.0000000009, n_paths=4,
+                            lag_max=5.0000000009, lag_step=0.5, n_batches=2)
+    reader = _MajorantLags(config)
+    assert (reader.w, reader.m) == (200, 700)
+
+
 @pytest.mark.parametrize("n_paths", [0, 1])
 def test_scaling_check_needs_two_paths(n_paths):
     with pytest.raises(ValueError, match="n_paths"):
@@ -302,8 +311,7 @@ def test_centering_scale_invariance(limit_constants):
         pdf = lambda t, c=c: 2 * c * (1 - np.asarray(t, dtype=float)) + (1 - c)
         dpdf = lambda t, c=c: np.full(np.asarray(t, dtype=float).shape, -2.0 * c)
         cdf = lambda t, c=c: (2 * c + (1 - c)) * np.asarray(t) - c * np.asarray(t) ** 2
-        return AnalyticDensity("blend", pdf, dpdf, cdf, None,
-                               nonincreasing=True)
+        return AnalyticDensity("blend", pdf, dpdf, cdf, None)
 
     g = make(0.5)
     mu = l1_centering_constant(g, limit_constants)

@@ -18,7 +18,7 @@ from grenboot import (BIWEIGHT, DEFAULT_L1_RULE, DegenerateEstimateError,
                       trunc_exp_density)
 from grenboot.experiments import (run_band_coverage, run_inconsistency,
                                   run_l1_clt, run_pointwise_coverage, run_rate)
-from grenboot.parallel import map_indexed
+from grenboot.parallel import InputError, map_indexed
 
 
 def _assert_no_children():
@@ -27,8 +27,9 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+# InputError too, which the command line reports as a usage error
 @pytest.mark.parametrize("error", [DegenerateEstimateError, EnvelopeError,
-                                   WindowTooSmallError])
+                                   WindowTooSmallError, InputError])
 def test_worker_exception_reaches_caller(error):
     parent = os.getpid()
 
@@ -171,10 +172,10 @@ _COUNTS = {
         rng=RngStream(1))[0]["n_grid"][0]),
     "run_l1_clt": ("replicates", 2, 2, lambda v, c: run_l1_clt(
         _TRI, c, n=60, replicates=v, rng=RngStream(1))[0]["replicates"]),
-    "doubled_scaling_check": ("n_paths", 2, 2, lambda v, c:
-                              doubled_scaling_check(
+    "doubled_scaling_check": ("the scaling check's n_paths", 2, 2,
+                              lambda v, c: doubled_scaling_check(
                                   v, 0.05, 2.0, RngStream(1))["n_paths"]),
-    "LimitSimConfig-n_paths": ("n_paths", 2, 2, lambda v, c: LimitSimConfig(
+    "LimitSimConfig-n_paths": ("n_paths", 4, 4, lambda v, c: LimitSimConfig(
         n_paths=v, n_batches=2)),
     "LimitSimConfig-n_batches": ("n_batches", 2, 2, lambda v, c:
                                  LimitSimConfig(n_batches=v)),

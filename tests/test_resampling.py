@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -43,9 +45,25 @@ def test_substream_rejects_bad_indices():
 
 def test_stream_rejects_negative_seed():
     # at construction, not at the first draw
-    with pytest.raises(ValueError, match="seed must be a nonnegative "
-                                         "integer, got -1"):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, "
+                                         "got -1"):
         RngStream(-1)
+
+
+@pytest.mark.parametrize("seed", [2.7, True, float("nan")])
+def test_stream_rejects_a_seed_that_is_no_integer(seed):
+    # 2.7 used to draw seed 2's stream, and True seed 1's
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, "
+                                         "got " + re.escape(repr(seed))):
+        RngStream(seed)
+
+
+def test_substream_rejects_an_index_that_is_no_integer():
+    # 1.9 used to give the path (1,)
+    with pytest.raises(ValueError, match=r"path index must be an integer "
+                                         r">= 0, got 1\.9"):
+        RngStream(1).substream(1.9)
+    assert RngStream(np.int64(7), (np.int64(3),)).substream(1).path == (3, 1)
 
 
 def test_sibling_substreams_uncorrelated():
