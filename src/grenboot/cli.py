@@ -8,17 +8,20 @@ as a prefix and writes <prefix>.json, usually <prefix>.csv, and
 <prefix>.manifest.json. Exit codes: 0 success, 2 usage error, 1 runtime
 error. Wall-clock time appears only in the manifest.
 
-Every subcommand but `gen` hands its results to one writer, which times the
-run and writes nothing until the run has succeeded; one helper resolves
---kernel, --alpha and --scale, with the library's defaults for unset flags.
-A usage error is an :class:`~grenboot.parallel.InputError`, raised where
-the value is checked, in the library or here; ``main`` reports it with the
-flag in place of the parameter that heads its message.
+Every subcommand returns the text of its files to one writer, which times
+the run and opens no file until every text, the manifest's included, is
+built. A data file is read in one pass; argparse checks the density and
+experiment names, and ``main`` checks that every float flag is finite. One
+helper resolves --kernel, --alpha and --scale, with the library's defaults
+for unset flags. A usage error is an :class:`~grenboot.parallel.InputError`,
+raised where the value is checked, in the library or here; ``main`` reports
+it with the flag in place of the parameter that heads its message.
 """
 
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 import time
@@ -54,19 +57,14 @@ def _fmt(x):
     return str(x)
 
 
-def _write_json(path, obj):
-    """``obj`` as strict JSON: a non-finite float raises ValueError before
-    the file is opened."""
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+def _json_text(obj):
+    """``obj`` as strict JSON text: a non-finite float raises ValueError."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[key]) for key in header) + "\n")
+def _csv_text(header, rows):
+    """The header line, then one line of ``_fmt`` cells per row."""
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
 
 
 def _digest(path):
@@ -77,68 +75,55 @@ def _digest(path):
     return sha.hexdigest()
 
 
-def _write_manifest(path, subcommand, args, inputs, outputs, elapsed):
+def _manifest_text(args, inputs, outputs, elapsed):
     params = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    manifest = {
+    return _json_text({
         "tool": "grenboot",
         "version": __version__,
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "parameters": params,
         "seed": getattr(args, "seed", None),
         "input_digests": {p: _digest(p) for p in inputs},
         "outputs": sorted(outputs),
         "wall_clock_seconds": elapsed,
-    }
-    _write_json(path, manifest)
+    })
 
 
 def read_observations(path, rescale=None):
-    """Parse a data file: one decimal per line, '#' comments and blanks skipped.
-
-    ``rescale`` is an optional (lo, hi) pair mapping [lo, hi] affinely onto
-    [0, 1] before validation. Errors name the offending line number.
-    """
+    """Parse a data file in one pass: one decimal per line, '#' comments and
+    blanks skipped. ``rescale`` is an optional (lo, hi) pair mapping [lo, hi]
+    affinely onto [0, 1] before validation. The first line that is no
+    decimal, or lies outside [0, 1], raises, naming its number."""
     if rescale is not None:
         lo, hi = float(rescale[0]), float(rescale[1])
         if not -np.inf < lo < hi < np.inf:
             raise InputError("--rescale needs finite LO < HI")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = list(map(str.strip, fh))
-    texts = [text for text in lines if text and text[0] != "#"]
     values = []
-    for text in texts:   # up to the first line that is no decimal
-        try:
-            values.append(float(text))
-        except ValueError:
-            break
-    x = np.array(values)
-    if rescale is not None:
-        x = (x - lo) / (hi - lo)
-    outside = np.flatnonzero(~((x >= 0.0) & (x <= 1.0)))
-    first = outside[0] if outside.size else x.size
-    if first < len(texts):
-        # the first bad line in file order, out of range or no decimal; an
-        # equal line before it would have failed first, so index finds it
-        lineno = lines.index(texts[first]) + 1
-        if outside.size:
-            raise ValueError("line %d of %s: value %r outside [0, 1]"
-                             % (lineno, path, float(x[first])))
-        raise ValueError("line %d of %s: not a decimal value: %r"
-                         % (lineno, path, texts[first]))
-    if not texts:
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            text = line.strip()
+            if not text or text[0] == "#":
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                raise ValueError("line %d of %s: not a decimal value: %r"
+                                 % (lineno, path, text)) from None
+            if rescale is not None:
+                value = (value - lo) / (hi - lo)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError("line %d of %s: value %r outside [0, 1]"
+                                 % (lineno, path, value))
+            values.append(value)
+    if not values:
         raise ValueError("no observations in %s" % path)
-    return Sample(x)
+    return Sample(np.array(values))
 
 
-def make_density(name, rate):
-    if name == "uniform":
-        return uniform_density()
-    if name == "triangular":
-        return triangular_density()
-    if name == "trunc-exp":
-        return trunc_exp_density(rate)
-    raise InputError("unknown density %r (choose uniform, triangular, trunc-exp)"
-                     % name)
+# --density's choices, each with its density at --rate
+_DENSITIES = {"uniform": lambda rate: uniform_density(),
+              "triangular": lambda rate: triangular_density(),
+              "trunc-exp": trunc_exp_density}
 
 
 # the flag that sets each library parameter that can head an InputError's
@@ -173,20 +158,22 @@ def _load_constants(path):
 
 
 def _writes_outputs(cmd):
-    """Time ``cmd(args)`` and write what it returns: ``(inputs, payload,
-    tables)`` go to <out>.json, one <out><suffix> per (suffix, header, rows)
-    table, and <out>.manifest.json. Nothing is written when ``cmd`` raises."""
+    """Time ``cmd(args)`` and write what it returns: ``(inputs, files)``, a
+    (suffix, text) pair per file, each written to <out><suffix>, and then
+    <out>.manifest.json. Every text is built before the first file opens,
+    so nothing is written when ``cmd`` raises or the manifest is not
+    strict JSON."""
 
     def run(args):
         t_start = time.monotonic()
-        inputs, payload, tables = cmd(args)
-        outputs = [args.out + ".json"]
-        _write_json(outputs[0], payload)
-        for suffix, header, rows in tables:
-            outputs.append(args.out + suffix)
-            _write_csv(outputs[-1], header, rows)
-        _write_manifest(args.out + ".manifest.json", args.subcommand, args,
-                        inputs, outputs, time.monotonic() - t_start)
+        inputs, files = cmd(args)
+        files = [(args.out + suffix, text) for suffix, text in files]
+        files.append((args.out + ".manifest.json", _manifest_text(
+            args, inputs, [path for path, _ in files],
+            time.monotonic() - t_start)))
+        for path, text in files:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
         return 0
 
     return run
@@ -210,17 +197,11 @@ def _smoother_flags(args, regime):
             BandwidthRule(args.alpha, args.scale, regime))
 
 
+@_writes_outputs
 def cmd_gen(args):
-    density = make_density(args.density, args.rate)
-    rng = RngStream(args.seed)
-    t0 = time.monotonic()
-    sample = sample_from_analytic(density, args.n, rng)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for v in sample.values:
-            fh.write(repr(float(v)) + "\n")
-    _write_manifest(args.out + ".manifest.json", "gen", args, [], [args.out],
-                    time.monotonic() - t0)
-    return 0
+    sample = sample_from_analytic(_DENSITIES[args.density](args.rate),
+                                  args.n, RngStream(args.seed))
+    return [], [("", "".join(repr(float(v)) + "\n" for v in sample.values))]
 
 
 @_writes_outputs
@@ -230,24 +211,22 @@ def cmd_fit(args):
     kernel, rule = _smoother_flags(args, args.regime)
     sample = read_observations(args.data, args.rescale)
     fit = grenander_fit(sample)
-    tables = [(".csv", ["breakpoint", "height"],
-               [{"breakpoint": b, "height": h}
-                for b, h in zip(fit.breakpoints, fit.heights)])]
+    files = [(".json", _json_text({
+        "n": sample.n,
+        "steps": int(fit.heights.size),
+        "mass": fit.mass,
+        "max_height": float(fit.heights[0]),
+    })), (".csv", _csv_text(["breakpoint", "height"],
+                            zip(fit.breakpoints, fit.heights)))]
     if args.smooth_grid:
         sd = SmoothedDensity(sample, kernel, rule.bandwidth(sample.n))
         grid = np.linspace(0.0, 1.0, args.smooth_grid)
         d2 = (sd.d2pdf(grid) if kernel_satisfies(kernel, "l1")
               else [""] * grid.size)
-        rows = [{"t": t, "value": v, "deriv1": d1, "deriv2": dd}
-                for t, v, d1, dd in zip(grid, sd.pdf(grid), sd.dpdf(grid), d2)]
-        tables.append((".smooth.csv", ["t", "value", "deriv1", "deriv2"],
-                       rows))
-    return [args.data], {
-        "n": sample.n,
-        "steps": int(fit.heights.size),
-        "mass": fit.mass,
-        "max_height": float(fit.heights[0]),
-    }, tables
+        files.append((".smooth.csv", _csv_text(
+            ["t", "value", "deriv1", "deriv2"],
+            zip(grid, sd.pdf(grid), sd.dpdf(grid), d2))))
+    return [args.data], files
 
 
 @_writes_outputs
@@ -257,10 +236,10 @@ def cmd_ci(args):
     result = smoothed_pointwise_ci(
         sample, args.t0, level=args.level, n_boot=args.boot, kernel=kernel,
         rule=rule, rng=RngStream(args.seed), threads=args.threads)
-    return [args.data], result.summary_dict(), [
-        (".csv", ["replicate", "deviation"],
-         [{"replicate": b, "deviation": d}
-          for b, d in enumerate(result.deviations)])]
+    return [args.data], [
+        (".json", _json_text(result.summary_dict())),
+        (".csv", _csv_text(["replicate", "deviation"],
+                           enumerate(result.deviations)))]
 
 
 @_writes_outputs
@@ -270,11 +249,11 @@ def cmd_band(args):
     result = l1_band(
         sample, level=args.level, n_boot=args.boot, m=args.m, kernel=kernel,
         rule=rule, rng=RngStream(args.seed), threads=args.threads)
-    return [args.data], result.summary_dict(), [
-        (".csv", ["replicate", "l1_value", "standardized"],
-         [{"replicate": b, "l1_value": l, "standardized": s}
-          for b, (l, s) in enumerate(zip(result.l1_values,
-                                         result.standardized))])]
+    return [args.data], [
+        (".json", _json_text(result.summary_dict())),
+        (".csv", _csv_text(["replicate", "l1_value", "standardized"],
+                           zip(range(result.n_boot), result.l1_values,
+                               result.standardized)))]
 
 
 @_writes_outputs
@@ -285,22 +264,20 @@ def cmd_limits(args):
     rng = RngStream(args.seed)
     # the scaling check runs first, so a bad scaling flag is a usage error
     # before the long constants run; its stream is independent of theirs
-    scaling = None
+    payload = {}
     if args.check_scaling:
-        scaling = doubled_scaling_check(
+        payload["scaling"] = doubled_scaling_check(
             args.scaling_paths, args.delta, args.scaling_width,
             rng.substream(1), args.threads)
-    constants = estimate_constants(config, rng.substream(0), args.threads)
-    payload = constants.to_dict()
-    if scaling is not None:
-        payload["scaling"] = scaling
-    return [], payload, []
+    payload.update(estimate_constants(config, rng.substream(0),
+                                      args.threads).to_dict())
+    return [], [(".json", _json_text(payload))]
 
 
 @_writes_outputs
 def cmd_experiment(args):
     rng = RngStream(args.seed)
-    truth = make_density(args.density, args.rate)
+    truth = _DENSITIES[args.density](args.rate)
     inputs = []
     if args.name in ("inconsistency", "l1clt"):
         if not args.limits:
@@ -336,14 +313,13 @@ def cmd_experiment(args):
             truth, n_grid=n_grid, replicates=args.replicates, kernel=kernel,
             rule=rule, t0=args.t0, grid_size=args.grid_size, rng=rng,
             threads=args.threads)
-    elif args.name == "l1clt":
+    else:
         summary, rows = run_l1_clt(
             truth, constants, n=args.n, replicates=args.replicates, rng=rng,
             threads=args.threads)
-    else:
-        raise InputError("unknown experiment %r (choose coverage, "
-                         "inconsistency, rate, l1clt)" % args.name)
-    return inputs, summary, [(".csv", list(rows[0].keys()), rows)]
+    header = list(rows[0])
+    return inputs, [(".json", _json_text(summary)), (".csv", _csv_text(
+        header, ([row[key] for key in header] for row in rows)))]
 
 
 # -- parser -------------------------------------------------------------------
@@ -385,8 +361,7 @@ def build_parser():
                                 "in-process")
 
     p = sub.add_parser("gen", help="generate synthetic data from a known density")
-    p.add_argument("--density", required=True,
-                   help="uniform, triangular, or trunc-exp")
+    p.add_argument("--density", required=True, choices=_DENSITIES)
     p.add_argument("--rate", type=float, default=1.0,
                    help="rate for trunc-exp (default 1)")
     p.add_argument("--n", type=int, required=True)
@@ -437,8 +412,9 @@ def build_parser():
     p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("experiment", help="run a named simulation experiment")
-    p.add_argument("name", help="coverage, inconsistency, rate, or l1clt")
-    p.add_argument("--density", default="triangular")
+    p.add_argument("name",
+                   choices=["coverage", "inconsistency", "rate", "l1clt"])
+    p.add_argument("--density", default="triangular", choices=_DENSITIES)
     p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--replicates", type=int, default=200)
@@ -464,6 +440,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            for x in value if isinstance(value, list) else [value]:
+                if isinstance(x, float) and not math.isfinite(x):
+                    raise InputError("--%s must be finite, got %r"
+                                     % (name.replace("_", "-"), x))
         _count(getattr(args, "threads", 1), "--threads", 1)
         return args.func(args)
     except InputError as e:

@@ -12,7 +12,7 @@ import numpy as np
 from .density import (Sample, _interior, grenander_fit, l1_distance,
                       rate_constant, sup_distance)
 from .inference import l1_band, band_contains, smoothed_pointwise_ci
-from .limits import _var_of_var, l1_centering_constant
+from .limits import _guard_spread, _var_of_var, l1_centering_constant
 from .parallel import InputError, _count, map_indexed
 from .resampling import multinomial_bootstrap, sample_from_analytic
 from .smoothing import (BIWEIGHT, EPANECHNIKOV, DEFAULT_L1_RULE,
@@ -145,6 +145,9 @@ def run_inconsistency(truth, constants, n=2000, replicates=2000, t0=0.5,
     replicates = _count(replicates, "replicates", 2)
     # the only resample of one point is the point: no bootstrap spread
     n = _count(n, "n", 2)
+    if not constants.chernoff_var > 0.0:
+        raise InputError("the limit constants' chernoff_var must be positive, "
+                         "got %r" % constants.chernoff_var)
     c0 = rate_constant(truth, t0)
     if c0 == 0.0:
         raise InputError("the truth is flat at t0=%r: its rate constant is 0, "
@@ -171,9 +174,8 @@ def run_inconsistency(truth, constants, n=2000, replicates=2000, t0=0.5,
                     "bootstrap_deviation_vs_fit"))
 
     for name, dev in (("bootstrap", boot_dev_fit), ("sampling", samp_dev)):
-        if np.ptp(dev) == 0.0:
-            raise InputError("every %s deviation is %r, so their correlation "
-                             "is undefined" % (name, float(dev[0])))
+        _guard_spread(dev, "every %s deviation is %%r, so their "
+                      "correlation is undefined" % name)
     denom = c0 ** 2 * constants.chernoff_var
     var_boot = float(np.var(boot_dev_truth, ddof=1))
     var_samp = float(np.var(samp_dev, ddof=1))

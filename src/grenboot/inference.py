@@ -107,9 +107,6 @@ def smoothed_pointwise_ci(sample, t0, level=0.95, n_boot=500,
     cube = float(n) ** (1.0 / 3.0)
     center = float(smoothed.pdf(t0))
 
-    # cached on the smoother: built once here, the forked workers share it
-    smoothed.squeeze
-
     def one(b):
         star = rejection_sample(smoothed, n, rng.substream(b))
         refit = grenander_fit(star)

@@ -51,17 +51,18 @@ class WindowTooSmallError(RuntimeError):
     """Too many argmax draws hit the simulation window boundary."""
 
 
-def _grid_points(step, length, name):
+def _grid_points(step, length, name, unit="step"):
     """Grid steps in ``length``: length / step, a positive integer. A
     ``length`` that is no positive multiple of ``step`` (to 1e-9) raises
-    InputError naming it; a ``step`` that is not positive and finite
-    raises too."""
+    InputError naming it and ``unit``, the name of ``step``; a ``step``
+    that is not positive and finite raises too."""
     if not (math.isfinite(step) and step > 0.0):
-        raise InputError("step must be positive and finite, got %r" % step)
+        raise InputError("%s must be positive and finite, got %r"
+                         % (unit, step))
     m = int(round(length / step)) if math.isfinite(length) else 0
     if m < 1 or abs(m * step - length) > 1e-9:
-        raise InputError("%s must be a positive multiple of step %r, got %r"
-                         % (name, step, length))
+        raise InputError("%s must be a positive multiple of %s %r, got %r"
+                         % (name, unit, step, length))
     return m
 
 
@@ -102,8 +103,8 @@ class _MajorantLags:
     """xi(t) at a config's lags, read off one concave majorant per path.
 
     A path is Z(k * step) for k in [-w, m], with the origin at index w,
-    where w = window / step and m = half_width / step: the stretch that the
-    windows of the lags cover.
+    where w = window / step and m = (window + lag_max) / step: the stretch
+    that the windows of the lags cover.
     """
 
     def __init__(self, config):
@@ -172,6 +173,13 @@ def _scaling_draws(n_paths, step, m, rng, threads, doubled):
     return draws
 
 
+def _guard_spread(x, message):
+    """InputError with ``message % x[0]`` when every value of ``x`` is the
+    same, so that a variance or correlation of ``x`` would divide by 0."""
+    if np.ptp(x) == 0.0:
+        raise InputError(message % float(x[0]))
+
+
 def _var_of_var(x):
     """Variance of the sample variance, by the standard moment formula."""
     n = x.size
@@ -193,6 +201,10 @@ def doubled_scaling_check(n_paths, step, half_width, rng, threads=1):
     m = _grid_points(step, half_width, "half_width")
     singles = _scaling_draws(n_paths, step, m, rng.substream(0), threads, False)
     doubles = _scaling_draws(n_paths, step, m, rng.substream(1), threads, True)
+    for name, draws in (("single", singles), ("doubled", doubles)):
+        _guard_spread(draws, "the scaling check's n_paths is too small: "
+                      "every %s draw is %%r, so the variance ratio is "
+                      "undefined" % name)
     var_s = float(np.var(singles, ddof=1))
     var_d = float(np.var(doubles, ddof=1))
     ratio = var_d / var_s
@@ -217,13 +229,12 @@ def doubled_scaling_check(n_paths, step, half_width, rng, threads=1):
 class LimitSimConfig:
     """Grid and replication settings for the constants estimator.
 
-    The path half-width is derived as window + lag_max so every lag in
-    [0, lag_max] keeps its window inside the simulated extent. The step
-    must be positive and finite, window, lag_step and lag_max positive
-    multiples of it with lag_max >= lag_step, so the covariance integral
-    spans at least two lags, and n_batches >= 2 and n_paths >=
-    2 * n_batches integers, so that every batch holds two paths: the
-    variance of a batch of one is NaN.
+    Paths span window + lag_max, so every lag in [0, lag_max] keeps its
+    window inside the simulated extent. The step must be positive and
+    finite, window, lag_step and lag_max positive multiples of it, and
+    lag_max a positive multiple of lag_step, so that the lag grid ends at
+    lag_max. n_batches >= 2 and n_paths >= 2 * n_batches are integers, so
+    that every batch holds two paths: the variance of a batch of one is NaN.
     """
 
     step: float = 0.002
@@ -236,16 +247,9 @@ class LimitSimConfig:
     def __post_init__(self):
         for name in ("window", "lag_step", "lag_max"):
             _grid_points(self.step, getattr(self, name), name)
-        if self.lag_max < self.lag_step:
-            # one lag would make the covariance integral 0
-            raise InputError("lag_max must be at least lag_step, got %r < %r"
-                             % (self.lag_max, self.lag_step))
+        _grid_points(self.lag_step, self.lag_max, "lag_max", "lag_step")
         _count(self.n_paths, "n_paths",
                2 * _count(self.n_batches, "n_batches", 2))
-
-    @property
-    def half_width(self):
-        return self.window + self.lag_max
 
     @property
     def lags(self):
@@ -289,13 +293,25 @@ class LimitConstants:
     @classmethod
     def from_dict(cls, d):
         """Constants from a :meth:`to_dict` mapping; unknown keys are
-        ignored, and missing required keys raise ValueError naming them."""
+        ignored. A missing required key, or a value that is no finite number
+        (an integer for a count, a list for a list field), raises ValueError
+        naming it."""
         known = fields(cls)
         missing = [f.name for f in known if f.name not in d
                    and f.default is MISSING and f.default_factory is MISSING]
         if missing:
             raise ValueError("limit constants lack the keys %s"
                              % ", ".join(missing))
+        kinds = {float: "a finite number", int: "an integer",
+                 list: "a list of finite numbers"}
+        for f in known:
+            value = d.get(f.name, [])   # only the list fields have defaults
+            items = value if f.type is list else [value]
+            types = (int,) if f.type is int else (int, float)   # no bool
+            if not (isinstance(items, list) and all(
+                    type(v) in types and math.isfinite(v) for v in items)):
+                raise ValueError("the limit constants' %s must be %s, got %r"
+                                 % (f.name, kinds[f.type], value))
         return cls(**{f.name: d[f.name] for f in known if f.name in d})
 
 

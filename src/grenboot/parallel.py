@@ -2,10 +2,12 @@
 
 ``map_indexed`` runs in-process for one worker. For more, it cuts the
 indices into one contiguous range per worker, forks a child for every range
-but the first, and runs the first itself. Forking hands the mapped function
-to the children as it stands, closures included. Each child pickles its
-results, or its exception's type and message, into a pipe of its own and
-exits; the parent reads the pipes in order. A child that dies without
+but the first, and runs the first itself, index 0 before any fork: the
+children inherit what it built, and an error it raises ends the map before
+any child exists. Forking hands the mapped function to the children as it
+stands, closures included. Each child pickles its results, or its
+exception's type and message, into a pipe of its own and exits; the parent
+reads the pipes in order. A child that dies without
 writing leaves its pipe empty, and the parent raises. When the parent's own
 range raises, Ctrl-C included, every child is killed and reaped first. A
 ``map_indexed`` called inside a worker, the parent's range included, runs
@@ -93,6 +95,7 @@ def _receive(pid, pipe):
 
 def _fan_out(fn, count, workers):
     bounds = [count * w // workers for w in range(workers + 1)]
+    results = [fn(0)]
     sys.stdout.flush()
     sys.stderr.flush()
     children = {}   # pid -> read end of its pipe, until the child is reaped
@@ -107,7 +110,7 @@ def _fan_out(fn, count, workers):
             # and its death ends the pipe
             os.close(write)
             children[pid] = os.fdopen(read, "rb")
-        results = [fn(i) for i in range(bounds[1])]
+        results += [fn(i) for i in range(1, bounds[1])]
         for pid in list(children):
             results += _receive(pid, children[pid])
             children.pop(pid).close()
@@ -129,7 +132,7 @@ def map_indexed(fn, count, threads=1):
     ``count`` is an integer >= 0 and ``threads``, the number of worker
     processes, an integer >= 1 (ValueError otherwise); with one worker,
     ``fn`` runs in the calling process, and with more, the calling process
-    is the first of them.
+    is the first of them and runs index 0 before it forks.
     Each unit of work must derive all of its randomness from its own index
     (via a substream keyed by i), so the result list is identical for every
     worker count. An exception raised by ``fn`` in a worker reaches the

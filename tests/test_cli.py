@@ -1,13 +1,16 @@
+import argparse
 import json
+import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from grenboot.cli import _write_json, main, read_observations
+from grenboot.cli import _json_text, _writes_outputs, main, read_observations
 
 
 def run_cli(args):
@@ -65,10 +68,13 @@ def test_gen_needs_one_point(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_gen_unknown_density(tmp_path):
-    code = run_cli(["gen", "--density", "cauchy", "--n", 5, "--seed", 1,
-                    "--out", tmp_path / "x.txt"])
-    assert code == 2
+def test_gen_unknown_density(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(["gen", "--density", "cauchy", "--n", 5, "--seed", 1,
+                 "--out", tmp_path / "x.txt"])
+    assert exit_.value.code == 2
+    assert ("argument --density: invalid choice: 'cauchy' (choose from "
+            "'uniform', 'triangular', 'trunc-exp')") in capsys.readouterr().err
 
 
 # -- fit ---------------------------------------------------------------------
@@ -323,9 +329,15 @@ def test_inputs_that_gave_nan_are_usage_errors(argv, message, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
-def test_usage_error_raised_inside_the_replicates(tmp_path, capsys):
-    # the coverage experiment checks the level inside each replicate, in
-    # the workers' map; the message still names the flag
+def test_usage_error_raised_inside_the_replicates(tmp_path, capsys,
+                                                 monkeypatch):
+    # the coverage experiment checks the level inside each replicate; the
+    # map runs replicate 0 in the caller before it forks, so the error ends
+    # the run before any worker exists, and the message still names the flag
+    def no_fork():
+        raise AssertionError("forked before the level was checked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
     assert run_cli(["experiment", "coverage", "--n", 30, "--replicates", 2,
                     "--boot", 20, "--level", 1.5, "--seed", 1, "--threads", 2,
                     "--out", tmp_path / "o"]) == 2
@@ -334,11 +346,71 @@ def test_usage_error_raised_inside_the_replicates(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_result_json_is_strict(tmp_path):
-    path = tmp_path / "r.json"
+def test_result_json_is_strict():
     with pytest.raises(ValueError, match="not JSON compliant"):
-        _write_json(path, {"slope": float("nan")})
-    assert not path.exists()
+        _json_text({"slope": float("nan")})
+
+
+def test_writer_opens_no_file_when_the_manifest_fails(tmp_path):
+    # the manifest, which records every parameter, is built before the
+    # first file opens
+    @_writes_outputs
+    def cmd(args):
+        return [], [(".json", _json_text({"ok": 1})), (".csv", "a\n1\n")]
+
+    args = argparse.Namespace(out=str(tmp_path / "o"), subcommand="x",
+                              seed=None, width=float("nan"))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cmd(args)
+    assert not list(tmp_path.iterdir())
+
+
+# each exited 1 with a JSON error after writing its results; the run ignores
+# the flag, so nothing else checks it
+@pytest.mark.parametrize("argv,message", [
+    ("gen --density triangular --rate nan --n 5 --seed 1",
+     "--rate must be finite, got nan"),
+    ("limits --delta 0.1 --window 2 --paths 40 --batches 2 --lag-max 1 "
+     "--lag-step 0.5 --scaling-width nan --seed 1",
+     "--scaling-width must be finite, got nan"),
+    ("experiment l1clt --n 20 --replicates 2 --alpha nan --seed 1 "
+     "--limits {limits}", "--alpha must be finite, got nan"),
+    ("experiment inconsistency --n 20 --replicates 2 --level inf --seed 1 "
+     "--limits {limits}", "--level must be finite, got inf"),
+], ids=["gen-rate", "limits-scaling-width", "l1clt-alpha",
+        "inconsistency-level"])
+def test_non_finite_float_flag_is_usage_error(argv, message, limits_file,
+                                              tmp_path, capsys):
+    assert main(argv.format(limits=limits_file).split()
+                + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "usage error: %s\n" % message
+    assert not list(tmp_path.iterdir())
+
+
+def test_lag_grid_must_end_at_lag_max(tmp_path, capsys):
+    # the grid 0, 0.3, 0.6, 0.9 reported its covariance at 0.9 as lag_max's
+    assert run_cli(["limits", "--delta", 0.1, "--window", 3, "--paths", 40,
+                    "--batches", 2, "--lag-max", 1.0, "--lag-step", 0.3,
+                    "--seed", 1, "--out", tmp_path / "l"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: --lag-max must be a positive multiple of lag_step 0.3, "
+        "got 1.0\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_scaling_draws_without_spread_are_usage_error(tmp_path, capsys):
+    # every doubled draw lands on 0, so the variance ratio would divide by 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([
+            "limits", "--delta", 0.5, "--window", 3, "--paths", 4,
+            "--batches", 2, "--lag-max", 0.5, "--lag-step", 0.5,
+            "--check-scaling", "--scaling-paths", 2, "--scaling-width", 3,
+            "--seed", 6, "--out", tmp_path / "l"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: --scaling-paths is too small: every doubled draw is "
+        "0.0, so the variance ratio is undefined\n")
+    assert not list(tmp_path.iterdir())
 
 
 # -- experiments -------------------------------------------------------------------
@@ -359,9 +431,14 @@ def test_experiment_requires_limits_file(tmp_path):
                     "--out", tmp_path / "e"]) == 2
 
 
-def test_experiment_unknown_name(tmp_path):
-    assert run_cli(["experiment", "nosuch", "--seed", 9,
-                    "--out", tmp_path / "e"]) == 2
+def test_experiment_unknown_name(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(["experiment", "nosuch", "--seed", 9,
+                 "--out", tmp_path / "e"])
+    assert exit_.value.code == 2
+    assert ("argument name: invalid choice: 'nosuch' (choose from "
+            "'coverage', 'inconsistency', 'rate', 'l1clt')"
+            in capsys.readouterr().err)
 
 
 def test_experiment_inconsistency_smoke(limits_file, tmp_path):
@@ -435,8 +512,11 @@ def test_fit_bad_scale_is_usage_error(scale, data_file, tmp_path, capsys):
     assert run_cli(["fit", "--data", data_file, "--smooth-grid", 11,
                     "--scale", scale, "--out", tmp_path / "f"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage error:")
-    assert "scale must be positive and finite" in err
+    if scale == "0":
+        assert err.startswith("usage error: --scale must be positive and "
+                              "finite")
+    else:
+        assert err == "usage error: --scale must be finite, got %s\n" % scale
     assert not list(tmp_path.glob("f.*"))
 
 
@@ -453,6 +533,38 @@ def test_limits_file_missing_keys_named(limits_file, tmp_path, capsys):
     # lag_grid has a default, so only the other two are missing
     assert capsys.readouterr().err.strip().endswith(
         "keys chernoff_var, n_batches")
+
+
+# each exited 1 with a bare arithmetic or JSON error, or, for -1, exited 0
+# with a negative variance ratio
+@pytest.mark.parametrize("key,value,code,message", [
+    ("chernoff_var", 0, 2, "usage error: the limit constants' chernoff_var "
+     "must be positive, got 0"),
+    ("chernoff_var", -1, 2, "usage error: the limit constants' chernoff_var "
+     "must be positive, got -1"),
+    ("chernoff_var", "0.26", 1, "error: the limit constants' chernoff_var "
+     "must be a finite number, got '0.26'"),
+    ("chernoff_abs_mean", float("nan"), 1, "error: the limit constants' "
+     "chernoff_abs_mean must be a finite number, got nan"),
+    ("n_paths", True, 1, "error: the limit constants' n_paths must be an "
+     "integer, got True"),
+    ("lag_grid", [0.0, "x"], 1, "error: the limit constants' lag_grid must "
+     "be a list of finite numbers, got [0.0, 'x']"),
+], ids=["var-0", "var-negative", "var-str", "abs-mean-nan", "n-paths-bool",
+        "lag-grid-str"])
+def test_bad_constants_are_refused_naming_the_key(key, value, code, message,
+                                                  limits_file, tmp_path,
+                                                  capsys):
+    with open(limits_file) as fh:
+        d = json.load(fh)
+    d[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    assert run_cli(["experiment", "inconsistency", "--n", 20,
+                    "--replicates", 4, "--seed", 9, "--limits", bad,
+                    "--out", tmp_path / "e"]) == code
+    assert capsys.readouterr().err == message + "\n"
+    assert not list(tmp_path.glob("e*"))
 
 
 def test_experiment_l1clt_smoke(limits_file, tmp_path):
@@ -581,8 +693,11 @@ def test_bad_trunc_exp_rate_is_usage_error(command, rate, tmp_path, capsys):
     assert run_cli(command + ["--density", "trunc-exp", "--rate", rate,
                               "--seed", 1, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage error:")
-    assert "rate must be positive and finite" in err
+    if rate in ("nan", "inf"):
+        assert err == "usage error: --rate must be finite, got %s\n" % rate
+    else:
+        assert err.startswith("usage error: --rate must be positive and "
+                              "finite")
     assert not list(tmp_path.glob("o*"))
 
 

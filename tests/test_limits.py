@@ -9,6 +9,7 @@ from grenboot import (LimitConstants, LimitSimConfig, RngStream,
 from grenboot import limits
 from grenboot.limits import (_MajorantLags, _grid_points, _offsets,
                              _scaling_draws, _walk, _window_scan)
+from grenboot.parallel import InputError
 
 from .oracles import windowed_argmax
 
@@ -265,6 +266,16 @@ def test_chernoff_var_refinement_sequence():
 def test_config_names_the_bad_field(field, kwargs):
     with pytest.raises(ValueError, match=field):
         LimitSimConfig(**kwargs)
+
+
+def test_lag_grid_ends_at_lag_max():
+    # the grid 0, 0.3, 0.6, 0.9 used to report its covariance at 0.9 as
+    # lag_max's and end the long-run-variance integral there
+    with pytest.raises(InputError) as err:
+        LimitSimConfig(step=0.1, window=3.0, n_paths=40, lag_max=1.0,
+                       lag_step=0.3, n_batches=2)
+    assert str(err.value) == ("lag_max must be a positive multiple of "
+                              "lag_step 0.3, got 1.0")
 
 
 def test_reader_takes_lengths_within_the_tolerance():

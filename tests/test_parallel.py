@@ -93,9 +93,11 @@ def test_parent_share_error_kills_and_reaps_every_child(error):
     parent = os.getpid()
 
     def fn(i):
-        if os.getpid() == parent:
+        # index 0 runs before the fork, index 1 after it
+        if os.getpid() == parent and i == 1:
             raise error("parent share failed")
-        time.sleep(60)
+        if os.getpid() != parent:
+            time.sleep(60)
         return i
 
     start = time.monotonic()
