@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from grenboot import cli
 from grenboot.cli import _json_text, _writes_outputs, main, read_observations
 
 
@@ -615,6 +616,49 @@ def test_thread_count_does_not_change_output(data_file, tmp_path):
             == (tmp_path / "t8.csv").read_bytes())
     manifest = json.loads((tmp_path / "t8.manifest.json").read_text())
     assert manifest["parameters"]["threads"] == 8
+
+
+def test_monte_carlo_commands_default_to_the_usable_cpus(
+        monkeypatch, data_file, tmp_path):
+    # two usable CPUs, so that each map of a default run forks exactly one
+    # child on any host; a fork is counted in the parent, before it forks
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    runs = {
+        "limits": (["limits", "--delta", 0.05, "--window", 2, "--paths", 40,
+                    "--lag-max", 1.0, "--lag-step", 0.25, "--batches", 2,
+                    "--check-scaling", "--scaling-paths", 40,
+                    "--scaling-width", 2, "--seed", 3], [".json"]),
+        "coverage": (["experiment", "coverage", "--n", 60, "--replicates", 4,
+                      "--boot", 20, "--seed", 3], [".json", ".csv"]),
+    }
+    for name, (argv, suffixes) in runs.items():
+        assert run_cli(argv + ["--out", tmp_path / name]) == 0
+        assert forks, name
+        forks.clear()
+        assert run_cli(argv + ["--threads", 1,
+                               "--out", tmp_path / (name + "1")]) == 0
+        assert not forks, name
+        manifest = json.loads(
+            (tmp_path / (name + ".manifest.json")).read_text())
+        assert manifest["parameters"]["threads"] == 2
+        for suffix in suffixes:
+            assert ((tmp_path / (name + suffix)).read_bytes()
+                    == (tmp_path / (name + "1" + suffix)).read_bytes())
+    for argv in (["ci", "--t0", 0.5, "--boot", 40], ["band", "--boot", 60]):
+        assert run_cli(argv + ["--data", data_file, "--seed", 3,
+                               "--out", tmp_path / argv[0]]) == 0
+        manifest = json.loads((tmp_path / (argv[0] + ".manifest.json"))
+                              .read_text())
+        assert manifest["parameters"]["threads"] == 1
+    assert not forks
 
 
 # -- degenerate data and thread counts ------------------------------------------
