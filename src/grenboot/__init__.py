@@ -21,9 +21,8 @@ from .inference import (L1BandResult, PointwiseCIResult, band_contains,
 from .limits import (LimitConstants, LimitSimConfig, WindowTooSmallError,
                      doubled_scaling_check, estimate_constants,
                      l1_centering_constant)
-from .resampling import (EnvelopeError, RngStream, envelope_bound,
-                         multinomial_bootstrap, rejection_sample,
-                         sample_from_analytic)
+from .resampling import (EnvelopeError, RngStream, multinomial_bootstrap,
+                         rejection_sample, sample_from_analytic)
 from .smoothing import (BIWEIGHT, DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
                         EPANECHNIKOV, BandwidthRule, ConditionReport, Kernel,
                         SmoothedDensity, check_kernel_conditions,
@@ -36,9 +35,9 @@ __all__ = [
     "LimitConstants", "LimitSimConfig", "PointwiseCIResult", "RngStream",
     "Sample", "SmoothedDensity", "StepDensity", "WindowTooSmallError",
     "band_contains", "check_kernel_conditions", "doubled_scaling_check",
-    "empirical_quantile", "envelope_bound", "estimate_constants",
-    "fit_smoothed", "grenander_fit", "kernel_by_name", "kernel_satisfies",
-    "l1_band", "l1_centering_constant", "l1_distance", "l1_shape_integral",
+    "empirical_quantile", "estimate_constants", "fit_smoothed",
+    "grenander_fit", "kernel_by_name", "kernel_satisfies", "l1_band",
+    "l1_centering_constant", "l1_distance", "l1_shape_integral",
     "multinomial_bootstrap", "rate_constant", "rejection_sample",
     "sample_from_analytic", "smoothed_pointwise_ci", "sup_distance",
     "supersample_centering", "triangular_density", "trunc_exp_density",

@@ -97,16 +97,17 @@ def _manifest_text(args, inputs, outputs, elapsed):
 
 
 def read_observations(path, rescale=None):
-    """Parse a data file in one pass: one decimal per line, '#' comments and
-    blanks skipped. ``rescale`` is an optional (lo, hi) pair mapping [lo, hi]
-    affinely onto [0, 1] before validation. The first line that is no
-    decimal, or lies outside [0, 1], raises, naming its number."""
+    """Parse a data file in one pass: one decimal per line, '#' comments,
+    blanks and a leading UTF-8 byte-order mark skipped. ``rescale`` is an
+    optional (lo, hi) pair mapping [lo, hi] affinely onto [0, 1] before
+    validation. The first line that is no decimal, or lies outside [0, 1],
+    raises, naming its number."""
     if rescale is not None:
         lo, hi = float(rescale[0]), float(rescale[1])
         if not -np.inf < lo < hi < np.inf:
             raise InputError("--rescale needs finite LO < HI")
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.strip()
             if not text or text[0] == "#":

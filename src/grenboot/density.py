@@ -111,6 +111,12 @@ class Sample:
         return "Sample(n=%d, min=%g, max=%g)" % (self.n, self.values[0], self.values[-1])
 
 
+def _step_value(breakpoints, heights, t):
+    """:class:`StepDensity`'s left-continuous rule, at the points ``t``."""
+    return heights[np.minimum(np.searchsorted(breakpoints, t),
+                              heights.size - 1)]
+
+
 class StepDensity:
     """Piecewise-constant non-increasing density on [0, 1].
 
@@ -159,15 +165,7 @@ class StepDensity:
         return PPoly(self.heights[None, :], self.quad_breakpoints)
 
     def __call__(self, t):
-        return self.eval_sided(t, "left")
-
-    def eval_sided(self, t, side="left"):
-        """Value just left (the function value) or just right of ``t``."""
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
-        last = self.heights.size - 1
-        return _at(t, lambda x: self.heights[np.minimum(
-            np.searchsorted(self.breakpoints, x, side=side), last)])
+        return _at(t, lambda x: _step_value(self.breakpoints, self.heights, x))
 
     def __repr__(self):
         return "StepDensity(steps=%d, f(0)=%g)" % (self.heights.size, self.heights[0])
@@ -487,32 +485,21 @@ def l1_distance(a, b):
         "%r and %r" % (a, b))
 
 
-def _eval_sided(d, t, side):
-    f = getattr(d, "eval_sided", None)
-    if f is not None:
-        return np.asarray(f(t, side), dtype=float)
-    return np.asarray(d(t), dtype=float)
-
-
 def sup_distance(a, b, grid_size=10001):
-    """Sup distance over a uniform grid joined with both kink lists.
-
-    Step discontinuities are probed from both sides at every grid point.
+    """Sup distance over a uniform grid joined with both kink lists, a step
+    density read by its left-continuous rule: exact for two step densities,
+    whose heights all sit at kinks, and otherwise as fine as the grid.
     """
     pts = np.unique(np.concatenate([
         np.linspace(0.0, 1.0, _count(grid_size, "grid_size", 2)),
         getattr(a, "quad_breakpoints", []),
         getattr(b, "quad_breakpoints", []),
     ]))
-    best = 0.0
-    for side in ("left", "right"):
-        va = _eval_sided(a, pts, side)
-        vb = _eval_sided(b, pts, side)
-        diff = np.abs(va - vb)
-        if not np.all(np.isfinite(diff)):
-            raise ValueError("non-finite density value inside [0, 1]")
-        best = max(best, float(np.max(diff)))
-    return best
+    diff = np.abs(np.asarray(a(pts), dtype=float)
+                  - np.asarray(b(pts), dtype=float))
+    if not np.all(np.isfinite(diff)):
+        raise ValueError("non-finite density value inside [0, 1]")
+    return float(np.max(diff))
 
 
 def rate_constant(g, t):

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import (Sample, _interior, _l1_steps, grenander_fit,
-                      l1_distance)
+from .density import (Sample, _interior, _l1_steps, _step_value,
+                      grenander_fit, l1_distance)
 from .parallel import InputError, _count, map_indexed
 from .resampling import rejection_sample
 from .smoothing import (BIWEIGHT, EPANECHNIKOV, DEFAULT_L1_RULE,
@@ -110,9 +110,9 @@ def smoothed_pointwise_ci(sample, t0, level=0.95, n_boot=500,
     def one(b):
         star = rejection_sample(smoothed, n, rng.substream(b))
         refit = grenander_fit(star)
-        # refit(t0) by StepDensity.__call__'s left-side rule; t0 is checked
-        j = np.searchsorted(refit.breakpoints, t0)
-        return cube * (refit.heights[min(j, refit.heights.size - 1)] - center)
+        # refit(t0) without StepDensity.__call__'s check; t0 is checked
+        return cube * (_step_value(refit.breakpoints, refit.heights, t0)
+                       - center)
 
     deviations = np.array(map_indexed(one, n_boot, threads))
     alpha = 1.0 - level

@@ -16,7 +16,6 @@ __all__ = [
     "EnvelopeError",
     "sample_from_analytic",
     "multinomial_bootstrap",
-    "envelope_bound",
     "rejection_sample",
 ]
 
@@ -66,39 +65,32 @@ def multinomial_bootstrap(sample, rng):
     return Sample(sample.values[idx])
 
 
-def envelope_bound(smoothed):
-    """Upper bound of the normalized smoothed density, for rejection
-    sampling.
+# a power of two, so t * _CELLS and k / _CELLS are exact
+_CELLS = 4096
 
-    Grid maximum over 4096 points joined with the seam points, plus a
-    Lipschitz slack max|slope| * grid spacing.
+
+def _sampler_table(smoothed):
+    """The rejection sampler's ``(envelope, lo, hi)`` for a smoother.
+
+    ``envelope`` bounds the normalized density: its maximum over 4096 grid
+    points joined with the seam points, plus a Lipschitz slack max|slope| *
+    grid spacing. ``lo`` and ``hi`` bound max(ppoly, 0) on each cell
+    [k, k+1) / 4096, from the range bound c0 +- sum_{q>=1} |c_q| w^q of
+    each sub-piece of ``ppoly`` split at the cell edges, widened by 1e-9
+    ``envelope``, far above the rounding of evaluating ``ppoly``, so that
+    they bracket its computed values too.
     """
+    pp = smoothed.ppoly
     spacing = 1.0 / 4095.0
     grid = np.unique(np.concatenate([
         np.linspace(0.0, 1.0, 4096),
         np.asarray(smoothed.quad_breakpoints, dtype=float),
     ]))
-    vals = np.maximum(smoothed.ppoly(grid), 0.0)
-    slopes = np.abs(smoothed.ppoly(grid, 1))
-    bound = float(np.max(vals) + np.max(slopes) * spacing)
-    if not np.isfinite(bound) or bound <= 0.0:
-        raise ValueError("degenerate rejection envelope %r" % bound)
-    return bound
-
-
-# a power of two, so t * _CELLS and k / _CELLS are exact
-_CELLS = 4096
-
-
-def _squeeze_table(pp, envelope):
-    """Lower and upper bounds of max(pp, 0) on each cell [k, k+1) / 4096,
-    for the piecewise polynomial ``pp`` on [0, 1].
-
-    ``pp`` is split at the cell edges and each sub-piece bounded by its
-    range bound c0 +- sum_{q>=1} |c_q| w^q. The bounds are widened by
-    1e-9 ``envelope``, far above the rounding of evaluating ``pp``, so
-    they bracket its computed values too.
-    """
+    vals = np.maximum(pp(grid), 0.0)
+    slopes = np.abs(pp(grid, 1))
+    envelope = float(np.max(vals) + np.max(slopes) * spacing)
+    if not np.isfinite(envelope) or envelope <= 0.0:
+        raise ValueError("degenerate rejection envelope %r" % envelope)
     edges = np.arange(_CELLS + 1) / _CELLS
     x, c = _split(pp, edges)
     rest = _spread_and_integral(c[::-1], np.diff(x))[0]
@@ -106,7 +98,7 @@ def _squeeze_table(pp, envelope):
     margin = 1e-9 * envelope
     lo = np.maximum(np.minimum.reduceat(c[-1] - rest, start), 0.0) - margin
     hi = np.maximum(np.maximum.reduceat(c[-1] + rest, start), 0.0) + margin
-    return lo, hi
+    return envelope, lo, hi
 
 
 _WARMUP_PROPOSALS = 50000
@@ -116,23 +108,21 @@ _MIN_ACCEPTANCE = 1e-4
 def rejection_sample(smoothed, n, rng):
     """Draw n observations from the normalized smoothed density by rejection.
 
-    Proposals are uniform on [0, 1] under the constant envelope
-    ``smoothed.envelope``, which the smoother computes once with
-    :func:`envelope_bound`; the target is ``smoothed.ppoly``. A squeeze
-    decides most proposals (Marsaglia 1977): ``smoothed.squeeze`` bounds the
-    target on each cell [k, k+1) / 4096, a proposal under the cell's lower
-    bound is accepted and one over its upper bound rejected, and only the
-    rest, a fraction of a percent, evaluate ``smoothed.ppoly``. The bounds
-    bracket the computed target, so every decision, and so every draw, is
-    the one evaluating each proposal would give. Batch sizes adapt to the
-    running acceptance-rate estimate but depend only on deterministic
+    The smoother's ``sampler_table``, built on its first draw, holds a
+    constant envelope and a squeeze (Marsaglia 1977): lower and upper bounds
+    of the target ``smoothed.ppoly`` on each cell [k, k+1) / 4096.
+    Proposals are uniform on [0, 1] under the envelope; one under its
+    cell's lower bound is accepted and one over its upper bound rejected,
+    and only the rest, a fraction of a percent, evaluate ``smoothed.ppoly``.
+    The bounds bracket the computed target, so every decision, and so every
+    draw, is the one evaluating each proposal would give. Batch sizes adapt
+    to the running acceptance-rate estimate but depend only on deterministic
     quantities, keeping the draw reproducible. An acceptance rate below 1e-4
     once 50000 or more proposals have been made raises
     :class:`EnvelopeError`.
     """
     n = _count(n, "n", 1)
-    bound = smoothed.envelope
-    lo, hi = smoothed.squeeze
+    bound, lo, hi = smoothed.sampler_table
     gen = rng.gen
     kept = []
     got = 0

@@ -19,7 +19,7 @@ from scipy.interpolate import PPoly
 
 from .density import DegenerateEstimateError, Sample, _at, _split
 from .parallel import InputError, _count
-from .resampling import _squeeze_table, envelope_bound
+from .resampling import _sampler_table
 
 __all__ = [
     "Kernel",
@@ -278,13 +278,11 @@ class SmoothedDensity:
         that construction splits ``ppoly`` at.
     ppoly : scipy.interpolate.PPoly
         The normalized density on [0, 1].
-    envelope : float
-        Upper bound of the normalized density for rejection sampling,
-        :func:`~grenboot.resampling.envelope_bound` of this estimate.
-    squeeze : tuple of ndarray
-        Lower and upper bounds of the normalized density on each of 4096
-        equal cells of [0, 1], which decide most rejection proposals without
-        evaluating it; built on first use.
+    sampler_table : tuple
+        ``(envelope, lo, hi)``, the bounds of the normalized density that
+        :func:`~grenboot.resampling.rejection_sample` draws under: one on
+        [0, 1], and one from below and above on each of 4096 equal cells.
+        Built on the first draw, so a smoother never sampled builds none.
     """
 
     def __init__(self, sample, kernel, h):
@@ -334,12 +332,11 @@ class SmoothedDensity:
                 "observation's kernel peak %r" % (self.normalizer, peak)
             )
         self.ppoly = PPoly(coef / self.normalizer, x)
-        self.envelope = envelope_bound(self)
 
     @cached_property
-    def squeeze(self):
-        # built on first draw, not here: fit never samples
-        return _squeeze_table(self.ppoly, self.envelope)
+    def sampler_table(self):
+        # built on the first draw, not here: fit and rate never sample
+        return _sampler_table(self)
 
     def pdf(self, t):
         """Normalized density; clamped at 0 against rounding next to a sign

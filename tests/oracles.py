@@ -43,6 +43,11 @@ The rejection-sampling oracle evaluates the smoother at every proposal, with
 no squeeze; it draws the same uniforms in the same batches as the package's
 sampler, so the two must agree bit for bit.
 
+The two-sided sup oracle is the sup distance as the package once computed
+it: over the same grid, but with each step density probed from both sides
+of every grid point, where the package reads its left-continuous values
+only.
+
 The windowed-argmax oracle finds xi(t) on a simulated path by stepping
 through every offset of the window in turn and keeping the first strict
 improvement, with no concave majorant and no vectorised argmax.
@@ -56,7 +61,7 @@ import numpy as np
 from scipy.interpolate import PPoly
 from scipy.optimize import brentq, isotonic_regression
 
-from grenboot import EnvelopeError, Sample
+from grenboot import EnvelopeError, Sample, StepDensity
 
 
 def brute_force_lcm(sample_values, eval_points):
@@ -115,9 +120,9 @@ def unique_grenander(sample):
 
 def every_proposal_sample(smoothed, n, rng):
     """n draws from the normalized smoother by rejection under the constant
-    ``smoothed.envelope``, evaluating ``smoothed.ppoly`` at every
-    proposal."""
-    bound = smoothed.envelope
+    envelope of ``smoothed.sampler_table``, evaluating ``smoothed.ppoly`` at
+    every proposal."""
+    bound = smoothed.sampler_table[0]
     gen = rng.gen
     kept = []
     got = 0
@@ -137,6 +142,28 @@ def every_proposal_sample(smoothed, n, rng):
         if proposed >= 50000 and got < 1e-4 * proposed:
             raise EnvelopeError("acceptance rate collapsed")
     return Sample(np.concatenate(kept)[:n])
+
+
+def _sided(d, t, side):
+    """``d`` at the points ``t``; a step density's value just left of each
+    point (its own value) or just right of it."""
+    if isinstance(d, StepDensity):
+        j = np.searchsorted(d.breakpoints, t, side=side)
+        return d.heights[np.minimum(j, d.heights.size - 1)]
+    return np.asarray(d(t), dtype=float)
+
+
+def two_sided_sup_distance(a, b, grid_size=10001):
+    """Largest |a - b| over a uniform grid joined with both kink lists,
+    with each step density read from the left and from the right of every
+    point."""
+    pts = np.unique(np.concatenate([
+        np.linspace(0.0, 1.0, grid_size),
+        getattr(a, "quad_breakpoints", []),
+        getattr(b, "quad_breakpoints", []),
+    ]))
+    return max(float(np.max(np.abs(_sided(a, pts, side) - _sided(b, pts, side))))
+               for side in ("left", "right"))
 
 
 def hull_majorant(values):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -135,6 +136,26 @@ def test_read_observations_rescale_is_bit_identical(tmp_path):
     got = read_observations(str(data), rescale=(0, 8)).values
     want = sorted((float(s) - 0.0) / 8.0 for s in texts)
     assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_fit_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path):
+    # spreadsheet tools start UTF-8 text files with the mark
+    text = "0.5\n0.25\n# comment\n0.8\n0.125\n"
+    (tmp_path / "plain.txt").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.txt").write_text(text, encoding="utf-8-sig")
+    for name in ("plain", "bom"):
+        assert run_cli(["fit", "--data", tmp_path / (name + ".txt"),
+                        "--smooth-grid", 11, "--out", tmp_path / name]) == 0
+    for suffix in (".json", ".csv", ".smooth.csv"):
+        assert ((tmp_path / ("bom" + suffix)).read_bytes()
+                == (tmp_path / ("plain" + suffix)).read_bytes())
+    # the manifest digests the raw bytes, mark included
+    for name in ("plain", "bom"):
+        manifest = json.loads(
+            (tmp_path / (name + ".manifest.json")).read_text())
+        raw = (tmp_path / (name + ".txt")).read_bytes()
+        assert list(manifest["input_digests"].values()) == [
+            hashlib.sha256(raw).hexdigest()]
 
 
 def test_fit_rescale(tmp_path):

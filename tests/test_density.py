@@ -7,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PPoly
 
-from grenboot import (AnalyticDensity, DegenerateEstimateError, RngStream,
+from grenboot import (BIWEIGHT, DEFAULT_L1_RULE, EPANECHNIKOV,
+                      AnalyticDensity, DegenerateEstimateError, RngStream,
                       Sample, StepDensity, density, fit_smoothed,
                       grenander_fit, l1_distance, l1_shape_integral,
                       multinomial_bootstrap, rate_constant,
                       sample_from_analytic, sup_distance, triangular_density,
                       trunc_exp_density, uniform_density)
 from .oracles import (brute_force_grenander_heights, hull_majorant,
-                      l1_to_step, reexpand, unique_grenander)
+                      l1_to_step, reexpand, two_sided_sup_distance,
+                      unique_grenander)
 
 unit_floats = st.floats(0.001, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -247,10 +249,10 @@ def test_step_density_mass_is_the_pairwise_sum_of_its_steps():
         assert d.mass == float(np.sum(d.heights * widths))
 
 
-def test_step_density_eval_sided():
+def test_step_density_is_left_continuous():
     d = StepDensity([0.5, 1.0], [1.8, 0.2])
-    assert d.eval_sided(0.5, "left") == 1.8
-    assert d.eval_sided(0.5, "right") == 0.2
+    assert d(0.0) == d(0.5) == 1.8
+    assert d(np.nextafter(0.5, 1.0)) == d(1.0) == 0.2
 
 
 # -- the evaluation guard ----------------------------------------------------------
@@ -263,12 +265,9 @@ _SMOOTH = fit_smoothed(sample_from_analytic(triangular_density(), 200,
 
 
 @pytest.mark.parametrize("evaluate", [
-    _STEP, lambda t: _STEP.eval_sided(t, "left"),
-    lambda t: _STEP.eval_sided(t, "right"),
-    _EXP, _EXP.dpdf, _EXP.cdf, _EXP.ppf,
+    _STEP, _EXP, _EXP.dpdf, _EXP.cdf, _EXP.ppf,
     _SMOOTH, _SMOOTH.pdf, _SMOOTH.dpdf, _SMOOTH.d2pdf, _SMOOTH.cdf,
-], ids=["step", "step.eval_sided-left", "step.eval_sided-right",
-        "analytic", "analytic.dpdf", "analytic.cdf", "analytic.ppf",
+], ids=["step", "analytic", "analytic.dpdf", "analytic.cdf", "analytic.ppf",
         "smoothed", "smoothed.pdf", "smoothed.dpdf", "smoothed.d2pdf",
         "smoothed.cdf"])
 def test_evaluators_reject_points_outside_unit_interval(evaluate):
@@ -442,6 +441,41 @@ def test_sup_uniform_vs_triangular():
 def test_sup_identity():
     tri = triangular_density()
     assert sup_distance(tri, tri) == 0.0
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, BIWEIGHT], ids=lambda k: k.name)
+def test_sup_smoother_against_analytic_matches_two_sided_oracle(kernel, n):
+    # the rate experiment's pairs: a smoother of data from the truth
+    for truth in (triangular_density(), trunc_exp_density(2.0)):
+        for seed in range(3):
+            data = sample_from_analytic(truth, n, RngStream(seed, (n,)))
+            smoothed = fit_smoothed(data, kernel, DEFAULT_L1_RULE)
+            for grid_size in (101, 501, 10001):
+                ours = sup_distance(smoothed, truth, grid_size)
+                assert ours == two_sided_sup_distance(smoothed, truth,
+                                                      grid_size)
+                assert ours == sup_distance(truth, smoothed, grid_size)
+
+
+def test_sup_step_against_step_matches_two_sided_oracle():
+    tri = triangular_density()
+    rng = RngStream(40)
+    for k in range(20):
+        n = (5, 30, 300)[k % 3]
+        a = grenander_fit(sample_from_analytic(tri, n, rng.substream(k, 0)))
+        b = grenander_fit(sample_from_analytic(tri, n, rng.substream(k, 1)))
+        for grid_size in (2, 11, 10001):
+            ours = sup_distance(a, b, grid_size)
+            assert ours == two_sided_sup_distance(a, b, grid_size)
+            assert ours == sup_distance(b, a, grid_size)
+    # the largest gap is on (0.25, 0.3], which no point of a two- or
+    # three-point grid reaches: the kinks alone give it
+    a = StepDensity([0.3, 0.6, 1.0], [1.5, 1.0, 0.625])
+    b = StepDensity([0.25, 0.75, 1.0], [2.0, 0.8, 0.4])
+    for grid_size in (2, 3, 10001):
+        assert sup_distance(a, b, grid_size) == 1.5 - 0.8
+        assert two_sided_sup_distance(a, b, grid_size) == 1.5 - 0.8
 
 
 def test_split_matches_derivative_reexpansion():

@@ -1,13 +1,18 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.interpolate import PPoly
 
+import grenboot.smoothing
 from grenboot import (DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE, EPANECHNIKOV,
                       RngStream, Sample, band_contains, empirical_quantile,
                       fit_smoothed, grenander_fit, l1_band, l1_distance,
                       sample_from_analytic, smoothed_pointwise_ci,
                       supersample_centering, triangular_density,
                       uniform_density)
+from grenboot.cli import main
+from grenboot.experiments import run_rate
 from grenboot.inference import L1BandResult
 
 
@@ -113,22 +118,46 @@ def test_ci_width_shrinks_at_cube_root_rate():
     assert abs(ratio - 0.5) < 0.15
 
 
-def test_ci_builds_envelope_once_with_two_threads(tri_sample_500, monkeypatch):
-    import grenboot.resampling
-    import grenboot.smoothing
+def _log_table_builds(monkeypatch, log):
+    """Make every build of a smoother's sampler table append the building
+    process's id to the file ``log``, so that builds in forked workers
+    count too; returns a reader of the ids logged so far."""
+    original = grenboot.smoothing._sampler_table
 
-    calls = []
-    original = grenboot.resampling.envelope_bound
-
-    def counted(smoothed):
-        calls.append(smoothed)
+    def logged(smoothed):
+        with open(log, "a") as fh:
+            fh.write("%d\n" % os.getpid())
         return original(smoothed)
 
-    monkeypatch.setattr(grenboot.smoothing, "envelope_bound", counted)
-    monkeypatch.setattr(grenboot.resampling, "envelope_bound", counted)
-    smoothed_pointwise_ci(tri_sample_500, 0.5, n_boot=40, rng=RngStream(63),
-                          threads=2)
-    assert len(calls) == 1
+    monkeypatch.setattr(grenboot.smoothing, "_sampler_table", logged)
+    log.write_text("")
+    return lambda: [int(p) for p in log.read_text().split()]
+
+
+@pytest.mark.parametrize("procedure", ["ci", "band"])
+def test_bootstrap_builds_the_sampler_table_once_before_the_fork(
+        procedure, tri_sample_500, monkeypatch, tmp_path):
+    builds = _log_table_builds(monkeypatch, tmp_path / "builds")
+    if procedure == "ci":
+        smoothed_pointwise_ci(tri_sample_500, 0.5, n_boot=40,
+                              rng=RngStream(63), threads=2)
+    else:
+        l1_band(tri_sample_500, n_boot=50, m=5000, rng=RngStream(63),
+                threads=2)
+    # one build, in this process: the workers forked after it inherit it
+    assert builds() == [os.getpid()]
+
+
+def test_fit_and_rate_never_build_the_sampler_table(monkeypatch, tmp_path):
+    builds = _log_table_builds(monkeypatch, tmp_path / "builds")
+    data = str(tmp_path / "d.txt")
+    assert main(["gen", "--density", "triangular", "--n", "300", "--seed",
+                 "5", "--out", data]) == 0
+    assert main(["fit", "--data", data, "--smooth-grid", "41",
+                 "--out", str(tmp_path / "fit")]) == 0
+    run_rate(triangular_density(), n_grid=(30, 60), replicates=4,
+             grid_size=101, rng=RngStream(1), threads=2)
+    assert builds() == []
 
 
 # -- supersample centering -------------------------------------------------------------

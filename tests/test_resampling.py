@@ -10,9 +10,10 @@ from scipy.interpolate import PPoly
 from grenboot import (BIWEIGHT, DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
                       EPANECHNIKOV, DegenerateEstimateError, EnvelopeError,
                       Kernel, RngStream, Sample, SmoothedDensity,
-                      envelope_bound, fit_smoothed, multinomial_bootstrap,
-                      rejection_sample, sample_from_analytic,
-                      triangular_density, trunc_exp_density, uniform_density)
+                      fit_smoothed, multinomial_bootstrap, rejection_sample,
+                      sample_from_analytic, triangular_density,
+                      trunc_exp_density, uniform_density)
+from grenboot.resampling import _sampler_table
 from .oracles import every_proposal_sample
 
 
@@ -137,29 +138,28 @@ def test_bootstrap_inclusion_frequency():
 
 
 class _FlatTarget:
-    """Stand-in smoothed density that is the constant c."""
+    """Stand-in smoothed density that is the constant c, drawn under the
+    constant ``envelope``."""
 
-    def __init__(self, c):
+    def __init__(self, c, envelope):
         self.quad_breakpoints = np.array([0.0, 1.0])
         self.ppoly = PPoly([[c]], self.quad_breakpoints)
         # per-cell bounds of the target for the sampler's squeeze: c itself,
         # widened by a margin, on each of the 4096 cells
-        self.squeeze = (np.full(4096, c * (1.0 - 1e-9)),
-                        np.full(4096, c * (1.0 + 1e-9)))
+        self.sampler_table = (envelope, np.full(4096, c * (1.0 - 1e-9)),
+                              np.full(4096, c * (1.0 + 1e-9)))
 
 
 def test_rejection_flat_target_tight_envelope():
     # constant target: the grid envelope is tight, so acceptance is ~1 and
     # exactly n proposals are consumed in the first batch
-    target = _FlatTarget(1.0)
-    target.envelope = 1.0
+    target = _FlatTarget(1.0, 1.0)
     s = rejection_sample(target, 500, RngStream(14))
     assert s.n == 500
 
 
 def test_rejection_flat_target_slack_envelope_half_rate():
-    target = _FlatTarget(1.0)
-    target.envelope = 2.0
+    target = _FlatTarget(1.0, 2.0)
     root = RngStream(15)
     # acceptance indicator is u <= 1 with u ~ U(0, 2): empirical rate near 1/2
     accepted = rejection_sample(target, 4000, root)
@@ -167,15 +167,15 @@ def test_rejection_flat_target_slack_envelope_half_rate():
 
 
 def test_envelope_flat_function_tight():
-    target = _FlatTarget(0.7)
-    m = envelope_bound(target)
-    assert 0.7 <= m < 0.7 + 1e-6
+    envelope, lo, hi = _sampler_table(_FlatTarget(0.7, None))
+    assert 0.7 <= envelope < 0.7 + 1e-6
+    assert np.all((lo <= 0.7) & (0.7 <= hi) & (hi - lo < 1e-6))
 
 
 def test_envelope_dominates_everywhere():
     s = sample_from_analytic(triangular_density(), 60, RngStream(16))
     sd = SmoothedDensity(s, EPANECHNIKOV, 0.15)
-    m = envelope_bound(sd)
+    m = sd.sampler_table[0]
     t = RngStream(17).gen.uniform(size=100000)
     assert np.all(sd.pdf(t) <= m)
 
@@ -185,7 +185,7 @@ def test_envelope_single_point_peak():
     # peak is K(0) / h
     sd = SmoothedDensity(Sample([0.5]), EPANECHNIKOV, 0.2)
     assert abs(sd.pdf(0.5) - 3.75) < 1e-14
-    assert envelope_bound(sd) >= sd.pdf(0.5)
+    assert sd.sampler_table[0] >= sd.pdf(0.5)
 
 
 def test_rejection_matches_smoothed_law():
@@ -198,8 +198,8 @@ def test_rejection_matches_smoothed_law():
 
 
 def test_rejection_broken_envelope_raises():
-    target = _FlatTarget(1e-7)
-    target.envelope = 10.0   # acceptance rate 1e-8, far below the floor
+    # acceptance rate 1e-8, far below the floor
+    target = _FlatTarget(1e-7, 10.0)
     with pytest.raises(EnvelopeError):
         rejection_sample(target, 50, RngStream(20))
 
@@ -280,7 +280,7 @@ def test_property_squeeze_brackets_target(sd, extra):
     t = np.concatenate([extra, RngStream(30).gen.uniform(size=5000), knots,
                         np.nextafter(knots[1:], 0.0), np.arange(4096) / 4096])
     t = t[t < 1.0]
-    lo, hi = sd.squeeze
+    _, lo, hi = sd.sampler_table
     k = (t * 4096).astype(int)
     target = sd.pdf(t)
     assert np.all(lo[k] <= target)
