@@ -17,11 +17,8 @@ for unset flags. A usage error is an :class:`~grenboot.parallel.InputError`,
 raised where the value is checked, in the library or here; ``main`` reports
 it with the flag in place of the parameter that heads its message.
 
---threads defaults to the CPUs the process may run on for ``limits`` and
-``experiment``, which two workers ran faster or no slower than one, and to
-1 for ``ci`` and ``band``, whose whole run is shorter than forking pays
-for; outputs do not depend on it, and the manifest records the count that
-ran.
+--threads caps the workers of every replicate loop, at the usable CPUs by
+default; outputs do not depend on it, and the manifest records the cap.
 """
 
 import argparse
@@ -166,7 +163,7 @@ def _usable_cpus():
 
 
 def _load_constants(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return LimitConstants.from_dict(json.load(fh))
 
 
@@ -348,11 +345,11 @@ def build_parser():
                     "inference and limit-law Monte Carlo.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_flags(p, data=False, smoother=False, seed=True, threads=1,
+    def add_flags(p, data=False, smoother=False, seed=True, threads=True,
                   out="output prefix"):
         """Declare on ``p`` the flag families it takes: --data/--rescale,
-        --kernel/--alpha/--scale, and --out with --seed and --threads,
-        whose default is ``threads`` (no --threads when it is None)."""
+        --kernel/--alpha/--scale, and --out with --seed and, when
+        ``threads`` is true, --threads."""
         if data:
             p.add_argument("--data", required=True,
                            help="data file, one decimal per line")
@@ -372,17 +369,17 @@ def build_parser():
         if seed:
             p.add_argument("--seed", type=int, required=True,
                            help="master seed; all randomness derives from it")
-        if threads is not None:
-            p.add_argument("--threads", type=int, default=threads,
-                           help="worker processes (default %d); 1 runs "
-                                "in-process" % threads)
+        if threads:
+            p.add_argument("--threads", type=int, default=_usable_cpus(),
+                           help="most worker processes (default: the usable "
+                                "CPUs); 1 runs in-process")
 
     p = sub.add_parser("gen", help="generate synthetic data from a known density")
     p.add_argument("--density", required=True, choices=_DENSITIES)
     p.add_argument("--rate", type=float, default=1.0,
                    help="rate for trunc-exp (default 1)")
     p.add_argument("--n", type=int, required=True)
-    add_flags(p, threads=None, out="output data file")
+    add_flags(p, threads=False, out="output data file")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("fit", help="Grenander fit of a data file")
@@ -391,7 +388,7 @@ def build_parser():
                         "this many points, 0 (no dump) or at least 2")
     p.add_argument("--regime", default="l1", choices=["pointwise", "l1"],
                    help="smoother regime; sets the default kernel and alpha")
-    add_flags(p, data=True, smoother=True, seed=False, threads=None)
+    add_flags(p, data=True, smoother=True, seed=False, threads=False)
     p.set_defaults(func=cmd_fit, seed=None)
 
     p = sub.add_parser("ci", help="smoothed-bootstrap pointwise confidence interval")
@@ -425,7 +422,7 @@ def build_parser():
                    help="also run the doubled-noise variance-ratio check")
     p.add_argument("--scaling-paths", type=int, default=20000)
     p.add_argument("--scaling-width", type=float, default=3.0)
-    add_flags(p, threads=_usable_cpus())
+    add_flags(p)
     p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("experiment", help="run a named simulation experiment")
@@ -448,7 +445,7 @@ def build_parser():
     p.add_argument("--limits", default=None,
                    help="constants JSON from `grenboot limits` "
                         "(required for inconsistency and l1clt)")
-    add_flags(p, smoother=True, threads=_usable_cpus())
+    add_flags(p, smoother=True)
     p.set_defaults(func=cmd_experiment)
     return parser
 

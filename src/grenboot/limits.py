@@ -26,6 +26,7 @@ offsets built once per run.
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -295,7 +296,9 @@ class LimitConstants:
         """Constants from a :meth:`to_dict` mapping; unknown keys are
         ignored. A missing required key, or a value that is no finite number
         (an integer for a count, a list for a list field), raises ValueError
-        naming it."""
+        naming it, and so does a ``d`` that is no mapping."""
+        if not isinstance(d, Mapping):
+            raise ValueError("limit constants must be a mapping, not %r" % (d,))
         known = fields(cls)
         missing = [f.name for f in known if f.name not in d
                    and f.default is MISSING and f.default_factory is MISSING]

@@ -1,6 +1,7 @@
 """Deterministic fan-out of independent replicates over worker processes.
 
-``map_indexed`` runs in-process for one worker. For more, it cuts the
+``map_indexed`` runs in-process for one worker. For more, it runs index 0
+and keeps only the workers its time pays for (``_FORK_SECONDS``), cuts the
 indices into one contiguous range per worker, forks a child for every range
 but the first, and runs the first itself, index 0 before any fork: the
 children inherit what it built, and an error it raises ends the map before
@@ -23,12 +24,18 @@ import pickle
 import signal
 import sys
 import threading
+import time
 
 __all__ = ["map_indexed"]
 
 # held while a fan-out runs; a forked child inherits it held, so a nested
 # map_indexed (or one from another thread of the caller) runs serially
 _busy = threading.Lock()
+
+# what one forked child costs the parent, in seconds: its fork, pipe and
+# reaping (3.5-5.8 ms on 2 CPUs). W workers cost the parent W of these plus
+# 1/W of the map's serial time T, least at W = sqrt(T / _FORK_SECONDS)
+_FORK_SECONDS = 0.005
 
 
 class InputError(ValueError):
@@ -94,8 +101,11 @@ def _receive(pid, pipe):
 
 
 def _fan_out(fn, count, workers):
-    bounds = [count * w // workers for w in range(workers + 1)]
+    start = time.perf_counter()
     results = [fn(0)]
+    serial = count * (time.perf_counter() - start)   # T, from index 0
+    workers = max(1, min(workers, int((serial / _FORK_SECONDS) ** 0.5)))
+    bounds = [count * w // workers for w in range(workers + 1)]
     sys.stdout.flush()
     sys.stderr.flush()
     children = {}   # pid -> read end of its pipe, until the child is reaped
@@ -129,10 +139,10 @@ def _fan_out(fn, count, workers):
 def map_indexed(fn, count, threads=1):
     """Evaluate ``fn(i)`` for i in range(count), results in index order.
 
-    ``count`` is an integer >= 0 and ``threads``, the number of worker
-    processes, an integer >= 1 (ValueError otherwise); with one worker,
+    ``count`` is an integer >= 0 and ``threads``, the most worker processes
+    the map may use, an integer >= 1 (ValueError otherwise); with one,
     ``fn`` runs in the calling process, and with more, the calling process
-    is the first of them and runs index 0 before it forks.
+    runs index 0 and then forks only the workers its time pays for.
     Each unit of work must derive all of its randomness from its own index
     (via a substream keyed by i), so the result list is identical for every
     worker count. An exception raised by ``fn`` in a worker reaches the

@@ -1,6 +1,8 @@
+import os
+
 import pytest
 
-from grenboot import LimitSimConfig, RngStream, estimate_constants
+from grenboot import LimitSimConfig, RngStream, estimate_constants, parallel
 
 
 def pytest_addoption(parser):
@@ -15,6 +17,30 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture
+def cheap_forks(monkeypatch):
+    """Make a fork look all but free to ``map_indexed``, so that a map of
+    however little work forks every worker it may use. The tests that check
+    the fork mechanism take it in place of a larger map, or a patched CPU
+    count."""
+    monkeypatch.setattr(parallel, "_FORK_SECONDS", 1e-12)
+
+
+@pytest.fixture
+def counted_forks(monkeypatch):
+    """The list of forks made from here on, one entry per child, appended
+    in the parent before it forks."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
 
 
 @pytest.fixture(scope="session")

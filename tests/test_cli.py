@@ -560,6 +560,7 @@ def test_limits_file_missing_keys_named(limits_file, tmp_path, capsys):
 # each exited 1 with a bare arithmetic or JSON error, or, for -1, exited 0
 # with a negative variance ratio
 @pytest.mark.parametrize("key,value,code,message", [
+    (None, 5, 1, "error: limit constants must be a mapping, not 5"),
     ("chernoff_var", 0, 2, "usage error: the limit constants' chernoff_var "
      "must be positive, got 0"),
     ("chernoff_var", -1, 2, "usage error: the limit constants' chernoff_var "
@@ -572,14 +573,15 @@ def test_limits_file_missing_keys_named(limits_file, tmp_path, capsys):
      "integer, got True"),
     ("lag_grid", [0.0, "x"], 1, "error: the limit constants' lag_grid must "
      "be a list of finite numbers, got [0.0, 'x']"),
-], ids=["var-0", "var-negative", "var-str", "abs-mean-nan", "n-paths-bool",
-        "lag-grid-str"])
+], ids=["not-an-object", "var-0", "var-negative", "var-str", "abs-mean-nan",
+        "n-paths-bool", "lag-grid-str"])
 def test_bad_constants_are_refused_naming_the_key(key, value, code, message,
                                                   limits_file, tmp_path,
                                                   capsys):
     with open(limits_file) as fh:
         d = json.load(fh)
-    d[key] = value
+    # no key: the value is the whole file
+    d = value if key is None else {**d, key: value}
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(d))
     assert run_cli(["experiment", "inconsistency", "--n", 20,
@@ -587,6 +589,25 @@ def test_bad_constants_are_refused_naming_the_key(key, value, code, message,
                     "--out", tmp_path / "e"]) == code
     assert capsys.readouterr().err == message + "\n"
     assert not list(tmp_path.glob("e*"))
+
+
+def test_constants_file_that_starts_with_a_byte_order_mark(limits_file,
+                                                           tmp_path):
+    raw = b"\xef\xbb\xbf" + open(limits_file, "rb").read()
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(raw)
+    for name, constants in (("plain", limits_file), ("bom", bom)):
+        assert run_cli(["experiment", "inconsistency", "--n", 40,
+                        "--replicates", 10, "--seed", 9, "--threads", 1,
+                        "--limits", constants,
+                        "--out", tmp_path / name]) == 0
+    for suffix in (".json", ".csv"):
+        assert ((tmp_path / ("bom" + suffix)).read_bytes()
+                == (tmp_path / ("plain" + suffix)).read_bytes())
+    # the manifest digests the raw bytes, mark included
+    manifest = json.loads((tmp_path / "bom.manifest.json").read_text())
+    assert manifest["input_digests"] == {
+        str(bom): hashlib.sha256(raw).hexdigest()}
 
 
 def test_experiment_l1clt_smoke(limits_file, tmp_path):
@@ -639,47 +660,51 @@ def test_thread_count_does_not_change_output(data_file, tmp_path):
     assert manifest["parameters"]["threads"] == 8
 
 
-def test_monte_carlo_commands_default_to_the_usable_cpus(
-        monkeypatch, data_file, tmp_path):
-    # two usable CPUs, so that each map of a default run forks exactly one
-    # child on any host; a fork is counted in the parent, before it forks
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    forks = []
-    fork = os.fork
+def test_monte_carlo_commands_default_to_the_usable_cpus():
+    # every command that maps replicates takes one default, the most workers
+    # its maps may use; gen and fit map nothing and take no --threads
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    defaults = {name: p._option_string_actions.get("--threads")
+                for name, p in sub.choices.items()}
+    assert {name: action and action.default
+            for name, action in defaults.items()} == {
+        "gen": None, "fit": None, "ci": cli._usable_cpus(),
+        "band": cli._usable_cpus(), "limits": cli._usable_cpus(),
+        "experiment": cli._usable_cpus()}
 
-    def counted_fork():
-        forks.append(os.getpid())
-        return fork()
 
-    monkeypatch.setattr(os, "fork", counted_fork)
+def test_forked_runs_match_one_worker(cheap_forks, counted_forks, data_file,
+                                      tmp_path):
+    # with the fork cost patched, every map of a --threads 2 run forks one
+    # child, however small the run; the files match an in-process run's
     runs = {
+        "ci": (["ci", "--data", data_file, "--t0", 0.5, "--boot", 40],
+               [".json", ".csv"]),
+        "band": (["band", "--data", data_file, "--boot", 60, "--m", 3000],
+                 [".json", ".csv"]),
         "limits": (["limits", "--delta", 0.05, "--window", 2, "--paths", 40,
                     "--lag-max", 1.0, "--lag-step", 0.25, "--batches", 2,
                     "--check-scaling", "--scaling-paths", 40,
-                    "--scaling-width", 2, "--seed", 3], [".json"]),
+                    "--scaling-width", 2], [".json"]),
         "coverage": (["experiment", "coverage", "--n", 60, "--replicates", 4,
-                      "--boot", 20, "--seed", 3], [".json", ".csv"]),
+                      "--boot", 20], [".json", ".csv"]),
     }
     for name, (argv, suffixes) in runs.items():
-        assert run_cli(argv + ["--out", tmp_path / name]) == 0
-        assert forks, name
-        forks.clear()
+        argv = argv + ["--seed", 3]
+        assert run_cli(argv + ["--threads", 2,
+                               "--out", tmp_path / name]) == 0
+        assert counted_forks, name
+        counted_forks.clear()
         assert run_cli(argv + ["--threads", 1,
                                "--out", tmp_path / (name + "1")]) == 0
-        assert not forks, name
+        assert not counted_forks, name
         manifest = json.loads(
             (tmp_path / (name + ".manifest.json")).read_text())
         assert manifest["parameters"]["threads"] == 2
         for suffix in suffixes:
             assert ((tmp_path / (name + suffix)).read_bytes()
-                    == (tmp_path / (name + "1" + suffix)).read_bytes())
-    for argv in (["ci", "--t0", 0.5, "--boot", 40], ["band", "--boot", 60]):
-        assert run_cli(argv + ["--data", data_file, "--seed", 3,
-                               "--out", tmp_path / argv[0]]) == 0
-        manifest = json.loads((tmp_path / (argv[0] + ".manifest.json"))
-                              .read_text())
-        assert manifest["parameters"]["threads"] == 1
-    assert not forks
+                    == (tmp_path / (name + "1" + suffix)).read_bytes()), name
 
 
 # -- degenerate data and thread counts ------------------------------------------

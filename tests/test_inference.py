@@ -136,7 +136,8 @@ def _log_table_builds(monkeypatch, log):
 
 @pytest.mark.parametrize("procedure", ["ci", "band"])
 def test_bootstrap_builds_the_sampler_table_once_before_the_fork(
-        procedure, tri_sample_500, monkeypatch, tmp_path):
+        procedure, tri_sample_500, monkeypatch, tmp_path, cheap_forks,
+        counted_forks):
     builds = _log_table_builds(monkeypatch, tmp_path / "builds")
     if procedure == "ci":
         smoothed_pointwise_ci(tri_sample_500, 0.5, n_boot=40,
@@ -144,7 +145,8 @@ def test_bootstrap_builds_the_sampler_table_once_before_the_fork(
     else:
         l1_band(tri_sample_500, n_boot=50, m=5000, rng=RngStream(63),
                 threads=2)
-    # one build, in this process: the workers forked after it inherit it
+    # one build, in this process: the worker forked after it inherits it
+    assert len(counted_forks) == 1
     assert builds() == [os.getpid()]
 
 

@@ -30,7 +30,7 @@ def _assert_no_children():
 # InputError too, which the command line reports as a usage error
 @pytest.mark.parametrize("error", [DegenerateEstimateError, EnvelopeError,
                                    WindowTooSmallError, InputError])
-def test_worker_exception_reaches_caller(error):
+def test_worker_exception_reaches_caller(error, cheap_forks):
     parent = os.getpid()
 
     def fn(i):
@@ -46,7 +46,7 @@ def test_worker_exception_reaches_caller(error):
     _assert_no_children()
 
 
-def test_nested_map_runs_in_the_calling_worker():
+def test_nested_map_runs_in_the_calling_worker(cheap_forks):
     parent = os.getpid()
 
     def outer(i):
@@ -61,7 +61,7 @@ def test_nested_map_runs_in_the_calling_worker():
     _assert_no_children()
 
 
-def test_killed_worker_raises_within_a_second():
+def test_killed_worker_raises_within_a_second(cheap_forks):
     parent = os.getpid()
 
     def fn(i):
@@ -89,7 +89,7 @@ def test_killed_worker_raises_within_a_second():
 
 
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
-def test_parent_share_error_kills_and_reaps_every_child(error):
+def test_parent_share_error_kills_and_reaps_every_child(error, cheap_forks):
     parent = os.getpid()
 
     def fn(i):
@@ -111,9 +111,12 @@ def test_parent_share_error_kills_and_reaps_every_child(error):
 @pytest.mark.parametrize("count, workers",
                          [(0, 3), (1, 3), (2, 4), (3, 4), (11, 3), (50, 3),
                           (7, np.int64(2))])
-def test_results_in_index_order(count, workers):
+def test_results_in_index_order(count, workers, cheap_forks, counted_forks):
     assert map_indexed(lambda i: (i, i * i), count, workers) == [
         (i, i * i) for i in range(count)]
+    # a fork made all but free: every worker the map may use but the caller
+    # is a child
+    assert len(counted_forks) == max(min(count, workers) - 1, 0)
     _assert_no_children()
 
 
@@ -121,6 +124,26 @@ def test_runs_serially_without_fork(monkeypatch):
     monkeypatch.delattr(os, "fork")
     parent = os.getpid()
     assert map_indexed(lambda i: os.getpid(), 5, 3) == [parent] * 5
+
+
+@pytest.mark.parametrize("threads", [2, 64])
+def test_trivial_map_forks_no_child(threads, monkeypatch):
+    # the fork cost as shipped: a map of microseconds stays in-process, and
+    # a fork here would raise instead of starting a child
+    def no_fork():
+        raise AssertionError("a trivial map forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert map_indexed(lambda i: i * i, threads, threads) == [
+        i * i for i in range(threads)]
+
+
+def test_a_long_map_forks(counted_forks):
+    # 20 replicates of 5 ms: sqrt(T / _FORK_SECONDS) = 4, capped at 2
+    assert map_indexed(lambda i: time.sleep(0.005) or i, 20, 2) == list(
+        range(20))
+    assert len(counted_forks) == 1
+    _assert_no_children()
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2.0, "2", None, True])
@@ -239,7 +262,8 @@ def _l1_clt(threads, limit_constants):
 @pytest.mark.parametrize("run", [_constants, _scaling, _pointwise, _band,
                                  _inconsistency, _rate, _l1_clt],
                          ids=lambda f: f.__name__.strip("_"))
-def test_result_independent_of_worker_count(run, limit_constants):
+def test_result_independent_of_worker_count(run, limit_constants,
+                                            cheap_forks):
     assert run(1, limit_constants) == run(3, limit_constants)
 
 
