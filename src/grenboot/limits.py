@@ -26,7 +26,6 @@ offsets built once per run.
 """
 
 import math
-from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -296,9 +295,10 @@ class LimitConstants:
         """Constants from a :meth:`to_dict` mapping; unknown keys are
         ignored. A missing required key, or a value that is no finite number
         (an integer for a count, a list for a list field), raises ValueError
-        naming it, and so does a ``d`` that is no mapping."""
-        if not isinstance(d, Mapping):
-            raise ValueError("limit constants must be a mapping, not %r" % (d,))
+        naming it, and so does a ``d`` that is no dict, by its type."""
+        if not isinstance(d, dict):
+            raise ValueError("limit constants must be a JSON object, not %s"
+                             % type(d).__name__)
         known = fields(cls)
         missing = [f.name for f in known if f.name not in d
                    and f.default is MISSING and f.default_factory is MISSING]

@@ -1,21 +1,21 @@
 """Deterministic fan-out of independent replicates over worker processes.
 
-``map_indexed`` runs in-process for one worker. For more, it runs index 0
-and keeps only the workers its time pays for (``_FORK_SECONDS``), cuts the
-indices into one contiguous range per worker, forks a child for every range
-but the first, and runs the first itself, index 0 before any fork: the
-children inherit what it built, and an error it raises ends the map before
-any child exists. Forking hands the mapped function to the children as it
+``map_indexed`` runs in-process for one worker. For more, it runs indices 0
+and 1, keeps only the workers that the time of index 1 pays for
+(``_FORK_SECONDS``), at most one per two indices, cuts the indices into one
+contiguous range per worker, forks a child for every range but the first,
+and runs the first itself. Indices 0 and 1 run before any fork: the children
+inherit what they built, and an error they raise ends the map before any
+child exists. Forking hands the mapped function to the children as it
 stands, closures included. Each child pickles its results, or its
 exception's type and message, into a pipe of its own and exits; the parent
-reads the pipes in order. A child that dies without
-writing leaves its pipe empty, and the parent raises. When the parent's own
-range raises, Ctrl-C included, every child is killed and reaped first. A
-``map_indexed`` called inside a worker, the parent's range included, runs
-serially there. Where ``fork`` is not available the map runs serially. A
-fork copies only the calling thread, so the caller's other threads must
-hold no lock that the mapped function takes; the package itself starts no
-threads.
+reads the pipes in order. A child that dies without writing leaves its pipe
+empty, and the parent raises. When the parent's own range raises, Ctrl-C
+included, every child is killed and reaped first. A ``map_indexed`` called
+inside a worker, the parent's range included, runs serially there. Where
+``fork`` is not available the map runs serially. A fork copies only the
+calling thread, so the caller's other threads must hold no lock that the
+mapped function takes; the package itself starts no threads.
 """
 
 import operator
@@ -32,10 +32,9 @@ __all__ = ["map_indexed"]
 # map_indexed (or one from another thread of the caller) runs serially
 _busy = threading.Lock()
 
-# what one forked child costs the parent, in seconds: its fork, pipe and
-# reaping (3.5-5.8 ms on 2 CPUs). W workers cost the parent W of these plus
-# 1/W of the map's serial time T, least at W = sqrt(T / _FORK_SECONDS)
-_FORK_SECONDS = 0.005
+# one forked child's cost to a run, in seconds, fitted on 2 CPUs. W workers
+# take W of these plus T/W for serial time T: least for W(W-1) <= T/c < W(W+1)
+_FORK_SECONDS = 0.015
 
 
 class InputError(ValueError):
@@ -101,10 +100,11 @@ def _receive(pid, pipe):
 
 
 def _fan_out(fn, count, workers):
+    results = [fn(0)]   # may build what the rest reuse, so it is not timed
     start = time.perf_counter()
-    results = [fn(0)]
-    serial = count * (time.perf_counter() - start)   # T, from index 0
-    workers = max(1, min(workers, int((serial / _FORK_SECONDS) ** 0.5)))
+    results.append(fn(1))
+    serial = count * (time.perf_counter() - start)   # T, from index 1
+    workers = min(workers, int(0.5 + (0.25 + serial / _FORK_SECONDS) ** 0.5))
     bounds = [count * w // workers for w in range(workers + 1)]
     sys.stdout.flush()
     sys.stderr.flush()
@@ -120,7 +120,7 @@ def _fan_out(fn, count, workers):
             # and its death ends the pipe
             os.close(write)
             children[pid] = os.fdopen(read, "rb")
-        results += [fn(i) for i in range(1, bounds[1])]
+        results += [fn(i) for i in range(2, bounds[1])]
         for pid in list(children):
             results += _receive(pid, children[pid])
             children.pop(pid).close()
@@ -142,7 +142,7 @@ def map_indexed(fn, count, threads=1):
     ``count`` is an integer >= 0 and ``threads``, the most worker processes
     the map may use, an integer >= 1 (ValueError otherwise); with one,
     ``fn`` runs in the calling process, and with more, the calling process
-    runs index 0 and then forks only the workers its time pays for.
+    runs indices 0 and 1, then forks the workers that index 1's time pays for.
     Each unit of work must derive all of its randomness from its own index
     (via a substream keyed by i), so the result list is identical for every
     worker count. An exception raised by ``fn`` in a worker reaches the
@@ -150,7 +150,7 @@ def map_indexed(fn, count, threads=1):
     raises RuntimeError.
     """
     count = _count(count, "count", 0)
-    workers = min(_count(threads, "the worker count", 1), count)
+    workers = min(_count(threads, "the worker count", 1), count // 2)
     if (workers <= 1 or not hasattr(os, "fork")
             or not _busy.acquire(blocking=False)):
         return [fn(i) for i in range(count)]

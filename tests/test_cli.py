@@ -560,7 +560,7 @@ def test_limits_file_missing_keys_named(limits_file, tmp_path, capsys):
 # each exited 1 with a bare arithmetic or JSON error, or, for -1, exited 0
 # with a negative variance ratio
 @pytest.mark.parametrize("key,value,code,message", [
-    (None, 5, 1, "error: limit constants must be a mapping, not 5"),
+    (None, 5, 1, "error: limit constants must be a JSON object, not int"),
     ("chernoff_var", 0, 2, "usage error: the limit constants' chernoff_var "
      "must be positive, got 0"),
     ("chernoff_var", -1, 2, "usage error: the limit constants' chernoff_var "
@@ -647,11 +647,14 @@ def test_manifest_stable_minus_wall_clock(data_file, tmp_path):
     assert a == b
 
 
-def test_thread_count_does_not_change_output(data_file, tmp_path):
+def test_thread_count_does_not_change_output(data_file, tmp_path, cheap_forks,
+                                            counted_forks):
+    # the fork cost patched: --threads 8 forks seven children on any host
     for threads in (1, 8):
         assert run_cli(["ci", "--data", data_file, "--t0", 0.5, "--boot", 40,
                         "--seed", 2, "--threads", threads,
                         "--out", tmp_path / ("t%d" % threads)]) == 0
+    assert len(counted_forks) == 7
     assert ((tmp_path / "t1.json").read_bytes()
             == (tmp_path / "t8.json").read_bytes())
     assert ((tmp_path / "t1.csv").read_bytes()

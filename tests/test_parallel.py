@@ -93,8 +93,8 @@ def test_parent_share_error_kills_and_reaps_every_child(error, cheap_forks):
     parent = os.getpid()
 
     def fn(i):
-        # index 0 runs before the fork, index 1 after it
-        if os.getpid() == parent and i == 1:
+        # indices 0 and 1 run before the fork, index 2 after it
+        if os.getpid() == parent and i == 2:
             raise error("parent share failed")
         if os.getpid() != parent:
             time.sleep(60)
@@ -102,7 +102,7 @@ def test_parent_share_error_kills_and_reaps_every_child(error, cheap_forks):
 
     start = time.monotonic()
     with pytest.raises(error, match="parent share failed"):
-        map_indexed(fn, 6, 3)
+        map_indexed(fn, 9, 3)
     # the sleeping children were killed, not waited for
     assert time.monotonic() - start < 10.0
     _assert_no_children()
@@ -114,9 +114,9 @@ def test_parent_share_error_kills_and_reaps_every_child(error, cheap_forks):
 def test_results_in_index_order(count, workers, cheap_forks, counted_forks):
     assert map_indexed(lambda i: (i, i * i), count, workers) == [
         (i, i * i) for i in range(count)]
-    # a fork made all but free: every worker the map may use but the caller
-    # is a child
-    assert len(counted_forks) == max(min(count, workers) - 1, 0)
+    # a fork made all but free: every worker the map may use, at most one
+    # per two indices, is a child but the caller
+    assert len(counted_forks) == max(min(count // 2, workers) - 1, 0)
     _assert_no_children()
 
 
@@ -134,12 +134,24 @@ def test_trivial_map_forks_no_child(threads, monkeypatch):
         raise AssertionError("a trivial map forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert map_indexed(lambda i: i * i, threads, threads) == [
-        i * i for i in range(threads)]
+    assert map_indexed(lambda i: i * i, 128, threads) == [
+        i * i for i in range(128)]
+
+
+def test_index_0_is_not_timed(monkeypatch):
+    # index 0 builds for 50 ms what the rest reuse, and the rest take
+    # microseconds: timed from index 1, the map stays in-process
+    def no_fork():
+        raise AssertionError("a map of microseconds forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert map_indexed(lambda i: time.sleep(0.05 * (i == 0)) or i, 64,
+                       4) == list(range(64))
 
 
 def test_a_long_map_forks(counted_forks):
-    # 20 replicates of 5 ms: sqrt(T / _FORK_SECONDS) = 4, capped at 2
+    # 20 replicates of 5 ms with the shipped cost: T / c is about 7, so
+    # three workers would pay, capped at 2
     assert map_indexed(lambda i: time.sleep(0.005) or i, 20, 2) == list(
         range(20))
     assert len(counted_forks) == 1
