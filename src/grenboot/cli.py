@@ -43,7 +43,7 @@ from .limits import (LimitConstants, LimitSimConfig, doubled_scaling_check,
 from .parallel import InputError, _count
 from .resampling import RngStream, sample_from_analytic
 from .smoothing import (BIWEIGHT, DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
-                        EPANECHNIKOV, BandwidthRule, SmoothedDensity,
+                        EPANECHNIKOV, BandwidthRule, fit_smoothed,
                         kernel_by_name, kernel_satisfies)
 
 __all__ = ["main"]
@@ -54,8 +54,6 @@ __all__ = ["main"]
 
 def _fmt(x):
     """Full-precision decimal text for floats; plain text otherwise."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, float) or isinstance(x, np.floating):
         return repr(float(x))
     return str(x)
@@ -232,7 +230,7 @@ def cmd_fit(args):
     })), (".csv", _csv_text(["breakpoint", "height"],
                             zip(fit.breakpoints, fit.heights)))]
     if args.smooth_grid:
-        sd = SmoothedDensity(sample, kernel, rule.bandwidth(sample.n))
+        sd = fit_smoothed(sample, kernel, rule)
         grid = np.linspace(0.0, 1.0, args.smooth_grid)
         d2 = (sd.d2pdf(grid) if kernel_satisfies(kernel, "l1")
               else [""] * grid.size)
@@ -399,7 +397,8 @@ def build_parser():
     add_flags(p, data=True, smoother=True)
     p.set_defaults(func=cmd_ci)
 
-    p = sub.add_parser("band", help="supersample-calibrated L1 confidence band")
+    p = sub.add_parser("band", help="L1 confidence band; its radius is the "
+                                    "bootstrap quantile of the L1 errors")
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--boot", type=int, default=300)
     p.add_argument("--m", type=int, default=None,
@@ -464,8 +463,6 @@ def main(argv=None):
     except InputError as e:
         print("usage error: %s" % _flagged(str(e)), file=sys.stderr)
         return 2
-    except KeyboardInterrupt:
-        raise
     except Exception as e:
         print("error: %s" % e, file=sys.stderr)
         return 1

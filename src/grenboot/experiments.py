@@ -84,9 +84,9 @@ def run_band_coverage(truth, n=1000, replicates=100, n_boot=300, m=20000,
                       *, rng, threads=1):
     """Monte Carlo coverage of the L1 confidence band.
 
-    Besides the hit rate, the pooled mean of the standardized replicate
-    values across all data replicates is reported: by the limit law it is
-    centered at 0 up to the supersample centering noise.
+    Besides the hit rate, the bands' L1-CLT diagnostic is reported: the
+    pooled mean of the standardized values across all data replicates,
+    centered at 0 by the limit law up to the supersample centering noise.
     """
     replicates = _count(replicates, "replicates", 1)
 

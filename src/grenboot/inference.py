@@ -3,12 +3,11 @@
 Resampling from the data (multinomial bootstrap) does not reproduce the
 cube-root limit of the Grenander estimator; the procedures here resample
 from a boundary-corrected kernel smooth instead. Pointwise intervals invert
-the bootstrap deviation quantiles at a fixed interior point; L1 bands
-standardize the bootstrap L1 error with a supersample centering estimate.
+the bootstrap deviation quantiles at a fixed interior point; an L1 band's
+radius is the bootstrap quantile of the L1 errors.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,7 +150,12 @@ def supersample_centering(smoothed, m, rng):
 
 @dataclass
 class L1BandResult:
-    """L1 confidence band: center, radius, and the standardized replicates."""
+    """L1 confidence band: center, radius, and the bootstrap L1 errors.
+
+    ``radius`` is the ``level`` quantile of ``l1_values``; ``mu_hat``,
+    ``c_critical`` and ``standardized`` are the L1-CLT diagnostic. ``empty``
+    is false for every band from :func:`l1_band`.
+    """
 
     level: float
     radius: float
@@ -184,13 +188,13 @@ def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
             rule=DEFAULT_L1_RULE, *, rng, threads=1):
     """Fixed-radius L1 confidence band around the Grenander fit.
 
-    The bootstrap L1 errors n^(1/3) * ||refit_b - smooth||_1 are centered
-    with a supersample estimate mu_hat and standardized by n^(1/6); the band
-    radius is n^(-1/3) mu_hat + n^(-1/2) q_(level) of the standardized
-    sample. A negative radius yields an empty band (flagged, with a warning).
-    The workers return the refits, and the caller computes all ``n_boot``
-    distances to the smooth in one batched pass over its pieces, so the
-    values do not depend on ``threads``.
+    The radius is the ``level`` quantile of the bootstrap L1 errors
+    ||refit_b - smooth||_1: n^(-1/3) mu_hat + n^(-1/2) c_level, with c_level
+    the ``level`` quantile of the L1-CLT diagnostic n^(1/6) (n^(1/3) *
+    ||refit_b - smooth||_1 - mu_hat), whatever the supersample centering
+    mu_hat. The workers return the refits, and the caller computes all
+    ``n_boot`` distances to the smooth in one batched pass over its pieces,
+    so the values do not depend on ``threads``.
 
     The supersample size m defaults to max(10n, min(ceil(n^1.5), 200000)):
     the cap of 200000 bounds the n^1.5 growth, and the 10n floor wins over
@@ -224,17 +228,11 @@ def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
     refits = map_indexed(one, n_boot, threads)
     l1_values = _l1_steps(refits, smoothed.ppoly)
     standardized = sixth * (cube * l1_values - mu_hat)
-    c_crit = empirical_quantile(standardized, level)
-    radius = mu_hat / cube + c_crit / np.sqrt(n)
-    empty = bool(radius < 0.0)
-    if empty:
-        warnings.warn("L1 band radius is negative; the band is empty",
-                      RuntimeWarning, stacklevel=2)
     return L1BandResult(
         level=level,
-        radius=float(radius),
+        radius=empirical_quantile(l1_values, level),
         mu_hat=float(mu_hat),
-        c_critical=float(c_crit),
+        c_critical=empirical_quantile(standardized, level),
         m=m,
         n=n,
         n_boot=n_boot,
@@ -242,7 +240,7 @@ def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
         alpha=rule.alpha,
         scale=rule.scale,
         h=smoothed.h,
-        empty=empty,
+        empty=False,
         center=center,
         standardized=standardized,
         l1_values=l1_values,

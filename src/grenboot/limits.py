@@ -352,18 +352,18 @@ def estimate_constants(config, rng, threads=1):
     covs, sigma2 = sigma2_of(absxi)
     blocks = np.array_split(np.arange(n), config.n_batches)
 
-    def batch_se(stat):
-        vals = np.array([stat(idx) for idx in blocks])
+    def batch_se(vals):
         return float(np.std(vals, ddof=1) / np.sqrt(len(blocks)))
 
     abs_mean = float(a0.mean())
-    abs_mean_se = batch_se(lambda idx: a0[idx].mean())
+    abs_mean_se = batch_se([a0[idx].mean() for idx in blocks])
     var = float(np.var(x0, ddof=1))
-    var_se = batch_se(lambda idx: np.var(x0[idx], ddof=1))
-    sigma2_se = batch_se(lambda idx: sigma2_of(absxi[idx])[1])
+    var_se = batch_se([np.var(x0[idx], ddof=1) for idx in blocks])
+    # each batch's covariances once, for both its sigma2 and its last lag
+    batch_covs, batch_sigma2 = zip(*(sigma2_of(absxi[idx]) for idx in blocks))
+    sigma2_se = batch_se(batch_sigma2)
     cov_tail = float(covs[-1])
-    cov_tail_se = batch_se(
-        lambda idx: np.cov(absxi[idx, 0], absxi[idx, -1], ddof=1)[0, 1])
+    cov_tail_se = batch_se([c[-1] for c in batch_covs])
 
     return LimitConstants(
         chernoff_abs_mean=abs_mean,

@@ -11,7 +11,8 @@ stands, closures included. Each child pickles its results, or its
 exception's type and message, into a pipe of its own and exits; the parent
 reads the pipes in order. A child that dies without writing leaves its pipe
 empty, and the parent raises. When the parent's own range raises, Ctrl-C
-included, every child is killed and reaped first. A ``map_indexed`` called
+included, every child is killed and reaped first. Where the caller ignores
+SIGCHLD, the kernel reaps each child itself. A ``map_indexed`` called
 inside a worker, the parent's range included, runs serially there. Where
 ``fork`` is not available the map runs serially. A fork copies only the
 calling thread, so the caller's other threads must hold no lock that the
@@ -124,16 +125,19 @@ def _fan_out(fn, count, workers):
         for pid in list(children):
             results += _receive(pid, children[pid])
             children.pop(pid).close()
-            os.waitpid(pid, 0)
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:   # reaped already: SIGCHLD is ignored
+                pass
         return results
     finally:
         for pid, pipe in children.items():
             pipe.close()
             try:
                 os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):   # reaped already
                 pass
-            os.waitpid(pid, 0)
 
 
 def map_indexed(fn, count, threads=1):

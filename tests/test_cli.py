@@ -351,6 +351,14 @@ def test_inputs_that_gave_nan_are_usage_errors(argv, message, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
+def test_decreasing_n_grid_is_usage_error(tmp_path, capsys):
+    assert main("experiment rate --n-grid 300,100 --replicates 2 --seed 1 "
+                "--out".split() + [str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: --n-grid must be strictly increasing\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_usage_error_raised_inside_the_replicates(tmp_path, capsys,
                                                  monkeypatch):
     # the coverage experiment checks the level inside each replicate; the
@@ -675,6 +683,16 @@ def test_monte_carlo_commands_default_to_the_usable_cpus():
         "gen": None, "fit": None, "ci": cli._usable_cpus(),
         "band": cli._usable_cpus(), "limits": cli._usable_cpus(),
         "experiment": cli._usable_cpus()}
+
+
+def test_usable_cpus_without_an_affinity_mask(monkeypatch):
+    # a platform without sched_getaffinity counts every CPU, or one when
+    # the count is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
 
 
 def test_forked_runs_match_one_worker(cheap_forks, counted_forks, data_file,

@@ -31,6 +31,12 @@ def test_sample_sorts_and_freezes():
         s.values[0] = 0.3
 
 
+def test_sample_len_and_repr():
+    s = Sample([0.9, 0.1, 0.5])
+    assert len(s) == 3
+    assert repr(s) == "Sample(n=3, min=0.1, max=0.9)"
+
+
 def test_sample_rejects_out_of_range():
     with pytest.raises(ValueError):
         Sample([0.5, 1.2])
@@ -537,3 +543,33 @@ def test_shape_integral_trunc_exp_closed_form(rate):
 
 def test_shape_integral_uniform_zero():
     assert abs(l1_shape_integral(uniform_density())) < 1e-12
+
+
+# -- input errors ------------------------------------------------------------------
+
+
+def _root_pdf(t):
+    # 1 / (2 sqrt(t)): unit mass, infinite at 0
+    with np.errstate(divide="ignore"):
+        return 0.5 / np.sqrt(t)
+
+
+_FLAT = AnalyticDensity("flat", np.ones_like)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: AnalyticDensity("nan", lambda t: np.full_like(t, np.nan)),
+     "integrand returned a non-finite value at t="),
+    (lambda: Sample([]), "sample must be a nonempty 1-d array"),
+    (lambda: Sample([[0.5]]), "sample must be a nonempty 1-d array"),
+    (lambda: _FLAT.dpdf(0.5), "density flat has no derivative evaluator"),
+    (lambda: _FLAT.cdf(0.5), "density flat has no closed-form CDF"),
+    (lambda: _FLAT.ppf(0.5), "density flat has no inverse CDF"),
+    (lambda: sup_distance(uniform_density(),
+                          AnalyticDensity("root", _root_pdf)),
+     "non-finite density value inside [0, 1]"),
+], ids=["non-finite-pdf", "empty-sample", "2d-sample", "no-dpdf", "no-cdf",
+        "no-ppf", "sup-infinite-at-0"])
+def test_bad_input_raises_its_message(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call()

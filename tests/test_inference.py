@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 from scipy.interpolate import PPoly
 
+import grenboot.inference
 import grenboot.smoothing
 from grenboot import (DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE, EPANECHNIKOV,
-                      RngStream, Sample, band_contains, empirical_quantile,
-                      fit_smoothed, grenander_fit, l1_band, l1_distance,
-                      sample_from_analytic, smoothed_pointwise_ci,
-                      supersample_centering, triangular_density,
-                      uniform_density)
+                      Kernel, RngStream, Sample, band_contains,
+                      empirical_quantile, fit_smoothed, grenander_fit,
+                      l1_band, l1_distance, sample_from_analytic,
+                      smoothed_pointwise_ci, supersample_centering,
+                      triangular_density, uniform_density)
 from grenboot.cli import main
 from grenboot.experiments import run_rate
 from grenboot.inference import L1BandResult
+from grenboot.parallel import InputError
 
 
 # -- empirical quantile -----------------------------------------------------------
@@ -100,6 +102,28 @@ def test_ci_validation(tri_sample_500):
                               rule=DEFAULT_L1_RULE)   # wrong regime
     with pytest.raises(TypeError, match="rng"):
         smoothed_pointwise_ci(tri_sample_500, 0.5)   # rng is required
+
+
+def test_ci_rejects_a_kernel_that_fails_the_pointwise_conditions(
+        tri_sample_500):
+    # a fourth-order kernel, (15/32)(1 - v^2)(3 - 7v^2), dips below zero
+    fourth = Kernel("fourth_order", [45 / 32, 0.0, -150 / 32, 0.0, 105 / 32])
+    with pytest.raises(InputError, match="^kernel fourth_order fails the "
+                                         "pointwise-level conditions$"):
+        smoothed_pointwise_ci(tri_sample_500, 0.5, kernel=fourth,
+                              rng=RngStream(1))
+
+
+def test_ci_and_band_take_a_plain_list():
+    s = sample_from_analytic(triangular_density(), 200, RngStream(65))
+    values = list(s.values)
+    a = smoothed_pointwise_ci(values, 0.5, n_boot=20, rng=RngStream(66))
+    b = smoothed_pointwise_ci(s, 0.5, n_boot=20, rng=RngStream(66))
+    assert np.array_equal(a.deviations, b.deviations)
+    a = l1_band(values, n_boot=50, m=2000, rng=RngStream(67))
+    b = l1_band(s, n_boot=50, m=2000, rng=RngStream(67))
+    assert a.radius == b.radius
+    assert np.array_equal(a.l1_values, b.l1_values)
 
 
 def test_ci_width_shrinks_at_cube_root_rate():
@@ -195,13 +219,42 @@ def test_band_fields(small_band):
     s, band = small_band
     assert band.n == 400 and band.n_boot == 60 and band.m == 4000
     assert len(band.standardized) == 60
-    assert band.radius == band.mu_hat / 400 ** (1 / 3) + band.c_critical / np.sqrt(400)
+    assert not band.empty
+    assert band.radius == empirical_quantile(band.l1_values, 0.95)
+    # the L1-CLT form of the same radius: mu_hat cancels
+    recomputed = (band.mu_hat / 400 ** (1 / 3)
+                  + band.c_critical / np.sqrt(400))
+    assert abs(band.radius - recomputed) < 1e-15
 
 
 def test_band_contains_center(small_band):
     s, band = small_band
-    if band.radius >= 0:
-        assert band_contains(band, band.center)
+    assert band_contains(band, band.center)
+
+
+def test_band_radius_is_the_quantile_of_the_l1_errors():
+    for n in (50, 1000):
+        for seed in range(3):
+            s = sample_from_analytic(triangular_density(), n,
+                                     RngStream(seed, (n,)))
+            for level in (0.05, 0.5, 0.95):
+                band = l1_band(s, level=level, n_boot=50, m=10 * n,
+                               rng=RngStream(seed, (n, 1)))
+                assert band.radius == empirical_quantile(band.l1_values,
+                                                         level)
+                assert band.radius >= 0.0 and not band.empty
+
+
+def test_band_radius_does_not_depend_on_the_centering(monkeypatch):
+    s = sample_from_analytic(triangular_density(), 300, RngStream(68))
+    bands = [l1_band(s, n_boot=50, m=3000, rng=RngStream(69))]
+    for mu_hat in (0.0, 10.0):
+        monkeypatch.setattr(grenboot.inference, "supersample_centering",
+                            lambda smoothed, m, rng: mu_hat)
+        bands.append(l1_band(s, n_boot=50, m=3000, rng=RngStream(69)))
+        assert bands[-1].mu_hat == mu_hat
+    assert len({band.radius for band in bands}) == 1
+    assert not any(band.empty for band in bands)
 
 
 def test_band_contains_boundary_weak(small_band):

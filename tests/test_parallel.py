@@ -108,6 +108,67 @@ def test_parent_share_error_kills_and_reaps_every_child(error, cheap_forks):
     _assert_no_children()
 
 
+class TwoArg(Exception):
+    """An exception whose constructor takes two arguments, not a message."""
+
+    def __init__(self, first, second):
+        super().__init__(first, second)
+
+
+def test_worker_exception_without_a_message_constructor(cheap_forks):
+    parent = os.getpid()
+
+    def fn(i):
+        if i == 5 and os.getpid() != parent:
+            raise TwoArg("x", "y")
+        return i
+
+    with pytest.raises(RuntimeError, match=r"^TwoArg: \('x', 'y'\)$"):
+        map_indexed(fn, 8, 2)
+    _assert_no_children()
+
+
+def test_worker_result_that_pickle_refuses(cheap_forks):
+    # a lambda pickles by name, and a local one has none to look up
+    with pytest.raises(RuntimeError, match="pickle"):
+        map_indexed(lambda i: lambda: i, 8, 2)
+    _assert_no_children()
+
+
+@pytest.fixture
+def sigchld_ignored():
+    """SIGCHLD ignored, as daemons often set it: the kernel reaps every
+    child as it exits, and waitpid finds none."""
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    yield
+    signal.signal(signal.SIGCHLD, previous)
+
+
+def test_map_with_sigchld_ignored(sigchld_ignored, cheap_forks,
+                                  counted_forks):
+    assert map_indexed(lambda i: i * i, 8, 2) == [i * i for i in range(8)]
+    assert len(counted_forks) == 1
+    _assert_no_children()
+
+
+def test_parent_share_error_with_sigchld_ignored(sigchld_ignored,
+                                                 cheap_forks):
+    parent = os.getpid()
+
+    def fn(i):
+        if os.getpid() == parent and i == 2:
+            raise ValueError("parent share failed")
+        if os.getpid() != parent:
+            time.sleep(60)
+        return i
+
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="parent share failed"):
+        map_indexed(fn, 9, 3)
+    assert time.monotonic() - start < 10.0
+    _assert_no_children()
+
+
 @pytest.mark.parametrize("count, workers",
                          [(0, 3), (1, 3), (2, 4), (3, 4), (11, 3), (50, 3),
                           (7, np.int64(2))])

@@ -39,6 +39,11 @@ def test_substream_path_reproducible():
     assert x == y
 
 
+def test_stream_repr():
+    assert (repr(RngStream(3).substream(1, 2))
+            == "RngStream(seed=3, path=(1, 2))")
+
+
 def test_substream_rejects_bad_indices():
     with pytest.raises(ValueError):
         RngStream(1).substream(-2)
@@ -170,6 +175,12 @@ def test_envelope_flat_function_tight():
     envelope, lo, hi = _sampler_table(_FlatTarget(0.7, None))
     assert 0.7 <= envelope < 0.7 + 1e-6
     assert np.all((lo <= 0.7) & (0.7 <= hi) & (hi - lo < 1e-6))
+
+
+def test_envelope_of_a_zero_target_raises():
+    with pytest.raises(ValueError,
+                       match=r"^degenerate rejection envelope 0\.0$"):
+        _sampler_table(_FlatTarget(0.0, None))
 
 
 def test_envelope_dominates_everywhere():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -121,6 +123,31 @@ def test_bandwidth_scale_must_be_positive_and_finite(scale):
     # an infinite scale clamped every bandwidth to 1/2
     with pytest.raises(ValueError, match="scale must be positive and finite"):
         BandwidthRule(0.3, scale=scale)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: check_kernel_conditions(EPANECHNIKOV, "sup"),
+     "level must be 'pointwise' or 'l1'"),
+    (lambda: BandwidthRule(0.3, regime="sup"),
+     "regime must be one of ['l1', 'pointwise']"),
+    (lambda: SmoothedDensity(Sample([0.5]), EPANECHNIKOV, 0.0),
+     "bandwidth must lie in (0, 1/2]"),
+    (lambda: SmoothedDensity(Sample([0.5]), EPANECHNIKOV, 0.6),
+     "bandwidth must lie in (0, 1/2]"),
+], ids=["kernel-check-level", "regime", "bandwidth-0", "bandwidth-0.6"])
+def test_bad_smoother_input_raises_its_message(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()
+
+
+def test_smoother_takes_a_plain_list():
+    values = [0.9, 0.2, 0.5, 0.3]
+    sample = Sample(values)
+    for build in (lambda x: SmoothedDensity(x, EPANECHNIKOV, 0.3),
+                  lambda x: fit_smoothed(x, BIWEIGHT, DEFAULT_L1_RULE)):
+        got, want = build(values), build(sample)
+        assert np.array_equal(got.sample.values, sample.values)
+        assert np.array_equal(got.ppoly.c, want.ppoly.c)
 
 
 def test_default_rules():
