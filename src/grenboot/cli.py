@@ -137,9 +137,8 @@ _FLAGS = {"n": "--n", "rate": "--rate", "seed": "--seed",
           "level": "--level", "n_boot": "--boot", "supersample size m": "--m",
           "step": "--delta", "window": "--window", "n_paths": "--paths",
           "lag_max": "--lag-max", "lag_step": "--lag-step",
-          "n_batches": "--batches",
+          "n_batches": "--batches", "replicates": "--replicates",
           "the scaling check's n_paths": "--scaling-paths",
-          "half_width": "--scaling-width", "replicates": "--replicates",
           "grid_size": "--grid-size", "n_grid": "--n-grid",
           "each n_grid size": "each --n-grid size"}
 
@@ -278,7 +277,7 @@ def cmd_limits(args):
     payload = {}
     if args.check_scaling:
         payload["scaling"] = doubled_scaling_check(
-            args.scaling_paths, args.delta, args.scaling_width,
+            args.scaling_paths, args.delta, args.window,
             rng.substream(1), args.threads)
     payload.update(estimate_constants(config, rng.substream(0),
                                       args.threads).to_dict())
@@ -401,26 +400,25 @@ def build_parser():
                                     "bootstrap quantile of the L1 errors")
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--boot", type=int, default=300)
-    p.add_argument("--m", type=int, default=None,
-                   help="supersample size (default "
-                        "max(10n, min(ceil(n^1.5), 200000)); an explicit "
-                        "value may exceed the 200000 cap)")
+    p.add_argument("--m", type=int, help="supersample size (default max(10n, "
+                   "min(ceil(n^1.5), 200000)); an explicit value may exceed "
+                   "the 200000 cap)")
     add_flags(p, data=True, smoother=True)
     p.set_defaults(func=cmd_band)
 
     p = sub.add_parser("limits", help="Monte Carlo limit constants")
-    p.add_argument("--delta", type=float, default=0.002, help="grid step")
-    p.add_argument("--window", type=float, default=3.0,
-                   help="argmax window half-width")
-    p.add_argument("--paths", type=int, default=20000)
-    p.add_argument("--lag-max", type=float, default=8.0)
-    p.add_argument("--lag-step", type=float, default=0.25)
-    p.add_argument("--batches", type=int, default=20,
+    p.add_argument("--delta", type=float, default=LimitSimConfig.step,
+                   help="grid step")
+    p.add_argument("--window", type=float, default=LimitSimConfig.window,
+                   help="argmax window half-width, the scaling check's too")
+    p.add_argument("--paths", type=int, default=LimitSimConfig.n_paths)
+    p.add_argument("--lag-max", type=float, default=LimitSimConfig.lag_max)
+    p.add_argument("--lag-step", type=float, default=LimitSimConfig.lag_step)
+    p.add_argument("--batches", type=int, default=LimitSimConfig.n_batches,
                    help="batch count for batch-means standard errors")
     p.add_argument("--check-scaling", action="store_true",
                    help="also run the doubled-noise variance-ratio check")
     p.add_argument("--scaling-paths", type=int, default=20000)
-    p.add_argument("--scaling-width", type=float, default=3.0)
     add_flags(p)
     p.set_defaults(func=cmd_limits)
 
@@ -432,7 +430,8 @@ def build_parser():
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--replicates", type=int, default=200)
     p.add_argument("--boot", type=int, default=200)
-    p.add_argument("--m", type=int, default=20000)
+    p.add_argument("--m", type=int, help="coverage --band: supersample size "
+                   "(default as in band, max(10n, min(ceil(n^1.5), 200000)))")
     p.add_argument("--level", type=float, default=0.90)
     p.add_argument("--t0", type=float, default=0.5)
     p.add_argument("--band", action="store_true",

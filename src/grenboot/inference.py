@@ -154,7 +154,7 @@ class L1BandResult:
 
     ``radius`` is the ``level`` quantile of ``l1_values``; ``mu_hat``,
     ``c_critical`` and ``standardized`` are the L1-CLT diagnostic. ``empty``
-    is false for every band from :func:`l1_band`.
+    is always false; it stays so that ``grenboot band``'s JSON keeps its keys.
     """
 
     level: float
@@ -181,7 +181,12 @@ class L1BandResult:
         return out
 
 
-_SUPERSAMPLE_CAP = 200000
+def _supersample_size(n, m):
+    """A band's supersample size on n points: ``m``, at least 10n, or by
+    default max(10n, min(ceil(n^1.5), 200000))."""
+    if m is None:
+        m = max(10 * n, min(math.ceil(n ** 1.5), 200000))
+    return _count(m, "supersample size m", 10 * n)
 
 
 def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
@@ -196,10 +201,8 @@ def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
     ``n_boot`` distances to the smooth in one batched pass over its pieces,
     so the values do not depend on ``threads``.
 
-    The supersample size m defaults to max(10n, min(ceil(n^1.5), 200000)):
-    the cap of 200000 bounds the n^1.5 growth, and the 10n floor wins over
-    the cap once n > 20000. An explicit ``m`` may exceed the cap; one below
-    10n raises ValueError.
+    The diagnostic's supersample size m defaults to max(10n, min(ceil(n^1.5),
+    200000)); an explicit ``m`` may exceed the cap, and one below 10n raises.
     """
     if not isinstance(sample, Sample):
         sample = Sample(sample)
@@ -211,9 +214,7 @@ def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
         raise InputError("kernel %s fails the l1-level conditions"
                          % kernel.name)
     n = sample.n
-    if m is None:
-        m = max(10 * n, min(math.ceil(n ** 1.5), _SUPERSAMPLE_CAP))
-    m = _count(m, "supersample size m", 10 * n)
+    m = _supersample_size(n, m)
 
     smoothed = fit_smoothed(sample, kernel, rule)
     center = grenander_fit(sample)
@@ -249,13 +250,11 @@ def l1_band(sample, level=0.95, n_boot=300, m=None, kernel=BIWEIGHT,
 
 def band_contains(band, density):
     """Whether a density lies within the band: L1 distance to the center
-    at most the radius (weak inequality; empty bands contain nothing).
+    at most the radius (weak inequality; a negative radius holds nothing).
 
     ``density`` and the step-density center must form a pair that
     :func:`~grenboot.density.l1_distance` supports.
     """
-    if band.empty:
-        return False
     # the exact L1 still carries rounding; 1e-12 of slack keeps a density at
     # distance exactly the radius inside
     return l1_distance(band.center, density) <= band.radius + 1e-12

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from grenboot import cli
-from grenboot.cli import _json_text, _writes_outputs, main, read_observations
+from grenboot import LimitSimConfig, cli
+from grenboot.cli import (_json_text, _writes_outputs, build_parser, main,
+                          read_observations)
 
 
 def run_cli(args):
@@ -305,11 +307,45 @@ def test_limits_check_scaling(tmp_path):
     assert run_cli(["limits", "--delta", 0.01, "--window", 2.0, "--paths",
                     300, "--lag-max", 5.0, "--lag-step", 0.5, "--batches", 10,
                     "--seed", 6, "--check-scaling", "--scaling-paths", 2000,
-                    "--scaling-width", 2.0, "--out", tmp_path / "ls"]) == 0
+                    "--out", tmp_path / "ls"]) == 0
     s = json.loads((tmp_path / "ls.json").read_text())
     assert "scaling" in s
     assert 1.2 < s["scaling"]["ratio"] < 2.0
     assert s["scaling"]["ratio_theory"] == 2 ** (2 / 3)
+    assert s["scaling"]["half_width"] == 2.0
+
+
+def test_scaling_check_scans_the_window(tmp_path):
+    # a window that is a multiple of the step, where the scaling check's own
+    # default width of 3 was not, exited 2 naming a flag nobody set
+    assert run_cli(["limits", "--delta", 0.007, "--window", 2.1, "--lag-max",
+                    2.1, "--lag-step", 0.7, "--paths", 200, "--batches", 10,
+                    "--check-scaling", "--scaling-paths", 100, "--seed", 1,
+                    "--out", tmp_path / "l"]) == 0
+    s = json.loads((tmp_path / "l.json").read_text())
+    assert s["scaling"]["half_width"] == 2.1
+
+
+def test_limits_defaults_are_the_config_defaults(monkeypatch):
+    # each limits flag's dest, and the LimitSimConfig field it sets
+    fields = {"delta": "step", "window": "window", "paths": "n_paths",
+              "lag_max": "lag_max", "lag_step": "lag_step",
+              "batches": "n_batches"}
+
+    def defaults():
+        args = build_parser().parse_args(["limits", "--seed", "1",
+                                          "--out", "l"])
+        return {dest: getattr(args, dest) for dest in fields}
+
+    config = LimitSimConfig()
+    assert defaults() == {dest: getattr(config, field)
+                          for dest, field in fields.items()}
+    # read off the class, not restated: they follow a change there
+    for field in fields.values():
+        monkeypatch.setattr(LimitSimConfig, field,
+                            2 * getattr(LimitSimConfig, field))
+    assert defaults() == {dest: 2 * getattr(config, field)
+                          for dest, field in fields.items()}
 
 
 # each message names the flag in place of the library parameter that the
@@ -321,13 +357,12 @@ def test_limits_check_scaling(tmp_path):
     (["--lag-max", 0], "--lag-max must"),
     (["--check-scaling", "--scaling-paths", 1], "--scaling-paths must"),
     (["--check-scaling", "--scaling-paths", 0], "--scaling-paths must"),
-    (["--check-scaling", "--scaling-width", 2.005], "--scaling-width must"),
     (["--window", "1e-10"], "--window must"),
     (["--lag-step", "1e-10", "--lag-max", "1e-10"], "--lag-step must"),
     (["--paths", "300", "--batches", "400"], "--paths must"),
 ], ids=["flags0-window", "flags1-step", "flags2-lag_max", "flags3-lag_max",
-        "flags4-n_paths", "flags5-n_paths", "flags6-half_width",
-        "flags7-window", "flags8-lag_step", "flags9-n_paths"])
+        "flags4-n_paths", "flags5-n_paths", "flags7-window",
+        "flags8-lag_step", "flags9-n_paths"])
 def test_limits_bad_flags_are_usage_errors(flags, message, tmp_path, capsys):
     assert run_cli(["limits", "--delta", 0.01, "--window", 2.0, "--paths",
                     300, "--lag-max", 5.0, "--lag-step", 0.5, "--batches",
@@ -400,14 +435,13 @@ def test_writer_opens_no_file_when_the_manifest_fails(tmp_path):
 @pytest.mark.parametrize("argv,message", [
     ("gen --density triangular --rate nan --n 5 --seed 1",
      "--rate must be finite, got nan"),
-    ("limits --delta 0.1 --window 2 --paths 40 --batches 2 --lag-max 1 "
-     "--lag-step 0.5 --scaling-width nan --seed 1",
-     "--scaling-width must be finite, got nan"),
+    ("experiment coverage --band --n 30 --replicates 1 --boot 50 --m 300 "
+     "--t0 nan --seed 1", "--t0 must be finite, got nan"),
     ("experiment l1clt --n 20 --replicates 2 --alpha nan --seed 1 "
      "--limits {limits}", "--alpha must be finite, got nan"),
     ("experiment inconsistency --n 20 --replicates 2 --level inf --seed 1 "
      "--limits {limits}", "--level must be finite, got inf"),
-], ids=["gen-rate", "limits-scaling-width", "l1clt-alpha",
+], ids=["gen-rate", "coverage-band-t0", "l1clt-alpha",
         "inconsistency-level"])
 def test_non_finite_float_flag_is_usage_error(argv, message, limits_file,
                                               tmp_path, capsys):
@@ -435,7 +469,7 @@ def test_scaling_draws_without_spread_are_usage_error(tmp_path, capsys):
         assert run_cli([
             "limits", "--delta", 0.5, "--window", 3, "--paths", 4,
             "--batches", 2, "--lag-max", 0.5, "--lag-step", 0.5,
-            "--check-scaling", "--scaling-paths", 2, "--scaling-width", 3,
+            "--check-scaling", "--scaling-paths", 2,
             "--seed", 6, "--out", tmp_path / "l"]) == 2
     assert capsys.readouterr().err == (
         "usage error: --scaling-paths is too small: every doubled draw is "
@@ -487,6 +521,15 @@ def test_experiment_coverage_smoke(tmp_path):
                     "--out", tmp_path / "c"]) == 0
     s = json.loads((tmp_path / "c.json").read_text())
     assert 0.0 <= s["coverage"] <= 1.0
+
+
+def test_experiment_band_coverage_default_m(tmp_path):
+    # the default --m of 20000 fell below the band's 10n floor once n > 2000
+    assert run_cli(["experiment", "coverage", "--band", "--n", 2001,
+                    "--replicates", 1, "--boot", 50, "--seed", 1,
+                    "--out", tmp_path / "c"]) == 0
+    s = json.loads((tmp_path / "c.json").read_text())
+    assert s["m"] == 89510 == math.ceil(2001 ** 1.5)
 
 
 @pytest.mark.parametrize("argv", [
@@ -706,8 +749,7 @@ def test_forked_runs_match_one_worker(cheap_forks, counted_forks, data_file,
                  [".json", ".csv"]),
         "limits": (["limits", "--delta", 0.05, "--window", 2, "--paths", 40,
                     "--lag-max", 1.0, "--lag-step", 0.25, "--batches", 2,
-                    "--check-scaling", "--scaling-paths", 40,
-                    "--scaling-width", 2], [".json"]),
+                    "--check-scaling", "--scaling-paths", 40], [".json"]),
         "coverage": (["experiment", "coverage", "--n", 60, "--replicates", 4,
                       "--boot", 20], [".json", ".csv"]),
     }
@@ -843,7 +885,7 @@ _BASES = {
     "band": "band --data {data} --boot 50 --m 500 --seed 1",
     "limits": "limits --delta 0.05 --window 2 --paths 20 --lag-max 0.5 "
               "--lag-step 0.25 --batches 2 --check-scaling --scaling-paths 20 "
-              "--scaling-width 2 --seed 1",
+              "--seed 1",
     "coverage": "experiment coverage --density trunc-exp --n 30 "
                 "--replicates 1 --boot 20 --seed 1",
     "coverage-band": "experiment coverage --band --n 30 --replicates 1 "
@@ -865,7 +907,7 @@ _NUMERIC_FLAGS = {
     "ci": ["--t0", "--level", "--boot"] + _SMOOTHER + _RUN,
     "band": ["--level", "--boot", "--m"] + _SMOOTHER + _RUN,
     "limits": ["--delta", "--window", "--paths", "--lag-max", "--lag-step",
-               "--batches", "--scaling-paths", "--scaling-width"] + _RUN,
+               "--batches", "--scaling-paths"] + _RUN,
     "coverage": ["--rate", "--n", "--replicates", "--boot", "--level", "--t0"]
                 + _SMOOTHER + _RUN,
     "coverage-band": ["--m", "--boot", "--level"] + _SMOOTHER,

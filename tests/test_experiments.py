@@ -1,11 +1,14 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from grenboot import RngStream, triangular_density, trunc_exp_density
+from grenboot import (RngStream, experiments, triangular_density,
+                      trunc_exp_density)
 from grenboot.experiments import (run_band_coverage, run_inconsistency,
                                   run_l1_clt, run_pointwise_coverage, run_rate)
+from grenboot.parallel import InputError
 
 
 def test_pointwise_coverage_smoke():
@@ -46,8 +49,28 @@ def test_band_coverage_smoke():
         triangular_density(), n=100, replicates=6, n_boot=50, m=1200,
         level=0.95, rng=RngStream(82), threads=4)
     assert len(rows) == 6
-    assert summary["n_empty"] == sum(r["empty"] for r in rows)
+    assert summary["m"] == 1200
     assert np.isfinite(summary["pooled_standardized_mean"])
+
+
+def test_band_coverage_default_m_is_the_band_rule():
+    # a default m of 20000 fell below l1_band's 10n floor once n > 2000
+    summary, rows = run_band_coverage(triangular_density(), n=2001,
+                                      replicates=1, n_boot=50,
+                                      rng=RngStream(1))
+    assert len(rows) == 1
+    assert summary["m"] == 89510 == math.ceil(2001 ** 1.5)
+
+
+def test_band_coverage_checks_m_before_any_replicate(monkeypatch):
+    def no_replicate(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(experiments, "sample_from_analytic", no_replicate)
+    with pytest.raises(InputError, match=r"^supersample size m must be an "
+                                         r"integer >= 30000, got 20000$"):
+        run_band_coverage(triangular_density(), n=3000, replicates=1,
+                          n_boot=50, m=20000, rng=RngStream(1))
 
 
 def test_inconsistency_summary_fields(limit_constants):

@@ -293,6 +293,12 @@ def test_scaling_check_needs_two_paths(n_paths):
         doubled_scaling_check(n_paths, 0.05, 1.0, RngStream(97))
 
 
+def test_scaling_check_width_must_be_a_multiple_of_the_step():
+    with pytest.raises(InputError, match=r"^half_width must be a positive "
+                         r"multiple of step 0\.01, got 2\.005$"):
+        doubled_scaling_check(20, 0.01, 2.005, RngStream(97))
+
+
 def test_constants_roundtrip_serialization(limit_constants):
     d = limit_constants.to_dict()
     back = LimitConstants.from_dict(d)

@@ -13,7 +13,7 @@ from grenboot import (BIWEIGHT, DEFAULT_L1_RULE, DEFAULT_POINTWISE_RULE,
                       fit_smoothed, multinomial_bootstrap, rejection_sample,
                       sample_from_analytic, triangular_density,
                       trunc_exp_density, uniform_density)
-from grenboot.resampling import _sampler_table
+from grenboot.resampling import _CELLS, _sampler_table
 from .oracles import every_proposal_sample
 
 
@@ -150,9 +150,9 @@ class _FlatTarget:
         self.quad_breakpoints = np.array([0.0, 1.0])
         self.ppoly = PPoly([[c]], self.quad_breakpoints)
         # per-cell bounds of the target for the sampler's squeeze: c itself,
-        # widened by a margin, on each of the 4096 cells
-        self.sampler_table = (envelope, np.full(4096, c * (1.0 - 1e-9)),
-                              np.full(4096, c * (1.0 + 1e-9)))
+        # widened by a margin, on each of the sampler's cells
+        self.sampler_table = (envelope, np.full(_CELLS, c * (1.0 - 1e-9)),
+                              np.full(_CELLS, c * (1.0 + 1e-9)))
 
 
 def test_rejection_flat_target_tight_envelope():
@@ -289,10 +289,11 @@ def test_property_squeeze_brackets_target(sd, extra):
     # it, and every cell edge: the sampler draws t from [0, 1)
     knots = sd.ppoly.x
     t = np.concatenate([extra, RngStream(30).gen.uniform(size=5000), knots,
-                        np.nextafter(knots[1:], 0.0), np.arange(4096) / 4096])
+                        np.nextafter(knots[1:], 0.0),
+                        np.arange(_CELLS) / _CELLS])
     t = t[t < 1.0]
     _, lo, hi = sd.sampler_table
-    k = (t * 4096).astype(int)
+    k = (t * _CELLS).astype(int)
     target = sd.pdf(t)
     assert np.all(lo[k] <= target)
     assert np.all(target <= hi[k])
