@@ -13,9 +13,13 @@ the run and opens no file until every text, the manifest's included, is
 built. A data file is read in one pass; argparse checks the density and
 experiment names, and ``main`` checks that every float flag is finite. One
 helper resolves --kernel, --alpha and --scale, with the library's defaults
-for unset flags. A usage error is an :class:`~grenboot.parallel.InputError`,
-raised where the value is checked, in the library or here; ``main`` reports
-it with the flag in place of the parameter that heads its message.
+for unset flags. ``experiment`` runs from one table of each run's runner,
+regime and flags. A flag set where the run does not read it is a usage
+error; an unset one takes the library's default, and the value that ran is
+stored back for the manifest. A usage error is an
+:class:`~grenboot.parallel.InputError`, raised where the value is checked,
+in the library or here; ``main`` reports it with the flag in place of the
+parameter that heads its message.
 
 --threads caps the workers of every replicate loop, at the usable CPUs by
 default; outputs do not depend on it, and the manifest records the cap.
@@ -123,10 +127,27 @@ def read_observations(path, rescale=None):
     return Sample(np.array(values))
 
 
-# --density's choices, each with its density at --rate
-_DENSITIES = {"uniform": lambda rate: uniform_density(),
-              "triangular": lambda rate: triangular_density(),
+# --density's choices; only trunc-exp takes a --rate
+_DENSITIES = {"uniform": uniform_density, "triangular": triangular_density,
               "trunc-exp": trunc_exp_density}
+
+
+def _density(args):
+    """The density that --density names, at --rate when that is set."""
+    if args.rate is None:
+        return _DENSITIES[args.density]()
+    if args.density != "trunc-exp":
+        raise InputError("--density %s does not read --rate" % args.density)
+    return trunc_exp_density(args.rate)
+
+
+def _sizes(text):
+    """--n-grid's comma-separated integers."""
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "takes comma-separated integers, got %r" % text) from None
 
 
 # the flag that sets each library parameter that can head an InputError's
@@ -196,21 +217,23 @@ _REGIME_DEFAULTS = {"pointwise": (EPANECHNIKOV, DEFAULT_POINTWISE_RULE),
 
 def _smoother_flags(args, regime):
     """The kernel and bandwidth rule that --kernel, --alpha and --scale give
-    in ``regime``. The kernel name and alpha are stored back on ``args``, so
-    that the manifest records the values that ran."""
+    in ``regime``. The kernel name, alpha and scale are stored back on
+    ``args``, so that the manifest records the values that ran."""
     kernel, rule = _REGIME_DEFAULTS[regime]
     if args.kernel is None:
         args.kernel = kernel.name
     if args.alpha is None:
         args.alpha = rule.alpha
+    if args.scale is None:
+        args.scale = rule.scale
     return (kernel_by_name(args.kernel),
             BandwidthRule(args.alpha, args.scale, regime))
 
 
 @_writes_outputs
 def cmd_gen(args):
-    sample = sample_from_analytic(_DENSITIES[args.density](args.rate),
-                                  args.n, RngStream(args.seed))
+    sample = sample_from_analytic(_density(args), args.n,
+                                  RngStream(args.seed))
     return [], [("", "".join(repr(float(v)) + "\n" for v in sample.values))]
 
 
@@ -259,6 +282,7 @@ def cmd_band(args):
     result = l1_band(
         sample, level=args.level, n_boot=args.boot, m=args.m, kernel=kernel,
         rule=rule, rng=RngStream(args.seed), threads=args.threads)
+    args.m = result.m
     return [args.data], [
         (".json", _json_text(result.summary_dict())),
         (".csv", _csv_text(["replicate", "l1_value", "standardized"],
@@ -276,57 +300,66 @@ def cmd_limits(args):
     # before the long constants run; its stream is independent of theirs
     payload = {}
     if args.check_scaling:
+        if args.scaling_paths is None:
+            args.scaling_paths = LimitSimConfig.n_paths
         payload["scaling"] = doubled_scaling_check(
             args.scaling_paths, args.delta, args.window,
             rng.substream(1), args.threads)
+    elif args.scaling_paths is not None:
+        raise InputError("limits without --check-scaling does not read "
+                         "--scaling-paths")
     payload.update(estimate_constants(config, rng.substream(0),
                                       args.threads).to_dict())
     return [], [(".json", _json_text(payload))]
 
 
+# each experiment run: its runner, the regime whose kernel and bandwidth
+# --kernel, --alpha and --scale set (None: it reads --limits instead), and
+# the other flags it reads, by the runner's parameter names; an unset flag
+# takes the runner's default
+_EXPERIMENTS = {
+    "coverage": (run_pointwise_coverage, "pointwise",
+                 ["n", "replicates", "n_boot", "level", "t0"]),
+    "coverage --band": (run_band_coverage, "l1",
+                        ["n", "replicates", "n_boot", "m", "level"]),
+    "inconsistency": (run_inconsistency, None, ["n", "replicates", "t0"]),
+    "rate": (run_rate, "l1", ["n_grid", "replicates", "t0", "grid_size"]),
+    "l1clt": (run_l1_clt, None, ["n", "replicates"]),
+}
+
+
 @_writes_outputs
 def cmd_experiment(args):
-    rng = RngStream(args.seed)
-    truth = _DENSITIES[args.density](args.rate)
-    inputs = []
-    if args.name in ("inconsistency", "l1clt"):
-        if not args.limits:
+    run = args.name + " --band" * args.band
+    if run not in _EXPERIMENTS:
+        raise InputError("experiment %s does not read --band" % args.name)
+    runner, regime, params = _EXPERIMENTS[run]
+    reads = params + (["limits"] if regime is None
+                      else ["kernel", "alpha", "scale"])
+    varying = {"limits", "kernel", "alpha", "scale"}.union(
+        *(flags for _, _, flags in _EXPERIMENTS.values()))
+    unread = [_FLAGS.get(key, "--" + key.replace("_", "-"))
+              for key, value in vars(args).items()
+              if key in varying and key not in reads and value is not None]
+    if unread:
+        raise InputError("experiment %s does not read %s"
+                         % (run, ", ".join(unread)))
+    truth = _density(args)
+    kwargs = {key: getattr(args, key) for key in params
+              if getattr(args, key) is not None}
+    inputs, given = [], [truth]
+    if regime is None:
+        if args.limits is None:
             raise InputError("experiment %r needs --limits CONSTANTS.json "
-                             "from a previous `grenboot limits` run" % args.name)
-        constants = _load_constants(args.limits)
+                             "from a previous `grenboot limits` run" % run)
+        given.append(_load_constants(args.limits))
         inputs.append(args.limits)
-    if args.name == "coverage":
-        if args.band:
-            kernel, rule = _smoother_flags(args, "l1")
-            summary, rows = run_band_coverage(
-                truth, n=args.n, replicates=args.replicates, n_boot=args.boot,
-                m=args.m, level=args.level, kernel=kernel, rule=rule, rng=rng,
-                threads=args.threads)
-        else:
-            kernel, rule = _smoother_flags(args, "pointwise")
-            summary, rows = run_pointwise_coverage(
-                truth, n=args.n, replicates=args.replicates, n_boot=args.boot,
-                level=args.level, t0=args.t0, kernel=kernel, rule=rule,
-                rng=rng, threads=args.threads)
-    elif args.name == "inconsistency":
-        summary, rows = run_inconsistency(
-            truth, constants, n=args.n, replicates=args.replicates,
-            t0=args.t0, rng=rng, threads=args.threads)
-    elif args.name == "rate":
-        kernel, rule = _smoother_flags(args, "l1")
-        try:
-            n_grid = [int(x) for x in args.n_grid.split(",") if x.strip()]
-        except ValueError:
-            raise InputError("--n-grid takes comma-separated integers, got %r"
-                             % args.n_grid) from None
-        summary, rows = run_rate(
-            truth, n_grid=n_grid, replicates=args.replicates, kernel=kernel,
-            rule=rule, t0=args.t0, grid_size=args.grid_size, rng=rng,
-            threads=args.threads)
     else:
-        summary, rows = run_l1_clt(
-            truth, constants, n=args.n, replicates=args.replicates, rng=rng,
-            threads=args.threads)
+        kwargs["kernel"], kwargs["rule"] = _smoother_flags(args, regime)
+    summary, rows = runner(*given, rng=RngStream(args.seed),
+                           threads=args.threads, **kwargs)
+    for key in params:
+        setattr(args, key, summary[key])
     header = list(rows[0])
     return inputs, [(".json", _json_text(summary)), (".csv", _csv_text(
         header, ([row[key] for key in header] for row in rows)))]
@@ -360,8 +393,8 @@ def build_parser():
                            help="bandwidth exponent, in (0, 1/3) for the "
                                 "pointwise regime and (1/6, 1/5) for l1 "
                                 "(default: the regime's)")
-            p.add_argument("--scale", type=float, default=1.0,
-                           help="bandwidth scale (default 1)")
+            p.add_argument("--scale", type=float,
+                           help="bandwidth scale (default: the regime's)")
         p.add_argument("--out", required=True, help=out)
         if seed:
             p.add_argument("--seed", type=int, required=True,
@@ -373,8 +406,8 @@ def build_parser():
 
     p = sub.add_parser("gen", help="generate synthetic data from a known density")
     p.add_argument("--density", required=True, choices=_DENSITIES)
-    p.add_argument("--rate", type=float, default=1.0,
-                   help="rate for trunc-exp (default 1)")
+    p.add_argument("--rate", type=float,
+                   help="trunc-exp's rate (default: the library's)")
     p.add_argument("--n", type=int, required=True)
     add_flags(p, threads=False, out="output data file")
     p.set_defaults(func=cmd_gen)
@@ -400,9 +433,8 @@ def build_parser():
                                     "bootstrap quantile of the L1 errors")
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--boot", type=int, default=300)
-    p.add_argument("--m", type=int, help="supersample size (default max(10n, "
-                   "min(ceil(n^1.5), 200000)); an explicit value may exceed "
-                   "the 200000 cap)")
+    p.add_argument("--m", type=int, help="supersample size (default: the "
+                   "band's rule, given in the README)")
     add_flags(p, data=True, smoother=True)
     p.set_defaults(func=cmd_band)
 
@@ -418,31 +450,35 @@ def build_parser():
                    help="batch count for batch-means standard errors")
     p.add_argument("--check-scaling", action="store_true",
                    help="also run the doubled-noise variance-ratio check")
-    p.add_argument("--scaling-paths", type=int, default=20000)
+    p.add_argument("--scaling-paths", type=int,
+                   help="the scaling check's paths (default: --paths' "
+                        "default)")
     add_flags(p)
     p.set_defaults(func=cmd_limits)
 
-    p = sub.add_parser("experiment", help="run a named simulation experiment")
-    p.add_argument("name",
-                   choices=["coverage", "inconsistency", "rate", "l1clt"])
+    p = sub.add_parser("experiment", help="run a named simulation experiment",
+                       description="A flag that the run does not read is "
+                                   "refused; an unset one takes its default.")
+    p.add_argument("name", choices=dict.fromkeys(
+        run.split()[0] for run in _EXPERIMENTS))
     p.add_argument("--density", default="triangular", choices=_DENSITIES)
-    p.add_argument("--rate", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--replicates", type=int, default=200)
-    p.add_argument("--boot", type=int, default=200)
-    p.add_argument("--m", type=int, help="coverage --band: supersample size "
-                   "(default as in band, max(10n, min(ceil(n^1.5), 200000)))")
-    p.add_argument("--level", type=float, default=0.90)
-    p.add_argument("--t0", type=float, default=0.5)
+    p.add_argument("--rate", type=float,
+                   help="trunc-exp's rate (default: the library's)")
+    p.add_argument("--n", type=int)
+    p.add_argument("--replicates", type=int)
+    p.add_argument("--boot", type=int, dest="n_boot")
+    p.add_argument("--m", type=int, help="coverage --band: supersample size")
+    p.add_argument("--level", type=float)
+    p.add_argument("--t0", type=float)
     p.add_argument("--band", action="store_true",
                    help="coverage: build L1 bands instead of pointwise CIs")
-    p.add_argument("--n-grid", default="1000,3162,10000,31623",
+    p.add_argument("--n-grid", type=_sizes,
                    help="rate: comma-separated sample sizes")
-    p.add_argument("--grid-size", type=int, default=2001,
+    p.add_argument("--grid-size", type=int,
                    help="rate: sup-norm evaluation grid")
-    p.add_argument("--limits", default=None,
+    p.add_argument("--limits",
                    help="constants JSON from `grenboot limits` "
-                        "(required for inconsistency and l1clt)")
+                        "(inconsistency and l1clt)")
     add_flags(p, smoother=True)
     p.set_defaults(func=cmd_experiment)
     return parser

@@ -430,8 +430,8 @@ def test_writer_opens_no_file_when_the_manifest_fails(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-# each exited 1 with a JSON error after writing its results; the run ignores
-# the flag, so nothing else checks it
+# each run refuses its flag as unread, but main checks every float flag
+# first, so a non-finite value is named as such wherever it is set
 @pytest.mark.parametrize("argv,message", [
     ("gen --density triangular --rate nan --n 5 --seed 1",
      "--rate must be finite, got nan"),
@@ -533,25 +533,26 @@ def test_experiment_band_coverage_default_m(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["coverage", "--band", "--m", 800],
+    ["coverage", "--band", "--m", 800, "--n", 80, "--boot", 50],
     ["rate", "--n-grid", "100,200"],
 ], ids=["coverage-band", "rate"])
 def test_experiment_kernel_gate(argv, tmp_path, capsys):
     assert run_cli(["experiment"] + argv + [
-        "--kernel", "epanechnikov", "--n", 80, "--replicates", 2,
-        "--boot", 50, "--seed", 12, "--out", tmp_path / "k"]) == 2
+        "--kernel", "epanechnikov", "--replicates", 2, "--seed", 12,
+        "--out", tmp_path / "k"]) == 2
     assert "l1-level conditions" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,needs_limits", [
-    (["coverage", "--replicates", 0], False),
+    (["coverage", "--n", 60, "--boot", 20, "--replicates", 0], False),
     (["rate", "--replicates", 0], False),
     (["rate", "--n-grid", "", "--replicates", 2], False),
     (["rate", "--n-grid", 1000, "--replicates", 2], False),
-    (["inconsistency", "--replicates", 1], True),
-    (["l1clt", "--replicates", 1], True),
+    (["inconsistency", "--n", 60, "--replicates", 1], True),
+    (["l1clt", "--n", 60, "--replicates", 1], True),
     (["inconsistency", "--replicates", 5, "--n", 1], True),
-    (["inconsistency", "--replicates", 5, "--density", "uniform"], True),
+    (["inconsistency", "--n", 60, "--replicates", 5, "--density", "uniform"],
+     True),
 ], ids=["coverage-0", "rate-0", "rate-no-grid", "rate-one-size",
         "inconsistency-1", "l1clt-1", "inconsistency-n1",
         "inconsistency-flat"])
@@ -559,10 +560,11 @@ def test_experiment_too_few_replicates_or_sizes(argv, needs_limits,
                                                 limits_file, tmp_path,
                                                 capsys):
     limits = ["--limits", limits_file] if needs_limits else []
-    # argv follows the default --n 60, so its own --n wins
-    assert run_cli(["experiment", "--n", 60] + argv + limits + [
-        "--boot", 20, "--seed", 12, "--out", tmp_path / "e"]) == 2
-    assert capsys.readouterr().err.startswith("usage error:")
+    assert run_cli(["experiment"] + argv + limits + [
+        "--seed", 12, "--out", tmp_path / "e"]) == 2
+    err = capsys.readouterr().err
+    # refused for its value, not for a flag the run does not read
+    assert err.startswith("usage error:") and "does not read" not in err
     assert not (tmp_path / "e.json").exists()
 
 
@@ -953,3 +955,87 @@ def test_every_rejected_flag_value_exits_2_naming_its_flag(
             assert code == 2, (argv, err)
             assert re.search(re.escape(name) + r"(?![\w-])", err), (argv, err)
             assert not list(tmp_path.glob(value + "*"))
+
+
+# -- flags a run does not read -------------------------------------------------
+
+_EXPERIMENTS = ["coverage", "coverage-band", "rate", "inconsistency", "l1clt"]
+# flags that every experiment reads
+_SHARED = {"--density", "--rate", "--seed", "--threads"}
+
+
+def _reads(base):
+    """The flags that the sweep's ``base`` sets or varies; --kernel goes with
+    --alpha, and --band turns coverage into coverage-band."""
+    flags = {word for word in _BASES[base].split() if word.startswith("--")}
+    flags |= {flag.split()[0] for flag in _NUMERIC_FLAGS[base]}
+    if "--alpha" in flags:
+        flags.add("--kernel")
+    if base == "coverage":
+        flags.add("--band")
+    return flags - _SHARED
+
+
+# a value of each flag that a run reading it accepts
+_READ_VALUES = {"--n": "30", "--replicates": "2", "--boot": "50",
+                "--m": "300", "--level": "0.9", "--t0": "0.5",
+                "--n-grid": "30,60", "--grid-size": "11", "--alpha": "0.18",
+                "--scale": "1", "--kernel": "biweight", "--band": "",
+                "--limits": "{limits}"}
+_ANY_EXPERIMENT = set().union(*map(_reads, _EXPERIMENTS))
+# (id, command, the flag it does not read)
+_UNREAD = [
+    ("%s:%s" % (base, flag),
+     "%s %s %s" % (_BASES[base], flag, _READ_VALUES[flag]), flag)
+    for base in _EXPERIMENTS
+    for flag in sorted(_ANY_EXPERIMENT - _reads(base))] + [
+    ("gen-triangular:--rate",
+     "gen --density triangular --n 5 --seed 1 --rate 2", "--rate"),
+    ("coverage-uniform:--rate",
+     _BASES["coverage"].replace("trunc-exp", "uniform") + " --rate 2",
+     "--rate"),
+    ("limits-unchecked:--scaling-paths",
+     _BASES["limits"].replace(" --check-scaling", ""), "--scaling-paths"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", [case[1:] for case in _UNREAD],
+                         ids=[case[0] for case in _UNREAD])
+def test_every_unread_flag_exits_2_naming_it(argv, flag, limits_file,
+                                             tmp_path, capsys, monkeypatch):
+    # refused before any replicate runs, so nothing forks
+    def no_fork():
+        raise AssertionError("forked before the flag was refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main(argv.format(limits=limits_file).split()
+                + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:"), err
+    assert re.search(re.escape(flag) + r"(?![\w-])", err), err
+    assert not list(tmp_path.iterdir())
+
+
+# manifest key, where the result file holds the value that ran, and that value
+@pytest.mark.parametrize("argv,recorded", [
+    ("experiment rate --n-grid 30,60 --seed 1 --threads 1",
+     [("replicates", ["replicates"], 50), ("grid_size", ["grid_size"], 2001)]),
+    ("band --data {data} --boot 50 --seed 1 --threads 1", [("m", ["m"], 500)]),
+    ("limits --delta 0.05 --window 3 --paths 20 --lag-max 0.5 --lag-step 0.25 "
+     "--batches 2 --check-scaling --seed 1 --threads 1",
+     [("scaling_paths", ["scaling", "n_paths"], 200)]),
+], ids=["rate", "band", "limits"])
+def test_manifest_records_the_defaults_that_ran(argv, recorded, small_data,
+                                                 tmp_path, monkeypatch):
+    # the scaling check's default paths are LimitSimConfig's, cut here
+    monkeypatch.setattr(LimitSimConfig, "n_paths", 200)
+    assert main(argv.format(data=small_data).split()
+                + ["--out", str(tmp_path / "o")]) == 0
+    params = json.loads((tmp_path / "o.manifest.json").read_text())[
+        "parameters"]
+    result = json.loads((tmp_path / "o.json").read_text())
+    for key, path, value in recorded:
+        ran = result
+        for part in path:
+            ran = ran[part]
+        assert params[key] == ran == value, key
