@@ -11,12 +11,13 @@ error. Wall-clock time appears only in the manifest.
 Every subcommand returns the text of its files to one writer, which times
 the run and opens no file until every text, the manifest's included, is
 built. A data file is read in one pass; argparse checks the density and
-experiment names, and ``main`` checks that every float flag is finite. One
-helper resolves --kernel, --alpha and --scale, with the library's defaults
-for unset flags. ``experiment`` runs from one table of each run's runner,
-regime and flags. A flag set where the run does not read it is a usage
-error; an unset one takes the library's default, and the value that ran is
-stored back for the manifest. A usage error is an
+experiment names, and ``main`` checks that every float flag is finite. An
+unset flag takes the library's default, and the value that ran is stored
+back for the manifest: one helper resolves --kernel, --alpha and --scale,
+and ``ci``, ``band`` and ``experiment`` share one path that passes the
+library only the flags that are set. ``experiment`` runs from one table of
+each run's runner, regime and flags, and a flag set where the run does not
+read it is a usage error. A usage error is an
 :class:`~grenboot.parallel.InputError`, raised where the value is checked,
 in the library or here; ``main`` reports it with the flag in place of the
 parameter that heads its message.
@@ -230,6 +231,23 @@ def _smoother_flags(args, regime):
             BandwidthRule(args.alpha, args.scale, regime))
 
 
+def _run_lib(args, regime, params, call):
+    """The .json and .csv texts of ``call(**kwargs)``: its summary, then a
+    CSV of its header and rows. ``kwargs`` holds --seed's stream, --threads,
+    the flags in ``params`` that are set, so that an unset one takes the
+    library's default, and, unless ``regime`` is None, its kernel and rule.
+    Each value that ran is stored back from the summary for the manifest."""
+    kwargs = {key: getattr(args, key) for key in params
+              if getattr(args, key) is not None}
+    if regime is not None:
+        kwargs["kernel"], kwargs["rule"] = _smoother_flags(args, regime)
+    summary, header, rows = call(rng=RngStream(args.seed),
+                                 threads=args.threads, **kwargs)
+    for key in params:
+        setattr(args, key, summary[key])
+    return [(".json", _json_text(summary)), (".csv", _csv_text(header, rows))]
+
+
 @_writes_outputs
 def cmd_gen(args):
     sample = sample_from_analytic(_density(args), args.n,
@@ -264,30 +282,21 @@ def cmd_fit(args):
 
 @_writes_outputs
 def cmd_ci(args):
-    kernel, rule = _smoother_flags(args, "pointwise")
-    sample = read_observations(args.data, args.rescale)
-    result = smoothed_pointwise_ci(
-        sample, args.t0, level=args.level, n_boot=args.boot, kernel=kernel,
-        rule=rule, rng=RngStream(args.seed), threads=args.threads)
-    return [args.data], [
-        (".json", _json_text(result.summary_dict())),
-        (".csv", _csv_text(["replicate", "deviation"],
-                           enumerate(result.deviations)))]
+    def call(**kwargs):
+        sample = read_observations(args.data, args.rescale)
+        ci = smoothed_pointwise_ci(sample, args.t0, **kwargs)
+        return (ci.summary_dict(), ["replicate", "deviation"],
+                enumerate(ci.deviations))
+    return [args.data], _run_lib(args, "pointwise", ["level", "n_boot"], call)
 
 
 @_writes_outputs
 def cmd_band(args):
-    kernel, rule = _smoother_flags(args, "l1")
-    sample = read_observations(args.data, args.rescale)
-    result = l1_band(
-        sample, level=args.level, n_boot=args.boot, m=args.m, kernel=kernel,
-        rule=rule, rng=RngStream(args.seed), threads=args.threads)
-    args.m = result.m
-    return [args.data], [
-        (".json", _json_text(result.summary_dict())),
-        (".csv", _csv_text(["replicate", "l1_value", "standardized"],
-                           zip(range(result.n_boot), result.l1_values,
-                               result.standardized)))]
+    def call(**kwargs):
+        band = l1_band(read_observations(args.data, args.rescale), **kwargs)
+        return (band.summary_dict(), ["replicate", "l1_value", "standardized"],
+                zip(range(band.n_boot), band.l1_values, band.standardized))
+    return [args.data], _run_lib(args, "l1", ["level", "n_boot", "m"], call)
 
 
 @_writes_outputs
@@ -344,25 +353,18 @@ def cmd_experiment(args):
     if unread:
         raise InputError("experiment %s does not read %s"
                          % (run, ", ".join(unread)))
-    truth = _density(args)
-    kwargs = {key: getattr(args, key) for key in params
-              if getattr(args, key) is not None}
-    inputs, given = [], [truth]
+    inputs, given = [], [_density(args)]
     if regime is None:
         if args.limits is None:
             raise InputError("experiment %r needs --limits CONSTANTS.json "
                              "from a previous `grenboot limits` run" % run)
         given.append(_load_constants(args.limits))
         inputs.append(args.limits)
-    else:
-        kwargs["kernel"], kwargs["rule"] = _smoother_flags(args, regime)
-    summary, rows = runner(*given, rng=RngStream(args.seed),
-                           threads=args.threads, **kwargs)
-    for key in params:
-        setattr(args, key, summary[key])
-    header = list(rows[0])
-    return inputs, [(".json", _json_text(summary)), (".csv", _csv_text(
-        header, ([row[key] for key in header] for row in rows)))]
+
+    def call(**kwargs):
+        summary, rows = runner(*given, **kwargs)
+        return summary, list(rows[0]), map(dict.values, rows)
+    return inputs, _run_lib(args, regime, params, call)
 
 
 # -- parser -------------------------------------------------------------------
@@ -375,17 +377,22 @@ def build_parser():
                     "inference and limit-law Monte Carlo.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_flags(p, data=False, smoother=False, seed=True, threads=True,
-                  out="output prefix"):
+    def add_flags(p, data=False, boot=False, smoother=False, seed=True,
+                  threads=True, out="output prefix"):
         """Declare on ``p`` the flag families it takes: --data/--rescale,
-        --kernel/--alpha/--scale, and --out with --seed and, when
-        ``threads`` is true, --threads."""
+        --level/--boot, --kernel/--alpha/--scale, and --out with --seed and,
+        when ``threads`` is true, --threads."""
         if data:
             p.add_argument("--data", required=True,
                            help="data file, one decimal per line")
             p.add_argument("--rescale", nargs=2, type=float,
                            metavar=("LO", "HI"),
                            help="affinely map [LO, HI] onto [0, 1]")
+        if boot:
+            p.add_argument("--level", type=float,
+                           help="confidence level (default: the library's)")
+            p.add_argument("--boot", type=int, dest="n_boot",
+                           help="bootstrap resamples (default: the library's)")
         if smoother:
             p.add_argument("--kernel",
                            help="kernel name (default: the regime's)")
@@ -423,19 +430,14 @@ def build_parser():
 
     p = sub.add_parser("ci", help="smoothed-bootstrap pointwise confidence interval")
     p.add_argument("--t0", type=float, required=True)
-    p.add_argument("--level", type=float, default=0.90,
-                   help="confidence level (default 0.90)")
-    p.add_argument("--boot", type=int, default=500, help="bootstrap replicates")
-    add_flags(p, data=True, smoother=True)
+    add_flags(p, data=True, boot=True, smoother=True)
     p.set_defaults(func=cmd_ci)
 
     p = sub.add_parser("band", help="L1 confidence band; its radius is the "
                                     "bootstrap quantile of the L1 errors")
-    p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--boot", type=int, default=300)
     p.add_argument("--m", type=int, help="supersample size (default: the "
                    "band's rule, given in the README)")
-    add_flags(p, data=True, smoother=True)
+    add_flags(p, data=True, boot=True, smoother=True)
     p.set_defaults(func=cmd_band)
 
     p = sub.add_parser("limits", help="Monte Carlo limit constants")
@@ -466,9 +468,7 @@ def build_parser():
                    help="trunc-exp's rate (default: the library's)")
     p.add_argument("--n", type=int)
     p.add_argument("--replicates", type=int)
-    p.add_argument("--boot", type=int, dest="n_boot")
     p.add_argument("--m", type=int, help="coverage --band: supersample size")
-    p.add_argument("--level", type=float)
     p.add_argument("--t0", type=float)
     p.add_argument("--band", action="store_true",
                    help="coverage: build L1 bands instead of pointwise CIs")
@@ -479,7 +479,7 @@ def build_parser():
     p.add_argument("--limits",
                    help="constants JSON from `grenboot limits` "
                         "(inconsistency and l1clt)")
-    add_flags(p, smoother=True)
+    add_flags(p, boot=True, smoother=True)
     p.set_defaults(func=cmd_experiment)
     return parser
 

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from grenboot import LimitSimConfig, cli
+from grenboot import LimitSimConfig, cli, l1_band, smoothed_pointwise_ci
 from grenboot.cli import (_json_text, _writes_outputs, build_parser, main,
                           read_observations)
 
@@ -684,7 +685,7 @@ def test_manifest_contents(data_file, tmp_path):
     assert str(data_file) in man["input_digests"]
     assert len(man["input_digests"][str(data_file)]) == 64
     assert "wall_clock_seconds" in man
-    assert man["parameters"]["boot"] == 40
+    assert man["parameters"]["n_boot"] == 40
 
 
 def test_manifest_stable_minus_wall_clock(data_file, tmp_path):
@@ -728,6 +729,18 @@ def test_monte_carlo_commands_default_to_the_usable_cpus():
         "gen": None, "fit": None, "ci": cli._usable_cpus(),
         "band": cli._usable_cpus(), "limits": cli._usable_cpus(),
         "experiment": cli._usable_cpus()}
+
+
+def test_bootstrap_flags_hold_no_default():
+    # an unset --level, --boot or --m takes the library's default, so the
+    # parser keeps no copy of it
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, flags in [("ci", ["--level", "--boot"]),
+                        ("band", ["--level", "--boot", "--m"]),
+                        ("experiment", ["--level", "--boot", "--m"])]:
+        actions = sub.choices[name]._option_string_actions
+        assert [actions[flag].default for flag in flags] == [None] * len(flags)
 
 
 def test_usable_cpus_without_an_affinity_mask(monkeypatch):
@@ -1016,6 +1029,10 @@ def test_every_unread_flag_exits_2_naming_it(argv, flag, limits_file,
     assert not list(tmp_path.iterdir())
 
 
+def _library_default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
 # manifest key, where the result file holds the value that ran, and that value
 @pytest.mark.parametrize("argv,recorded", [
     ("experiment rate --n-grid 30,60 --seed 1 --threads 1",
@@ -1024,7 +1041,13 @@ def test_every_unread_flag_exits_2_naming_it(argv, flag, limits_file,
     ("limits --delta 0.05 --window 3 --paths 20 --lag-max 0.5 --lag-step 0.25 "
      "--batches 2 --check-scaling --seed 1 --threads 1",
      [("scaling_paths", ["scaling", "n_paths"], 200)]),
-], ids=["rate", "band", "limits"])
+    ("ci --data {data} --t0 0.5 --seed 1 --threads 1",
+     [(key, [key], _library_default(smoothed_pointwise_ci, key))
+      for key in ["level", "n_boot"]]),
+    ("band --data {data} --seed 1 --threads 1",
+     [(key, [key], _library_default(l1_band, key))
+      for key in ["level", "n_boot"]] + [("m", ["m"], 500)]),
+], ids=["rate", "band", "limits", "ci-unset", "band-unset"])
 def test_manifest_records_the_defaults_that_ran(argv, recorded, small_data,
                                                  tmp_path, monkeypatch):
     # the scaling check's default paths are LimitSimConfig's, cut here
